@@ -25,7 +25,7 @@ package evalpool
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -72,13 +72,136 @@ type Problem struct {
 	Workload workload.Workload
 }
 
-// fingerprint hashes the problem content. The %+v rendering
-// dereferences the platform's spec pointers and includes every field of
-// every phase, so any parameter change yields a new key space.
+// fingerprint hashes the problem content: every platform scalar, the
+// dereferenced CPU, DRAM and GPU specs (a nil spec hashes as a marker
+// distinct from any present one), and every workload and phase field.
+// Each field's bits go straight into FNV-1a, so two independently built
+// problems with equal content share one key space, and any parameter
+// change yields a new one. Strings are length-prefixed so adjacent
+// fields cannot trade bytes.
 func (pr *Problem) fingerprint() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v|%+v", pr.Platform, pr.Workload)
-	return h.Sum64()
+	h := newHasher()
+	p := &pr.Platform
+	h.str(p.Name)
+	h.str(p.Paper)
+	h.int(int64(p.Kind))
+	if c := p.CPU; h.present(c != nil) {
+		h.str(c.Name)
+		h.int(int64(c.Sockets))
+		h.int(int64(c.CoresPerSocket))
+		h.f64(c.FMin.Hz())
+		h.f64(c.FNom.Hz())
+		h.f64(c.PStateStep.Hz())
+		h.f64(c.VMin)
+		h.f64(c.VNom)
+		h.f64(c.OpsPerCyclePerCore)
+		h.f64(c.IdlePower.Watts())
+		h.f64(c.UncorePower.Watts())
+		h.f64(c.MaxDynPower.Watts())
+		h.int(int64(c.TStateSteps))
+		h.f64(c.MinDuty)
+	}
+	if d := p.DRAM; h.present(d != nil) {
+		h.str(d.Name)
+		h.int(int64(d.TotalGB))
+		h.int(int64(d.Channels))
+		h.f64(d.TransferRate.Hz())
+		h.f64(d.BytesPerTransfer)
+		h.f64(d.BackgroundPower.Watts())
+		h.f64(d.EnergyPerByteStream)
+		h.f64(d.EnergyPerByteRandom)
+		h.f64(d.MinThrottleHeadroom.Watts())
+	}
+	if g := p.GPU; h.present(g != nil) {
+		h.str(g.Name)
+		h.int(int64(g.SMs))
+		h.int(int64(g.LanesPerSM))
+		h.f64(g.OpsPerCyclePerLane)
+		h.f64(g.SMClockMin.Hz())
+		h.f64(g.SMClockNom.Hz())
+		h.f64(g.SMClockStep.Hz())
+		h.f64(g.VMin)
+		h.f64(g.VNom)
+		h.f64(g.IdleBoard.Watts())
+		h.f64(g.SMIdlePower.Watts())
+		h.f64(g.SMMaxDynPower.Watts())
+		m := &g.Mem
+		h.str(m.Name)
+		h.f64(m.ClockMin.Hz())
+		h.f64(m.ClockNom.Hz())
+		h.f64(m.ClockMax.Hz())
+		h.f64(m.ClockStep.Hz())
+		h.f64(m.BytesPerClock)
+		h.f64(m.PowerMin.Watts())
+		h.f64(m.PowerMax.Watts())
+		h.f64(g.TDP.Watts())
+		h.f64(g.MinCap.Watts())
+		h.f64(g.MaxCap.Watts())
+	}
+	w := &pr.Workload
+	h.str(w.Name)
+	h.str(w.Suite)
+	h.str(w.Desc)
+	h.int(int64(w.Kind))
+	h.str(w.PerfUnit)
+	h.f64(w.PerfPerUnitRate)
+	h.int(int64(len(w.Phases)))
+	for i := range w.Phases {
+		ph := &w.Phases[i]
+		h.str(ph.Name)
+		h.f64(ph.Weight)
+		h.f64(ph.OpsPerUnit)
+		h.f64(ph.BytesPerUnit)
+		h.f64(ph.RandomFrac)
+		h.f64(ph.BandwidthEff)
+		h.f64(ph.ComputeEff)
+		h.f64(ph.Overlap)
+		h.f64(ph.ActivityBase)
+		h.f64(ph.StallActivity)
+	}
+	return uint64(h)
+}
+
+// hasher is an allocation-free FNV-1a 64 state fed whole fields.
+type hasher uint64
+
+// fnvOffset is the FNV-1a 64-bit offset basis.
+const fnvOffset = 14695981039346656037
+
+func newHasher() hasher { return fnvOffset }
+
+// u64 feeds the eight bytes of v, least significant first.
+func (h *hasher) u64(v uint64) {
+	x := uint64(*h)
+	for i := 0; i < 8; i++ {
+		x = (x ^ (v & 0xff)) * fnvPrime
+		v >>= 8
+	}
+	*h = hasher(x)
+}
+
+func (h *hasher) int(v int64)   { h.u64(uint64(v)) }
+func (h *hasher) f64(v float64) { h.u64(math.Float64bits(v)) }
+
+// str feeds the length, then the bytes, of s.
+func (h *hasher) str(s string) {
+	h.u64(uint64(len(s)))
+	x := uint64(*h)
+	for i := 0; i < len(s); i++ {
+		x = (x ^ uint64(s[i])) * fnvPrime
+	}
+	*h = hasher(x)
+}
+
+// present feeds a nil marker for an optional spec and reports ok, so a
+// call site can hash the spec's fields only when it exists.
+func (h *hasher) present(ok bool) bool {
+	if ok {
+		h.u64(1)
+	} else {
+		h.u64(0)
+	}
+	return ok
 }
 
 // Options configures an Engine.

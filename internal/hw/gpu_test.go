@@ -2,6 +2,8 @@ package hw
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/units"
@@ -166,19 +168,35 @@ func TestGPUClockTables(t *testing.T) {
 	}
 }
 
+// TestPlatformByName checks that the name index covers the whole
+// catalog with equal content, that every lookup hands out its own spec
+// pointers (callers such as calibration mutate their copies), and that
+// the unknown-name error lists the valid names.
 func TestPlatformByName(t *testing.T) {
-	for _, name := range []string{"ivybridge", "haswell", "titanxp", "titanv"} {
-		p, err := PlatformByName(name)
+	for _, want := range AllPlatforms() {
+		a, err := PlatformByName(want.Name)
 		if err != nil {
-			t.Errorf("PlatformByName(%q): %v", name, err)
-			continue
+			t.Fatal(err)
 		}
-		if p.Name != name {
-			t.Errorf("got %q, want %q", p.Name, name)
+		if !reflect.DeepEqual(a, want) {
+			t.Errorf("%s: lookup differs from the catalog entry", want.Name)
+		}
+		if a.CPU != nil {
+			a.CPU.MaxDynPower++
+			a.DRAM.BackgroundPower++
+		}
+		if a.GPU != nil {
+			a.GPU.Mem.PowerMax++
+		}
+		b, _ := PlatformByName(want.Name)
+		if !reflect.DeepEqual(b, want) {
+			t.Errorf("%s: mutating one lookup's specs leaked into the next", want.Name)
 		}
 	}
-	if _, err := PlatformByName("epyc"); err == nil {
-		t.Error("expected error for unknown platform")
+	_, err := PlatformByName("epyc")
+	if err == nil || !strings.Contains(err.Error(),
+		"(valid: [h100 h200 haswell ivybridge titanv titanxp])") {
+		t.Errorf("unknown-platform error = %v, want the sorted valid names", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package hw
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/units"
 )
@@ -340,18 +341,45 @@ func AllPlatforms() []Platform {
 	return append(Platforms(), Modern()...)
 }
 
-// PlatformByName looks up a platform by its short name. The error lists
-// the valid names.
-func PlatformByName(name string) (Platform, error) {
-	for _, p := range AllPlatforms() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
+// catalog is AllPlatforms built once and indexed by name, with the
+// names sorted for error messages. PlatformByName hands out clones, so
+// the entries themselves are never exposed.
+var catalog = sync.OnceValues(func() (map[string]Platform, []string) {
+	byName := map[string]Platform{}
 	var names []string
 	for _, p := range AllPlatforms() {
+		byName[p.Name] = p
 		names = append(names, p.Name)
 	}
 	sort.Strings(names)
-	return Platform{}, fmt.Errorf("unknown platform %q (valid: %v)", name, names)
+	return byName, names
+})
+
+// PlatformByName looks up a platform by its short name. Each call
+// returns a fresh value with its own spec pointers, so callers may
+// mutate their copy. The error lists the valid names.
+func PlatformByName(name string) (Platform, error) {
+	byName, names := catalog()
+	p, ok := byName[name]
+	if !ok {
+		return Platform{}, fmt.Errorf("unknown platform %q (valid: %v)", name, names)
+	}
+	return p.clone(), nil
+}
+
+// clone returns p with freshly allocated copies of its component specs.
+func (p Platform) clone() Platform {
+	if p.CPU != nil {
+		c := *p.CPU
+		p.CPU = &c
+	}
+	if p.DRAM != nil {
+		d := *p.DRAM
+		p.DRAM = &d
+	}
+	if p.GPU != nil {
+		g := *p.GPU
+		p.GPU = &g
+	}
+	return p
 }

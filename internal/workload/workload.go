@@ -14,6 +14,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/hw"
 )
@@ -227,21 +228,32 @@ func (w Workload) Normalized() (Workload, error) {
 	return out, nil
 }
 
-// ByName returns the workload with the given name from the full model
-// set (the Table 3 catalog plus the ML inference additions). The error
-// lists valid names.
-func ByName(name string) (Workload, error) {
-	for _, w := range AllWorkloads() {
-		if w.Name == name {
-			return w, nil
-		}
-	}
+// catalog is AllWorkloads built once and indexed by name, with the
+// names sorted for error messages. ByName hands out clones, so the
+// entries themselves are never exposed.
+var catalog = sync.OnceValues(func() (map[string]Workload, []string) {
+	byName := map[string]Workload{}
 	var names []string
 	for _, w := range AllWorkloads() {
+		byName[w.Name] = w
 		names = append(names, w.Name)
 	}
 	sort.Strings(names)
-	return Workload{}, fmt.Errorf("unknown workload %q (valid: %v)", name, names)
+	return byName, names
+})
+
+// ByName returns the workload with the given name from the full model
+// set (the Table 3 catalog plus the ML inference additions). Each call
+// returns a fresh value with its own phase slice, so callers may mutate
+// their copy. The error lists valid names.
+func ByName(name string) (Workload, error) {
+	byName, names := catalog()
+	w, ok := byName[name]
+	if !ok {
+		return Workload{}, fmt.Errorf("unknown workload %q (valid: %v)", name, names)
+	}
+	w.Phases = append([]Phase(nil), w.Phases...)
+	return w, nil
 }
 
 // CPUWorkloads returns the eleven CPU benchmarks of Table 3 in paper

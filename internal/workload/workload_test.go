@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -47,6 +49,9 @@ func TestCatalogNamesUnique(t *testing.T) {
 	}
 }
 
+// TestByName checks that the name index covers every modeled workload
+// with equal content, that every lookup hands out its own phase slice,
+// and that the unknown-name error lists valid names.
 func TestByName(t *testing.T) {
 	w, err := ByName("dgemm")
 	if err != nil {
@@ -55,8 +60,24 @@ func TestByName(t *testing.T) {
 	if w.Kind != hw.KindCPU || w.Suite != "HPCC" {
 		t.Errorf("dgemm metadata wrong: %+v", w)
 	}
-	if _, err := ByName("linpack"); err == nil {
-		t.Error("expected error for unknown workload")
+	for _, want := range AllWorkloads() {
+		a, err := ByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, want) {
+			t.Errorf("%s: lookup differs from the catalog entry", want.Name)
+		}
+		a.Phases[0].Weight = 0
+		b, _ := ByName(want.Name)
+		if !reflect.DeepEqual(b, want) {
+			t.Errorf("%s: mutating one lookup's phases leaked into the next", want.Name)
+		}
+	}
+	_, err = ByName("linpack")
+	if err == nil || !strings.Contains(err.Error(), "(valid: [") ||
+		!strings.Contains(err.Error(), " dgemm ") || !strings.Contains(err.Error(), " llmserve ") {
+		t.Errorf("unknown-workload error = %v, want the valid names", err)
 	}
 }
 
