@@ -1,15 +1,19 @@
 # Standard developer entry points. `make check` is the full gate:
-# static analysis, a clean build, and the test suite under the race
-# detector.
+# formatting, static analysis, a clean build, and the test suite under
+# the race detector.
 
 GO ?= go
 
-.PHONY: all build test vet race check fuzz bench benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc
+.PHONY: all build test fmt vet race check fuzz bench benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Every Go file outside perfbench/ must be gofmt-clean.
+fmt:
+	@test -z "$$(gofmt -l internal cmd examples *.go)" || { gofmt -l internal cmd examples *.go; echo "FAIL: files above need gofmt"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -87,7 +91,7 @@ fastpath-alloc:
 		awk '/BenchmarkBinaryFastPath/ { if ($$(NF-1)+0 != 0) { print "FAIL: binary fast path allocates:", $$0; exit 1 } found=1 } \
 		END { if (!found) { print "FAIL: BenchmarkBinaryFastPath did not run"; exit 1 } }'
 
-check: vet build race benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc
+check: fmt vet build race benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc
 
 # Coverage gates: internal/telemetry must keep at least 70% statement
 # coverage, and internal/powertree (the budget-tree solver) and

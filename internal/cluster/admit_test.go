@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/hw"
@@ -137,5 +139,69 @@ func TestAdmitWaitingPoolExhausted(t *testing.T) {
 	}
 	if pool2 >= s2.Budget {
 		t.Fatalf("pool %v did not shrink", pool2)
+	}
+}
+
+// TestAdmitWaitingBytesIndependentOfFreeNodes: the memory admission
+// allocates per admitted job does not grow with the number of free
+// nodes. Under backfill every queued job is examined, most of them
+// blocked by the pool here; only an admitted job's node is removed, in
+// place, so neither the blocked jobs nor the admitted ones copy the
+// free list.
+func TestAdmitWaitingBytesIndependentOfFreeNodes(t *testing.T) {
+	p, err := hw.PlatformByName("ivybridge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.ByName("stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesPerJob := func(n int) float64 {
+		nodes := make([]Node, n)
+		for i := range nodes {
+			nodes[i] = Node{ID: fmt.Sprintf("n%05d", i), Platform: p}
+		}
+		s, err := NewScheduler(1000, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := make([]TimedJob, 32)
+		for i := range jobs {
+			jobs[i] = TimedJob{Job: Job{ID: fmt.Sprintf("j%02d", i), Workload: w}, Units: 1e12}
+		}
+		best := -1.0
+		for rep := 0; rep < 4; rep++ { // the first pass warms the profile caches
+			free := append([]Node(nil), nodes...)
+			var res QueueResult
+			res.Events = make([]Event, 0, len(jobs))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			active, _, freeOut, _, err := s.AdmitWaiting(
+				&res, nil, jobs, free, s.Budget, 0, PolicyCoord, DisciplineBackfill)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(active) == 0 || len(active) == len(jobs) {
+				t.Fatalf("%d nodes: admitted %d of %d jobs, want some admitted and some blocked by the pool",
+					n, len(active), len(jobs))
+			}
+			if len(freeOut) != n-len(active) {
+				t.Fatalf("%d nodes: %d free after admitting %d", n, len(freeOut), len(active))
+			}
+			if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(active)); rep > 0 && (best < 0 || per < best) {
+				best = per
+			}
+		}
+		return best
+	}
+	small, large := bytesPerJob(64), bytesPerJob(4096)
+	t.Logf("bytes per admitted job: %.0f with 64 free nodes, %.0f with 4096", small, large)
+	// Copying the 4096-node free list even once per admitted job would
+	// add over 300 KiB.
+	if large > 2*small+16<<10 {
+		t.Fatalf("admission allocates %.0f bytes per job with 4096 free nodes vs %.0f with 64: cost grows with the free list",
+			large, small)
 	}
 }

@@ -277,15 +277,17 @@ func (s *Scheduler) simulate(node Node, w *workload.Workload, alloc core.Allocat
 	}
 }
 
-// takeNode removes and returns the first free node whose kind matches the
-// workload; found is false when none exists.
-func takeNode(free []Node, kind hw.Kind) (Node, []Node, bool) {
-	for i, n := range free {
-		if n.Platform.Kind == kind {
-			return n, append(append([]Node(nil), free[:i]...), free[i+1:]...), true
+// findNode returns the index of the first free node whose kind matches
+// the workload, or -1 when none exists. Admission looks the node up
+// first and removes it — in place, order preserved — only once the job
+// is actually admitted, so a job the pool blocks costs no copy.
+func findNode(free []Node, kind hw.Kind) int {
+	for i := range free {
+		if free[i].Platform.Kind == kind {
+			return i
 		}
 	}
-	return Node{}, free, false
+	return -1
 }
 
 // Schedule runs one scheduling round over the queued jobs. Jobs are
@@ -306,11 +308,12 @@ func (s *Scheduler) Schedule(jobs []Job) (Outcome, error) {
 	var adm []admitted
 
 	for _, job := range jobs {
-		node, rest, found := takeNode(freeNodes, job.Workload.Kind)
-		if !found {
+		ni := findNode(freeNodes, job.Workload.Kind)
+		if ni < 0 {
 			out.Deferred = append(out.Deferred, job.ID)
 			continue
 		}
+		node := freeNodes[ni]
 		threshold, maxTotal, err := s.envelope(node, job.Workload)
 		if err != nil {
 			return Outcome{}, fmt.Errorf("cluster: job %q: %w", job.ID, err)
@@ -326,7 +329,7 @@ func (s *Scheduler) Schedule(jobs []Job) (Outcome, error) {
 			grant = maxTotal
 		}
 		out.PoolLeft -= grant
-		freeNodes = rest
+		freeNodes = append(freeNodes[:ni], freeNodes[ni+1:]...)
 		out.Placements = append(out.Placements, Placement{
 			JobID:  job.ID,
 			NodeID: node.ID,

@@ -264,6 +264,11 @@ type RunningJob struct {
 // scheduler state. It is shared by the fault-free and fault-injected
 // queue engines — and, exported, by the discrete-event simulator — so
 // the engines cannot drift apart.
+//
+// freeNodes must be a slice the caller owns: an admitted job's node is
+// removed in place, order preserved, so the returned free list reuses
+// freeNodes' backing array and the caller must carry on with the
+// returned slice, not the one it passed in.
 func (s *Scheduler) AdmitWaiting(res *QueueResult, active []*RunningJob, waiting []TimedJob,
 	freeNodes []Node, pool units.Power, now float64,
 	policy SplitPolicy, disc Discipline) ([]*RunningJob, []TimedJob, []Node, units.Power, error) {
@@ -275,12 +280,13 @@ func (s *Scheduler) AdmitWaiting(res *QueueResult, active []*RunningJob, waiting
 			still = append(still, j)
 			continue
 		}
-		node, rest, found := takeNode(freeNodes, j.Workload.Kind)
-		if !found {
+		ni := findNode(freeNodes, j.Workload.Kind)
+		if ni < 0 {
 			still = append(still, j)
 			blocked = true
 			continue
 		}
+		node := freeNodes[ni]
 		threshold, maxTotal, err := s.envelope(node, j.Workload)
 		if err != nil {
 			return active, waiting, freeNodes, pool, err
@@ -342,7 +348,7 @@ func (s *Scheduler) AdmitWaiting(res *QueueResult, active []*RunningJob, waiting
 				fmt.Errorf("cluster: job %q makes no progress", j.ID)
 		}
 		pool -= grant
-		freeNodes = rest
+		freeNodes = append(freeNodes[:ni], freeNodes[ni+1:]...)
 		active = append(active, &RunningJob{
 			Job: j, Node: node, Remaining: j.Units,
 			Rate: rate, Power: simRes.TotalPower, Budget: grant,

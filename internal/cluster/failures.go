@@ -77,9 +77,11 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 		}
 	}
 
-	// Fault schedules are precomputed over a horizon scaled from the
-	// total work so they cover any plausible makespan; outages beyond
-	// the finish time simply never fire.
+	// Fault schedules span a horizon scaled from the total work so they
+	// cover any plausible makespan. Outages are precomputed (the per-node
+	// schedules need a cross-node merge into one time order) and those
+	// beyond the finish time simply never fire; shocks are drawn lazily,
+	// so the ones past the finish are never generated.
 	horizon := s.faultHorizon(jobs)
 
 	type outageEvent struct {
@@ -112,16 +114,8 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 		return outages[i].nodeID < outages[j].nodeID
 	})
 
-	type shockEvent struct {
-		at    float64
-		delta units.Power // pool change: negative at shock start
-	}
-	var shocks []shockEvent
-	for _, sh := range inj.BudgetShocks(horizon) {
-		delta := units.Power(s.Budget.Watts() * sh.Frac)
-		shocks = append(shocks, shockEvent{at: sh.At, delta: -delta})
-		shocks = append(shocks, shockEvent{at: sh.At + sh.Duration, delta: delta})
-	}
+	// Shock edges are pulled from the injector as the run reaches them.
+	shocks := inj.ShockEdges(horizon, s.Budget)
 
 	pool := s.Budget
 	freeNodes := append([]Node(nil), s.Nodes...)
@@ -220,7 +214,7 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 			s.Budget, ErrStarved)
 	}
 
-	oi, si := 0, 0 // next outage / shock event indices
+	oi := 0 // next outage event index
 	for steps := 0; len(active) > 0 || len(waiting) > 0; steps++ {
 		conserve()
 		if steps >= maxEngineEvents {
@@ -239,8 +233,8 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 			nextOutage = outages[oi].at - now
 		}
 		nextShock := math.Inf(1)
-		if si < len(shocks) {
-			nextShock = shocks[si].at - now
+		if ev, ok := shocks.Peek(); ok {
+			nextShock = ev.At - now
 		}
 
 		if math.IsInf(nextDone, 1) && math.IsInf(nextOutage, 1) && math.IsInf(nextShock, 1) {
@@ -310,15 +304,14 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 			}
 
 		case nextShock <= nextDone:
-			ev := shocks[si]
-			si++
+			ev := shocks.Pop()
 			advance(nextShock)
-			pool += ev.delta
-			shockHeld -= ev.delta
-			if ev.delta < 0 {
+			pool += ev.Delta
+			shockHeld -= ev.Delta
+			if ev.Delta < 0 {
 				res.Faults.Shocks++
 				mShocks.Inc()
-				log.Recordf(now, "budget-shock", "facility", "pool reduced by %v", -ev.delta)
+				log.Recordf(now, "budget-shock", "facility", "pool reduced by %v", -ev.Delta)
 				// Evict most recently started jobs until the committed
 				// grants fit the shrunken budget again.
 				for pool < 0 && len(active) > 0 {
@@ -331,7 +324,7 @@ func (s *Scheduler) RunQueueFaulty(jobs []TimedJob, policy SplitPolicy, disc Dis
 					evict(latest, "budget shock", true)
 				}
 			} else {
-				log.Recordf(now, "budget-restore", "facility", "pool restored by %v", ev.delta)
+				log.Recordf(now, "budget-restore", "facility", "pool restored by %v", ev.Delta)
 			}
 			if err := admit(); err != nil {
 				return res, err

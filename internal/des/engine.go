@@ -200,9 +200,9 @@ func (t *traceHash) event(at float64, kind byte, job, node int32) {
 
 // agg holds the streaming per-completion statistics both engines share.
 type agg struct {
-	completed          int
-	waitSum, turnSum   float64
-	maxSlowdown        float64
+	completed        int
+	waitSum, turnSum float64
+	maxSlowdown      float64
 }
 
 // finish folds one job completion into the aggregates.

@@ -53,9 +53,10 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 	hash := newTraceHash()
 	var stats agg
 
-	// Fault schedules, precomputed exactly as the round loop does: the
+	// Fault schedules, built exactly as the round loop builds them: the
 	// horizon accumulates total work in input order (t=0 jobs first,
-	// then the generated trace).
+	// then the generated trace). Outages are precomputed, since the
+	// per-node schedules need a cross-node merge into one time order.
 	var totalUnits float64
 	for _, j := range cfg.Jobs {
 		totalUnits += j.Units
@@ -71,11 +72,6 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 		up     bool
 	}
 	var outages []outageEvent
-	type shockEvent struct {
-		at    float64
-		delta units.Power
-	}
-	var shocks []shockEvent
 	if cfg.Injector != nil {
 		nodeIDs := make([]string, 0, len(s.Nodes))
 		for _, n := range s.Nodes {
@@ -99,12 +95,11 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			}
 			return outages[i].nodeID < outages[j].nodeID
 		})
-		for _, sh := range cfg.Injector.BudgetShocks(horizon) {
-			delta := units.Power(s.Budget.Watts() * sh.Frac)
-			shocks = append(shocks, shockEvent{at: sh.At, delta: -delta})
-			shocks = append(shocks, shockEvent{at: sh.At + sh.Duration, delta: delta})
-		}
 	}
+	// Shock edges are pulled as the event cursor reaches them: the
+	// horizon runs far past the last job, and the shocks beyond it are
+	// never drawn. A nil injector yields none.
+	shocks := cfg.Injector.ShockEdges(horizon, s.Budget)
 
 	pool := s.Budget
 	freeNodes := append([]cluster.Node(nil), s.Nodes...)
@@ -190,7 +185,7 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			s.Budget, cluster.ErrStarved)
 	}
 
-	oi, si, ai := 0, 0, 0 // next outage / shock / arrival indices
+	oi, ai := 0, 0 // next outage / arrival indices
 	steps := 0
 	for ; len(active) > 0 || len(waiting) > 0 || ai < len(arrs); steps++ {
 		conserve()
@@ -209,8 +204,8 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			nextOutage = outages[oi].at - now
 		}
 		nextShock := math.Inf(1)
-		if si < len(shocks) {
-			nextShock = shocks[si].at - now
+		if ev, ok := shocks.Peek(); ok {
+			nextShock = ev.At - now
 		}
 		nextArr := math.Inf(1)
 		if ai < len(arrs) {
@@ -281,12 +276,11 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			}
 
 		case nextShock <= nextDone && nextShock <= nextArr:
-			ev := shocks[si]
-			si++
+			ev := shocks.Pop()
 			advance(nextShock)
-			pool += ev.delta
-			shockHeld -= ev.delta
-			if ev.delta < 0 {
+			pool += ev.Delta
+			shockHeld -= ev.Delta
+			if ev.Delta < 0 {
 				res.Faults.Shocks++
 				hash.event(now, evShock, -1, -1)
 				for pool < 0 && len(active) > 0 {

@@ -168,8 +168,9 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 	qHead, qArrived := 0, len(cfg.Jobs) // FIFO window [qHead, qArrived)
 	var readmit []int32                 // evictions re-enter here, LIFO like the round loop's head prepend
 
-	// Fault schedules over the same horizon formula as the round loop,
-	// pre-resolved to node indices.
+	// Fault schedules over the same horizon formula as the round loop.
+	// Outages are precomputed and pre-resolved to node indices, since
+	// the per-node schedules need a cross-node merge into one time order.
 	var totalUnits float64
 	for i := range jobs {
 		totalUnits += jobs[i].units
@@ -181,11 +182,6 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 		up   bool
 	}
 	var outages []outageEvent
-	type shockEvent struct {
-		at    float64
-		delta units.Power
-	}
-	var shocks []shockEvent
 	if cfg.Injector != nil {
 		ids := make([]string, 0, len(s.Nodes))
 		byID := make(map[string]int32, len(s.Nodes))
@@ -211,12 +207,11 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 			}
 			return outages[i].node < outages[j].node
 		})
-		for _, sh := range cfg.Injector.BudgetShocks(horizon) {
-			delta := units.Power(s.Budget.Watts() * sh.Frac)
-			shocks = append(shocks, shockEvent{at: sh.At, delta: -delta})
-			shocks = append(shocks, shockEvent{at: sh.At + sh.Duration, delta: delta})
-		}
 	}
+	// Shock edges are pulled as the event cursor reaches them: the
+	// horizon runs far past the last job, and the shocks beyond it are
+	// never drawn. A nil injector yields none.
+	shocks := cfg.Injector.ShockEdges(horizon, s.Budget)
 
 	pool := s.Budget
 	committed := units.Power(0)
@@ -400,7 +395,7 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 			s.Budget, cluster.ErrStarved)
 	}
 
-	oi, si, ai := 0, 0, 0
+	oi, ai := 0, 0
 	steps := 0
 	for ; activeCount > 0 || queued() > 0 || ai < len(arrs); steps++ {
 		conserve()
@@ -413,8 +408,8 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 			nextOutage = outages[oi].at
 		}
 		nextShock := math.Inf(1)
-		if si < len(shocks) {
-			nextShock = shocks[si].at
+		if ev, ok := shocks.Peek(); ok {
+			nextShock = ev.At
 		}
 		nextArr := math.Inf(1)
 		if ai < len(arrs) {
@@ -462,14 +457,13 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 			}
 
 		case nextShock <= nextDone && nextShock <= nextArr:
-			ev := shocks[si]
-			si++
-			if ev.at > now {
-				now = ev.at
+			ev := shocks.Pop()
+			if ev.At > now {
+				now = ev.At
 			}
-			pool += ev.delta
-			shockHeld -= ev.delta
-			if ev.delta < 0 {
+			pool += ev.Delta
+			shockHeld -= ev.Delta
+			if ev.Delta < 0 {
 				faultSum.Shocks++
 				hash.event(now, evShock, -1, -1)
 				// Evict most recently started jobs until committed grants

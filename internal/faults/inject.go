@@ -129,38 +129,6 @@ func (in *Injector) NodeOutages(nodeID string, horizon float64) []Outage {
 	}
 }
 
-// Shock is one facility budget shock: for Duration seconds starting at
-// At, the cluster budget is reduced by Frac of its nominal value.
-type Shock struct {
-	At, Duration, Frac float64
-}
-
-// BudgetShocks returns the deterministic facility-shock schedule over
-// [0, horizon) seconds. Shocks never overlap.
-func (in *Injector) BudgetShocks(horizon float64) []Shock {
-	if in == nil || in.spec.ShockMTBS <= 0 || in.spec.ShockFrac <= 0 || horizon <= 0 {
-		return nil
-	}
-	rng := in.root.Fork("budget.shock")
-	var out []Shock
-	t := 0.0
-	for {
-		t += rng.Exp(in.spec.ShockMTBS)
-		if t >= horizon || math.IsInf(t, 1) {
-			return out
-		}
-		d := rng.Exp(in.spec.ShockLen)
-		if in.spec.ShockLen <= 0 {
-			d = 0
-		}
-		if d <= 0 {
-			continue
-		}
-		out = append(out, Shock{At: t, Duration: d, Frac: in.spec.ShockFrac})
-		t += d
-	}
-}
-
 // FaultyController interposes the injector's actuator faults between a
 // caller and a real rapl limit setter. It satisfies rapl.LimitSetter, so
 // it can sit under rapl.NewResilient — the intended stacking:

@@ -160,19 +160,54 @@ func (g *GPUSpec) PeakComputeRate(f units.Frequency) units.Rate {
 	return units.Rate(float64(g.SMs*g.LanesPerSM) * g.OpsPerCyclePerLane * f.Hz())
 }
 
-// SMClocks returns the SM DVFS clocks in ascending order.
+// SMClocks returns the SM DVFS clocks in ascending order: SMClockAt(i)
+// for every i below NumSMClocks.
 func (g *GPUSpec) SMClocks() []units.Frequency {
-	var cs []units.Frequency
-	for f := g.SMClockMin; f <= g.SMClockNom+g.SMClockStep/2; f += g.SMClockStep {
-		if f > g.SMClockNom {
-			f = g.SMClockNom
-		}
-		cs = append(cs, f)
-	}
-	if len(cs) == 0 || cs[len(cs)-1] != g.SMClockNom {
-		cs = append(cs, g.SMClockNom)
+	cs := make([]units.Frequency, g.NumSMClocks())
+	for i := range cs {
+		cs[i] = g.SMClockAt(i)
 	}
 	return cs
+}
+
+// NumSMClocks returns the number of SM DVFS bins: the grid points
+// SMClockMin + k·SMClockStep up to half a step past SMClockNom, plus a
+// final SMClockNom bin when the grid does not land on it.
+func (g *GPUSpec) NumSMClocks() int {
+	top := g.smTopBin()
+	if g.SMClockMin+units.Frequency(top)*g.SMClockStep < g.SMClockNom {
+		return top + 2
+	}
+	return top + 1
+}
+
+// SMClockAt returns the i-th SM DVFS bin, 0 <= i < NumSMClocks():
+// SMClockMin + i·SMClockStep, clamped to SMClockNom. The closed form
+// needs no table; for whole-Hz specs (every catalog card) it equals
+// stepping up from SMClockMin by repeated addition, bit for bit.
+func (g *GPUSpec) SMClockAt(i int) units.Frequency {
+	f := g.SMClockMin + units.Frequency(i)*g.SMClockStep
+	if f > g.SMClockNom {
+		f = g.SMClockNom
+	}
+	return f
+}
+
+// smTopBin returns the largest k with SMClockMin + k·SMClockStep at or
+// below SMClockNom + SMClockStep/2. The quotient estimate is corrected
+// against the exact grid comparison, so rounding in the division cannot
+// move the bin count.
+func (g *GPUSpec) smTopBin() int {
+	lim := g.SMClockNom + g.SMClockStep/2
+	at := func(k int) units.Frequency { return g.SMClockMin + units.Frequency(k)*g.SMClockStep }
+	k := int((g.SMClockNom - g.SMClockMin) / g.SMClockStep)
+	for at(k+1) <= lim {
+		k++
+	}
+	for k > 0 && at(k) > lim {
+		k--
+	}
+	return k
 }
 
 // quantizeDown snaps f down to the grid base + k*step.

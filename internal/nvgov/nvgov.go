@@ -15,6 +15,7 @@ package nvgov
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/hw"
 	"repro/internal/units"
@@ -150,23 +151,33 @@ func (g *Governor) smMaxClock() units.Frequency {
 // the cap constrains the board total, lowering the memory clock frees
 // power that the SMs reclaim — the automatic cross-component shifting the
 // paper highlights as unique to GPUs.
+//
+// The bin is found by binary search over the closed-form grid
+// (hw.GPUSpec.SMClockAt), not by scanning down a clock table. The search
+// returns exactly the bin a top-down scan would: bins ascend, and
+// BoardPower is non-decreasing in the SM clock (VNom >= VMin, every term
+// is a non-negative product of monotone factors, and correctly rounded
+// arithmetic preserves order), so the bins that fit form a prefix of
+// the grid. Both predicates are written as the scan wrote them, so NaN
+// settings and activities select the same state too.
 func (g *Governor) Actuate(act float64) State {
 	mem := g.MemClock()
 	maxSM := g.smMaxClock()
 	cap := g.settings.PowerCap
+	gpu := g.gpu
 
-	clocks := g.gpu.SMClocks()
-	for i := len(clocks) - 1; i >= 0; i-- {
-		f := clocks[i]
-		if f > maxSM {
-			continue
-		}
-		if g.gpu.BoardPower(f, mem, act) <= cap {
-			limited := f < maxSM
-			return State{SMClock: f, MemClock: mem, PowerLimited: limited}
-		}
+	// below: the bins at or below maxSM; fit: those of them that fit.
+	below := sort.Search(gpu.NumSMClocks(), func(i int) bool {
+		return gpu.SMClockAt(i) > maxSM
+	})
+	fit := sort.Search(below, func(i int) bool {
+		return !(gpu.BoardPower(gpu.SMClockAt(i), mem, act) <= cap)
+	})
+	if fit == 0 {
+		return State{SMClock: gpu.SMClockMin, MemClock: mem, PowerLimited: true, AtFloor: true}
 	}
-	return State{SMClock: g.gpu.SMClockMin, MemClock: mem, PowerLimited: true, AtFloor: true}
+	f := gpu.SMClockAt(fit - 1)
+	return State{SMClock: f, MemClock: mem, PowerLimited: f < maxSM}
 }
 
 // BoardPower returns the board power in state s at SM activity act.

@@ -81,16 +81,16 @@ func TestParseTreeSpecErrors(t *testing.T) {
 		{"=ivybridge/stream", "bad id"},
 		{"r=nosuch/stream", "platform"},
 		{"r=ivybridge/nosuch", "workload"},
-		{"r=ivybridge/sgemm", "workload"},           // kind mismatch: sgemm is GPU
-		{"r=titanxp/stream", "workload"},            // kind mismatch: stream is CPU
-		{"r@-5=ivybridge/stream", "cap"},            // negative cap
-		{"r@x=ivybridge/stream", "cap"},             // malformed cap
-		{"r=ivybridge/stream*0", "count"},           // zero count
-		{"r=ivybridge/stream*9999", "count"},        // over maxNodeCount
-		{"r=ivybridge/stream^-1", "priority"},       // negative priority
+		{"r=ivybridge/sgemm", "workload"},     // kind mismatch: sgemm is GPU
+		{"r=titanxp/stream", "workload"},      // kind mismatch: stream is CPU
+		{"r@-5=ivybridge/stream", "cap"},      // negative cap
+		{"r@x=ivybridge/stream", "cap"},       // malformed cap
+		{"r=ivybridge/stream*0", "count"},     // zero count
+		{"r=ivybridge/stream*9999", "count"},  // over maxNodeCount
+		{"r=ivybridge/stream^-1", "priority"}, // negative priority
 		{"r=ivybridge/stream;r=haswell/dgemm", "duplicate"},
-		{"r=ivybridge/stream^x", "priority"},        // malformed priority
-		{"r=ivybridge", "platform/workload"},        // missing slash
+		{"r=ivybridge/stream^x", "priority"}, // malformed priority
+		{"r=ivybridge", "platform/workload"}, // missing slash
 	}
 	for _, c := range cases {
 		_, err := ParseTreeSpec(c.in)

@@ -21,8 +21,8 @@ const (
 	minJob       = 2 + 2                 // id, workload
 	minPlacement = 2 + 2 + 8 + 8 + 8 + 8 + 8
 	minString    = 2
-	minTreeNode  = 2 + 2 + 2 + 4         // id, platform, workload, priority
-	minTreeRack  = 2 + 8 + 4             // id, cap, node count
+	minTreeNode  = 2 + 2 + 2 + 4 // id, platform, workload, priority
+	minTreeRack  = 2 + 8 + 4     // id, cap, node count
 	minTreeGrant = 2 + 2 + 4 + 8 + 8 + 8 + 2 + 8 + 8
 	minRackGrant = 2 + 8 + 8 + 4 + 4
 	minTreeShed  = 2 + 2 + 4 + 8 + 2
