@@ -44,15 +44,17 @@ loadsmoke:
 chaossmoke:
 	$(GO) test -race -run TestChaos -count=1 -v ./internal/allocclient
 
-# Discrete-event simulator gate under the race detector: the golden
-# round-loop equivalence (exact engine == RunQueue/RunQueueFaulty, byte
-# for byte) and replay determinism (same seed, same trace hash), then a
-# seeded DES run through the pbc CLI with a replay check.
+# Cluster queue engine gate under the race detector: exact mode against
+# the frozen testdata goldens (byte for byte) and replay determinism
+# (same seed, same trace hash), then a seeded DES run through the pbc
+# CLI with a replay check, and the pbc faults cluster demo, which runs
+# its queues through exact mode.
 dessmoke:
 	$(GO) test -race -run 'TestGoldenEquivalence|TestReplayDeterminism' -count=1 ./internal/des
 	$(GO) run -race ./cmd/pbc des -nodes 64 -horizon 600 -seed 7 \
 		-arrival-spec "rate=0.2,burst=2,units=2e12" \
 		-fault-spec "shock.mtbs=120,shock.frac=0.25,shock.len=20" -replay-check
+	$(GO) run ./cmd/pbc faults -log 0 >/dev/null
 
 # Hierarchical budget-tree gate under the race detector: conservation,
 # monotonicity, shed minimality, the metamorphic suite (sibling

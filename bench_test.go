@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/coord"
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/dyncoord"
 	"repro/internal/evalpool"
 	"repro/internal/experiments"
@@ -306,7 +307,7 @@ func BenchmarkClusterQueue(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.RunQueue(mkJobs(), cluster.PolicyCoord); err != nil {
+		if _, err := des.Run(des.Config{Sched: s, Jobs: mkJobs(), Policy: cluster.PolicyCoord}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,7 +34,7 @@ func cmdDes(args []string) error {
 	jobs0 := fs.Int("jobs0", 0, "round-synchronous jobs injected at t=0 ahead of the arrival trace")
 	faultSpec := fs.String("fault-spec", "", "fault spec for outages/shocks (empty = fault-free; see internal/faults)")
 	faultSeed := fs.Uint64("fault-seed", 1, "fault injection seed")
-	mode := fs.String("mode", "fast", "engine: fast (scales) or exact (byte-identical to the round loop)")
+	mode := fs.String("mode", "fast", "engine: fast (scales) or exact (per-job results, golden-pinned)")
 	fifo := fs.Bool("fifo", false, "strict FIFO queue order instead of power-aware backfill")
 	replay := fs.Bool("replay-check", false, "run twice and fail unless the traces replay byte-identically")
 	telem := telemetryFlags(fs)

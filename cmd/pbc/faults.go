@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/report"
@@ -123,16 +124,21 @@ func cmdFaults(args []string) error {
 			Units: *unitsN,
 		})
 	}
-	clean, err := sched.RunQueueFaulty(jobs, cluster.PolicyCoord, cluster.DisciplineBackfill, nil, nil)
+	cfg := des.Config{
+		Sched: sched, Jobs: jobs,
+		Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill,
+	}
+	cleanRes, err := des.Run(cfg)
 	if err != nil {
 		return err
 	}
 	log := &trace.EventLog{}
-	faulty, err := sched.RunQueueFaulty(jobs, cluster.PolicyCoord, cluster.DisciplineBackfill,
-		faults.NewInjector(sp, *seed), log)
+	cfg.Injector, cfg.Log = faults.NewInjector(sp, *seed), log
+	faultyRes, err := des.Run(cfg)
 	if err != nil {
 		return err
 	}
+	clean, faulty := cleanRes.Queue, faultyRes.Queue
 	ct := report.NewTable(
 		fmt.Sprintf("cluster demo: %d x %s, %d jobs, pool %s", *nNodes, p.Name, len(jobs), clusterBudget),
 		"metric", "fault-free", "faulty")
@@ -140,11 +146,12 @@ func cmdFaults(args []string) error {
 	ct.AddRow("jobs completed", fmt.Sprintf("%d/%d", len(clean.Stats), len(jobs)),
 		fmt.Sprintf("%d/%d", len(faulty.Stats), len(jobs)))
 	ct.AddRow("avg turnaround", fmtSeconds(clean.AvgTurnaround()), fmtSeconds(faulty.AvgTurnaround()))
-	ct.AddRow("node failures", "0", fmt.Sprintf("%d", faulty.Faults.NodeFailures))
-	ct.AddRow("node recoveries", "0", fmt.Sprintf("%d", faulty.Faults.NodeRecoveries))
-	ct.AddRow("job re-admissions", "0", fmt.Sprintf("%d", faulty.Faults.Readmissions))
-	ct.AddRow("budget reclaimed", "0W", faulty.Faults.BudgetReclaimed.String())
-	ct.AddRow("budget shocks", "0", fmt.Sprintf("%d", faulty.Faults.Shocks))
+	sum := faultyRes.Faults
+	ct.AddRow("node failures", "0", fmt.Sprintf("%d", sum.NodeFailures))
+	ct.AddRow("node recoveries", "0", fmt.Sprintf("%d", sum.NodeRecoveries))
+	ct.AddRow("job re-admissions", "0", fmt.Sprintf("%d", sum.Readmissions))
+	ct.AddRow("budget reclaimed", "0W", sum.BudgetReclaimed.String())
+	ct.AddRow("budget shocks", "0", fmt.Sprintf("%d", sum.Shocks))
 	fmt.Print(ct.String())
 	if clean.Makespan > 0 {
 		fmt.Printf("\nmakespan stretch under faults: %.2fx\n", faulty.Makespan/clean.Makespan)

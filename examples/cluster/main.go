@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"repro/internal/cluster"
+	"repro/internal/des"
 	"repro/internal/hw"
 	"repro/internal/report"
 	"repro/internal/schedviz"
@@ -98,13 +99,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	qres, err := sched2.RunQueue(timed, cluster.PolicyCoord)
+	run, err := des.Run(des.Config{Sched: sched2, Jobs: timed, Policy: cluster.PolicyCoord})
 	if err != nil {
 		log.Fatal(err)
 	}
+	qres := run.Queue
 	fmt.Printf("\ntimed queue at 900 W: makespan %.1f s, avg wait %.1f s, max slowdown %.2fx, energy %v\n",
 		qres.Makespan, qres.AvgWait(), qres.MaxSlowdown(), qres.Energy)
-	if err := os.WriteFile("schedule.svg", []byte(schedviz.Gantt("CPU queue under 900 W", &qres)), 0o644); err != nil {
+	if err := os.WriteFile("schedule.svg", []byte(schedviz.Gantt("CPU queue under 900 W", qres)), 0o644); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote schedule.svg (Gantt chart of the queue)")

@@ -75,8 +75,9 @@ type Outcome struct {
 }
 
 // Scheduler owns a cluster power budget and a set of nodes. Its
-// scheduling entry points (Schedule, RunQueue, RunQueueOpts,
-// RunQueueFaulty) are safe for concurrent use: the lazily populated
+// scheduling entry points (Schedule, AdmitWaiting, Prewarm,
+// RunDemandResponse) are safe for concurrent use, and so are concurrent
+// internal/des queue runs on one scheduler: the lazily populated
 // profile caches are guarded by a mutex and a singleflight group, so
 // concurrent rounds neither race on the maps nor stampede the profiler
 // for the same (platform, workload) key.
@@ -253,9 +254,10 @@ func (s *Scheduler) split(node Node, w workload.Workload, grant units.Power) (al
 
 // simulate runs the job under its allocation on the node. Planning goes
 // through the shared evaluation engine: re-planning rounds and repeated
-// job mixes re-simulate nothing the cache already holds. (Fault-mode
-// execution — RunQueueFaulty — bypasses this path by design: injected
-// faults make the simulator impure, so those runs must not be memoized.)
+// job mixes re-simulate nothing the cache already holds. Queue runs
+// admit through here too, fault-injected ones included: node outages
+// and budget shocks change when and where a job runs, never what the
+// simulator answers for a given allocation, so the memo stays exact.
 func (s *Scheduler) simulate(node Node, w *workload.Workload, alloc core.Allocation) (sim.Result, error) {
 	pr := evalpool.Problem{Platform: node.Platform, Workload: *w}
 	switch node.Platform.Kind {

@@ -114,32 +114,6 @@ func TestScheduleDefersKindMismatch(t *testing.T) {
 	}
 }
 
-func TestRunQueueGPUNodes(t *testing.T) {
-	xp, _ := hw.PlatformByName("titanxp")
-	s, err := NewScheduler(500, []Node{{ID: "g0", Platform: xp}, {ID: "g1", Platform: xp}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sgemm, _ := workload.ByName("sgemm")
-	minife, _ := workload.ByName("minife")
-	jobs := []TimedJob{
-		{Job: Job{ID: "a", Workload: sgemm}, Units: 1e15},
-		{Job: Job{ID: "b", Workload: minife}, Units: 1e14},
-	}
-	res, err := s.RunQueue(jobs, PolicyCoord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Stats) != 2 {
-		t.Fatalf("completed %d of 2 GPU jobs", len(res.Stats))
-	}
-	// Even-split policy is CPU-only and must error on GPU nodes.
-	s2, _ := NewScheduler(500, []Node{{ID: "g0", Platform: xp}})
-	if _, err := s2.RunQueue(jobs[:1], PolicyEvenSplit); err == nil {
-		t.Error("even-split accepted GPU nodes")
-	}
-}
-
 func TestScheduleAdmitsWithinBudget(t *testing.T) {
 	s, err := NewScheduler(600, nodes(t, 3))
 	if err != nil {

@@ -5,35 +5,9 @@ import (
 	"testing"
 )
 
-func TestDemandResponseSteadyBudgetMatchesQueue(t *testing.T) {
-	// A single never-changing budget phase must reproduce RunQueue.
-	mk := func() (*Scheduler, []TimedJob) {
-		s, err := NewScheduler(500, nodes(t, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, []TimedJob{
-			timedJob(t, "j1", "dgemm", 5e13),
-			timedJob(t, "j2", "stream", 3e12),
-			timedJob(t, "j3", "mg", 3e12),
-		}
-	}
-	s1, q1 := mk()
-	queue, err := s1.RunQueue(q1, PolicyCoord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, q2 := mk()
-	dr, err := s2.RunDemandResponse(q2, []BudgetPhase{{Until: 1e12, Budget: 500}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dr.Makespan-queue.Makespan) > 0.01*queue.Makespan {
-		t.Errorf("steady demand-response makespan %.1f vs queue %.1f", dr.Makespan, queue.Makespan)
-	}
-	if dr.Suspensions != 0 || dr.Violations != 0 {
-		t.Errorf("steady budget caused suspensions=%d violations=%d", dr.Suspensions, dr.Violations)
-	}
+func timedJob(t *testing.T, id, wl string, work float64) TimedJob {
+	t.Helper()
+	return TimedJob{Job: job(t, id, wl), Units: work}
 }
 
 func TestDemandResponseShedsOnBudgetDrop(t *testing.T) {

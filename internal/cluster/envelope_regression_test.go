@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/hw"
-	"repro/internal/units"
 )
 
 // TestScheduleGPUJobBelowCapFloor is the regression test for the
@@ -48,48 +46,4 @@ func TestScheduleGPUJobBelowCapFloor(t *testing.T) {
 	if err := s.Validate(out); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
-}
-
-// TestRunQueueFaultyPoolConservation pins the fault-path accounting the
-// audit added: under a shock- and failure-heavy schedule that evicts
-// and re-admits jobs repeatedly, the identity pool + committed grants +
-// shock-held power == cluster budget holds at every event boundary, and
-// the whole budget is back in the pool once the queue drains.
-func TestRunQueueFaultyPoolConservation(t *testing.T) {
-	cpu, err := hw.PlatformByName("ivybridge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewScheduler(450, []Node{
-		{ID: "n1", Platform: cpu},
-		{ID: "n2", Platform: cpu},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := faults.ParseSpec("node.mtbf=30,node.mttr=10,shock.mtbs=25,shock.frac=0.5,shock.len=10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []TimedJob{
-		{Job: Job{ID: "a", Workload: mustWorkload(t, "stream")}, Units: 5e11},
-		{Job: Job{ID: "b", Workload: mustWorkload(t, "dgemm")}, Units: 3e11},
-		{Job: Job{ID: "c", Workload: mustWorkload(t, "bt")}, Units: 4e11},
-	}
-	res, err := s.RunQueueFaulty(jobs, PolicyCoord, DisciplineBackfill,
-		faults.NewInjector(spec, 7), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Faults.Readmissions == 0 {
-		t.Error("spec produced no readmissions; the conservation check exercised nothing")
-	}
-	if res.Faults.MaxConservationError > 1e-6 {
-		t.Errorf("MaxConservationError = %.3g W, want <= 1e-6 (power leaked or minted)",
-			res.Faults.MaxConservationError.Watts())
-	}
-	if dev := math.Abs((res.Faults.PoolLeft - s.Budget).Watts()); dev > 1e-6 {
-		t.Errorf("final pool %v != budget %v (Δ %.3g W)", res.Faults.PoolLeft, s.Budget, dev)
-	}
-	var _ units.Power = res.Faults.BudgetReclaimed
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/coord"
@@ -161,91 +160,9 @@ func (r *QueueResult) MaxSlowdown() float64 {
 	return worst
 }
 
-// RunQueue simulates the cluster executing timed jobs to completion: jobs
-// start when both a node and a productive power grant are available,
-// power returns to the pool when a job finishes, and waiting jobs are
-// reconsidered at every completion. Grants are fixed for a job's lifetime
-// (RAPL caps are programmed once per job, as in the paper's dedicated
-// environment), and capped at the job's maximum demand.
-func (s *Scheduler) RunQueue(jobs []TimedJob, policy SplitPolicy) (QueueResult, error) {
-	return s.RunQueueOpts(jobs, policy, DisciplineBackfill)
-}
-
-// RunQueueOpts is RunQueue with an explicit queue discipline.
-func (s *Scheduler) RunQueueOpts(jobs []TimedJob, policy SplitPolicy, disc Discipline) (QueueResult, error) {
-	res := QueueResult{Stats: map[string]JobStat{}}
-	for _, j := range jobs {
-		if j.Units <= 0 {
-			return res, fmt.Errorf("cluster: job %q has non-positive work", j.ID)
-		}
-	}
-
-	pool := s.Budget
-	freeNodes := append([]Node(nil), s.Nodes...)
-	waiting := append([]TimedJob(nil), jobs...)
-	var active []*RunningJob
-	now := 0.0
-
-	// admit starts every waiting job that can receive a productive grant
-	// on a free node, in queue order.
-	admit := func() error {
-		var err error
-		active, waiting, freeNodes, pool, err = s.AdmitWaiting(
-			&res, active, waiting, freeNodes, pool, now, policy, disc)
-		return err
-	}
-
-	if err := admit(); err != nil {
-		return res, err
-	}
-	if len(active) == 0 && len(waiting) > 0 {
-		return res, fmt.Errorf("cluster: no job can start (budget %v too small for every job): %w",
-			s.Budget, ErrStarved)
-	}
-
-	for len(active) > 0 {
-		// Next completion.
-		next, idx := math.Inf(1), -1
-		for i, r := range active {
-			t := r.Remaining / r.Rate
-			if t < next {
-				next, idx = t, i
-			}
-		}
-		now += next
-		for _, r := range active {
-			r.Remaining -= next * r.Rate
-		}
-		done := active[idx]
-		active = append(active[:idx], active[idx+1:]...)
-		runtime := now - done.Started
-		res.Energy += units.Energy(done.Power.Watts() * runtime)
-		res.Stats[done.Job.ID] = JobStat{
-			Start: done.FirstStart, End: now,
-			Budget: done.Budget, Power: done.Power, Rate: done.Rate,
-		}
-		res.Events = append(res.Events, Event{Time: now, Kind: "finish", JobID: done.Job.ID, NodeID: done.Node.ID})
-		pool += done.Budget
-		freeNodes = append(freeNodes, done.Node)
-
-		if err := admit(); err != nil {
-			return res, err
-		}
-		if len(active) == 0 && len(waiting) > 0 {
-			return res, fmt.Errorf("cluster: %d job(s) can never start under budget %v: %w",
-				len(waiting), s.Budget, ErrStarved)
-		}
-	}
-	res.Makespan = now
-	sort.SliceStable(res.Events, func(i, j int) bool { return res.Events[i].Time < res.Events[j].Time })
-	return res, nil
-}
-
-// RunningJob is one in-flight job of an event-driven queue run. It is
-// exported so the discrete-event simulator (internal/des) can drive
-// the same admission and progress state the round loop uses — the two
-// engines share this struct and AdmitWaiting, which is what makes
-// their outputs byte-identical on the same inputs.
+// RunningJob is one in-flight job of an event-driven queue run, as
+// admitted by AdmitWaiting. The queue engine itself lives in
+// internal/des, which drives this progress state.
 type RunningJob struct {
 	Job       TimedJob
 	Node      Node
@@ -261,9 +178,10 @@ type RunningJob struct {
 
 // AdmitWaiting starts every waiting job that can receive a productive
 // grant on a free node, in queue order, and returns the updated
-// scheduler state. It is shared by the fault-free and fault-injected
-// queue engines — and, exported, by the discrete-event simulator — so
-// the engines cannot drift apart.
+// scheduler state. Both internal/des engines admit through it, so the
+// paper's admission rules live in one place: admit only at the
+// productive threshold, grant at most the maximum demand, and reclaim
+// COORD's surplus into the pool.
 //
 // freeNodes must be a slice the caller owns: an admitted job's node is
 // removed in place, order preserved, so the returned free list reuses

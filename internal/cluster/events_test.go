@@ -1,15 +1,37 @@
-package cluster
+package cluster_test
+
+// The queue tests run through internal/des, which imports this package,
+// so they live in the external test package and dot-import cluster.
 
 import (
+	"math"
+	"sync"
 	"testing"
 
+	. "repro/internal/cluster"
+	"repro/internal/des"
+	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/profile"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
 
-func mustW(t *testing.T, name string) workload.Workload {
+func nodes(t *testing.T, n int) []Node {
+	t.Helper()
+	p, err := hw.PlatformByName("ivybridge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Node
+	for i := 0; i < n; i++ {
+		out = append(out, Node{ID: string(rune('a'+i)) + "-node", Platform: p})
+	}
+	return out
+}
+
+func mustWorkload(t *testing.T, name string) workload.Workload {
 	t.Helper()
 	w, err := workload.ByName(name)
 	if err != nil {
@@ -20,7 +42,37 @@ func mustW(t *testing.T, name string) workload.Workload {
 
 func timedJob(t *testing.T, id, wl string, work float64) TimedJob {
 	t.Helper()
-	return TimedJob{Job: job(t, id, wl), Units: work}
+	return TimedJob{Job: Job{ID: id, Workload: mustWorkload(t, wl)}, Units: work}
+}
+
+// runQueue runs t=0 jobs to completion through des exact mode without
+// faults.
+func runQueue(s *Scheduler, jobs []TimedJob, policy SplitPolicy, disc Discipline) (QueueResult, error) {
+	res, err := des.Run(des.Config{Sched: s, Jobs: jobs, Policy: policy, Discipline: disc})
+	if err != nil {
+		return QueueResult{}, err
+	}
+	return *res.Queue, nil
+}
+
+// faultyRun is a queue run's per-job result with its fault accounting.
+type faultyRun struct {
+	QueueResult
+	Faults des.FaultSummary
+}
+
+// runFaulty runs t=0 jobs through des exact mode under COORD and
+// backfill while inj disturbs the cluster, recording into log.
+func runFaulty(s *Scheduler, jobs []TimedJob, inj *faults.Injector, log *trace.EventLog) (faultyRun, error) {
+	res, err := des.Run(des.Config{
+		Sched: s, Jobs: jobs,
+		Policy: PolicyCoord, Discipline: DisciplineBackfill,
+		Injector: inj, Log: log,
+	})
+	if err != nil {
+		return faultyRun{}, err
+	}
+	return faultyRun{QueueResult: *res.Queue, Faults: res.Faults}, nil
 }
 
 func TestRunQueueCompletesAllJobs(t *testing.T) {
@@ -34,7 +86,7 @@ func TestRunQueueCompletesAllJobs(t *testing.T) {
 		timedJob(t, "j3", "mg", 5e12),
 		timedJob(t, "j4", "ep", 2e13),
 	}
-	res, err := s.RunQueue(jobs, PolicyCoord)
+	res, err := runQueue(s, jobs, PolicyCoord, DisciplineBackfill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +141,7 @@ func TestRunQueueSerializesWhenPoolIsTight(t *testing.T) {
 		timedJob(t, "b", "stream", 2e12),
 		timedJob(t, "c", "ep", 1e13),
 	}
-	res, err := s.RunQueue(jobs, PolicyCoord)
+	res, err := runQueue(s, jobs, PolicyCoord, DisciplineBackfill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +177,12 @@ func TestRunQueueCoordBeatsEvenSplit(t *testing.T) {
 		}
 	}
 	s1, q1 := mk()
-	coordRes, err := s1.RunQueue(q1, PolicyCoord)
+	coordRes, err := runQueue(s1, q1, PolicyCoord, DisciplineBackfill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2, q2 := mk()
-	evenRes, err := s2.RunQueue(q2, PolicyEvenSplit)
+	evenRes, err := runQueue(s2, q2, PolicyEvenSplit, DisciplineBackfill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +201,7 @@ func TestRunQueueRejectsImpossibleBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.RunQueue([]TimedJob{timedJob(t, "j", "mg", 1e12)}, PolicyCoord)
+	_, err = runQueue(s, []TimedJob{timedJob(t, "j", "mg", 1e12)}, PolicyCoord, DisciplineBackfill)
 	if err == nil {
 		t.Error("impossible budget accepted")
 	}
@@ -160,11 +212,11 @@ func TestRunQueueValidatesWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.RunQueue([]TimedJob{timedJob(t, "j", "stream", 0)}, PolicyCoord)
+	_, err = runQueue(s, []TimedJob{timedJob(t, "j", "stream", 0)}, PolicyCoord, DisciplineBackfill)
 	if err == nil {
 		t.Error("zero work accepted")
 	}
-	_, err = s.RunQueue([]TimedJob{timedJob(t, "j", "stream", 1e12)}, SplitPolicy(99))
+	_, err = runQueue(s, []TimedJob{timedJob(t, "j", "stream", 1e12)}, SplitPolicy(99), DisciplineBackfill)
 	if err == nil {
 		t.Error("unknown policy accepted")
 	}
@@ -180,7 +232,7 @@ func TestRunQueuePowerNeverExceedsBudget(t *testing.T) {
 		timedJob(t, "j2", "sra", 2e9),
 		timedJob(t, "j3", "bt", 2e13),
 	}
-	res, err := s.RunQueue(jobs, PolicyCoord)
+	res, err := runQueue(s, jobs, PolicyCoord, DisciplineBackfill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,15 +269,15 @@ func TestBackfillBeatsFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dgemmProf, err := profile.ProfileCPU(p, mustW(t, "dgemm"))
+	dgemmProf, err := profile.ProfileCPU(p, mustWorkload(t, "dgemm"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgProf, err := profile.ProfileCPU(p, mustW(t, "mg"))
+	mgProf, err := profile.ProfileCPU(p, mustWorkload(t, "mg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	epProf, err := profile.ProfileCPU(p, mustW(t, "ep"))
+	epProf, err := profile.ProfileCPU(p, mustWorkload(t, "ep"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,12 +301,12 @@ func TestBackfillBeatsFIFO(t *testing.T) {
 		}
 	}
 	s1, q1 := mk()
-	backfill, err := s1.RunQueueOpts(q1, PolicyCoord, DisciplineBackfill)
+	backfill, err := runQueue(s1, q1, PolicyCoord, DisciplineBackfill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2, q2 := mk()
-	fifo, err := s2.RunQueueOpts(q2, PolicyCoord, DisciplineFIFO)
+	fifo, err := runQueue(s2, q2, PolicyCoord, DisciplineFIFO)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +349,7 @@ func TestQueueFairnessMetrics(t *testing.T) {
 		timedJob(t, "b", "stream", 2e12),
 		timedJob(t, "c", "ep", 1e13),
 	}
-	res, err := s.RunQueue(jobs, PolicyCoord)
+	res, err := runQueue(s, jobs, PolicyCoord, DisciplineBackfill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,5 +366,93 @@ func TestQueueFairnessMetrics(t *testing.T) {
 	var empty QueueResult
 	if empty.AvgWait() != 0 || empty.AvgTurnaround() != 0 || empty.MaxSlowdown() != 1 {
 		t.Error("empty-result metrics")
+	}
+}
+
+func TestRunQueueGPUNodes(t *testing.T) {
+	xp, _ := hw.PlatformByName("titanxp")
+	s, err := NewScheduler(500, []Node{{ID: "g0", Platform: xp}, {ID: "g1", Platform: xp}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sgemm, _ := workload.ByName("sgemm")
+	minife, _ := workload.ByName("minife")
+	jobs := []TimedJob{
+		{Job: Job{ID: "a", Workload: sgemm}, Units: 1e15},
+		{Job: Job{ID: "b", Workload: minife}, Units: 1e14},
+	}
+	res, err := runQueue(s, jobs, PolicyCoord, DisciplineBackfill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stats) != 2 {
+		t.Fatalf("completed %d of 2 GPU jobs", len(res.Stats))
+	}
+	// Even-split policy is CPU-only and must error on GPU nodes.
+	s2, _ := NewScheduler(500, []Node{{ID: "g0", Platform: xp}})
+	if _, err := runQueue(s2, jobs[:1], PolicyEvenSplit, DisciplineBackfill); err == nil {
+		t.Error("even-split accepted GPU nodes")
+	}
+}
+
+// TestQueueRunsConcurrent exercises the shared profile cache through the
+// event-driven queue engines running concurrently on one scheduler.
+func TestQueueRunsConcurrent(t *testing.T) {
+	cpu, err := hw.PlatformByName("ivybridge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewScheduler(400, []Node{
+		{ID: "n1", Platform: cpu},
+		{ID: "n2", Platform: cpu},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []TimedJob{
+		{Job: Job{ID: "a", Workload: mustWorkload(t, "stream")}, Units: 2e11},
+		{Job: Job{ID: "b", Workload: mustWorkload(t, "dgemm")}, Units: 2e11},
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := runQueue(s, jobs, PolicyCoord, DisciplineBackfill); err != nil {
+				t.Errorf("queue run: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestDemandResponseSteadyBudgetMatchesQueue(t *testing.T) {
+	// A single never-changing budget phase must reproduce the queue run.
+	mk := func() (*Scheduler, []TimedJob) {
+		s, err := NewScheduler(500, nodes(t, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, []TimedJob{
+			timedJob(t, "j1", "dgemm", 5e13),
+			timedJob(t, "j2", "stream", 3e12),
+			timedJob(t, "j3", "mg", 3e12),
+		}
+	}
+	s1, q1 := mk()
+	queue, err := runQueue(s1, q1, PolicyCoord, DisciplineBackfill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, q2 := mk()
+	dr, err := s2.RunDemandResponse(q2, []BudgetPhase{{Until: 1e12, Budget: 500}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(dr.Makespan-queue.Makespan) > 0.01*queue.Makespan {
+		t.Errorf("steady demand-response makespan %.1f vs queue %.1f", dr.Makespan, queue.Makespan)
+	}
+	if dr.Suspensions != 0 || dr.Violations != 0 {
+		t.Errorf("steady budget caused suspensions=%d violations=%d", dr.Suspensions, dr.Violations)
 	}
 }

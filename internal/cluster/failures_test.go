@@ -1,16 +1,23 @@
-package cluster
+package cluster_test
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
 
+	. "repro/internal/cluster"
+	"repro/internal/des"
 	"repro/internal/faults"
+	"repro/internal/hw"
 	"repro/internal/trace"
+	"repro/internal/units"
 )
 
+// TestRunQueueFaultyNoFaultsMatchesBaseline: an injector whose spec
+// disturbs nothing leaves the run identical to one without an injector.
 func TestRunQueueFaultyNoFaultsMatchesBaseline(t *testing.T) {
 	mk := func() (*Scheduler, []TimedJob) {
 		s, err := NewScheduler(500, nodes(t, 2))
@@ -24,12 +31,12 @@ func TestRunQueueFaultyNoFaultsMatchesBaseline(t *testing.T) {
 		}
 	}
 	s1, q1 := mk()
-	base, err := s1.RunQueue(q1, PolicyCoord)
+	base, err := runQueue(s1, q1, PolicyCoord, DisciplineBackfill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2, q2 := mk()
-	faulty, err := s2.RunQueueFaulty(q2, PolicyCoord, DisciplineBackfill, nil, nil)
+	faulty, err := runFaulty(s2, q2, faults.NewInjector(faults.Spec{}, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +53,7 @@ func TestRunQueueFaultyNoFaultsMatchesBaseline(t *testing.T) {
 	}
 	// Fault event counters must all be zero; the accounting fields the
 	// conservation audit added report a clean drain instead.
-	want := FaultSummary{PoolLeft: s2.Budget}
+	want := des.FaultSummary{PoolLeft: s2.Budget}
 	if faulty.Faults != want {
 		t.Fatalf("fault-free run reported faults: %+v, want %+v", faulty.Faults, want)
 	}
@@ -70,7 +77,7 @@ func TestRunQueueFaultyNodeFailureReadmitsJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &trace.EventLog{}
-	res, err := s.RunQueueFaulty(jobs, PolicyCoord, DisciplineBackfill, faults.NewInjector(spec, 7), log)
+	res, err := runFaulty(s, jobs, faults.NewInjector(spec, 7), log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +153,7 @@ func TestRunQueueFaultyDeterministicReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() (FaultyQueueResult, string) {
+	run := func() (faultyRun, string) {
 		s, err := NewScheduler(500, nodes(t, 3))
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +166,7 @@ func TestRunQueueFaultyDeterministicReplay(t *testing.T) {
 			timedJob(t, "j5", "stream", 3e12),
 		}
 		log := &trace.EventLog{}
-		res, err := s.RunQueueFaulty(jobs, PolicyCoord, DisciplineBackfill, faults.NewInjector(spec, 21), log)
+		res, err := runFaulty(s, jobs, faults.NewInjector(spec, 21), log)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +213,7 @@ func TestRunQueueFaultyBudgetShocksEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &trace.EventLog{}
-	res, err := s.RunQueueFaulty(jobs, PolicyCoord, DisciplineBackfill, faults.NewInjector(spec, 5), log)
+	res, err := runFaulty(s, jobs, faults.NewInjector(spec, 5), log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +236,7 @@ func TestRunQueueFaultyStarvationWrapsErrStarved(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := []TimedJob{timedJob(t, "j", "mg", 1e12)}
-	_, err = s.RunQueueFaulty(jobs, PolicyCoord, DisciplineBackfill, nil, nil)
+	_, err = runFaulty(s, jobs, nil, nil)
 	if err == nil {
 		t.Fatal("impossible budget accepted")
 	}
@@ -238,7 +245,7 @@ func TestRunQueueFaultyStarvationWrapsErrStarved(t *testing.T) {
 	}
 	// The fault-free engine reports the same sentinel.
 	s2, _ := NewScheduler(150, nodes(t, 2))
-	_, err = s2.RunQueue(jobs, PolicyCoord)
+	_, err = runQueue(s2, jobs, PolicyCoord, DisciplineBackfill)
 	if !errors.Is(err, ErrStarved) {
 		t.Fatalf("baseline error %v does not wrap ErrStarved", err)
 	}
@@ -261,7 +268,7 @@ func TestRunQueueFaultyPermanentFailureStillFinishesOnSurvivors(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &trace.EventLog{}
-	res, err := s.RunQueueFaulty(jobs, PolicyCoord, DisciplineBackfill, faults.NewInjector(spec, 2), log)
+	res, err := runFaulty(s, jobs, faults.NewInjector(spec, 2), log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +291,54 @@ func TestRunQueueFaultyEventsSortedByTime(t *testing.T) {
 		timedJob(t, "j2", "dgemm", 1e14),
 	}
 	spec, _ := faults.ParseSpec("node.mtbf=90,node.mttr=30")
-	res, err := s.RunQueueFaulty(jobs, PolicyCoord, DisciplineBackfill, faults.NewInjector(spec, 13), nil)
+	res, err := runFaulty(s, jobs, faults.NewInjector(spec, 13), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sort.SliceIsSorted(res.Events, func(i, j int) bool { return res.Events[i].Time < res.Events[j].Time }) {
 		t.Fatal("event log not time-sorted")
 	}
+}
+
+// TestRunQueueFaultyPoolConservation pins the fault-path accounting the
+// audit added: under a shock- and failure-heavy schedule that evicts
+// and re-admits jobs repeatedly, the identity pool + committed grants +
+// shock-held power == cluster budget holds at every event boundary, and
+// the whole budget is back in the pool once the queue drains.
+func TestRunQueueFaultyPoolConservation(t *testing.T) {
+	cpu, err := hw.PlatformByName("ivybridge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewScheduler(450, []Node{
+		{ID: "n1", Platform: cpu},
+		{ID: "n2", Platform: cpu},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := faults.ParseSpec("node.mtbf=30,node.mttr=10,shock.mtbs=25,shock.frac=0.5,shock.len=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []TimedJob{
+		{Job: Job{ID: "a", Workload: mustWorkload(t, "stream")}, Units: 5e11},
+		{Job: Job{ID: "b", Workload: mustWorkload(t, "dgemm")}, Units: 3e11},
+		{Job: Job{ID: "c", Workload: mustWorkload(t, "bt")}, Units: 4e11},
+	}
+	res, err := runFaulty(s, jobs, faults.NewInjector(spec, 7), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults.Readmissions == 0 {
+		t.Error("spec produced no readmissions; the conservation check exercised nothing")
+	}
+	if res.Faults.MaxConservationError > 1e-6 {
+		t.Errorf("MaxConservationError = %.3g W, want <= 1e-6 (power leaked or minted)",
+			res.Faults.MaxConservationError.Watts())
+	}
+	if dev := math.Abs((res.Faults.PoolLeft - s.Budget).Watts()); dev > 1e-6 {
+		t.Errorf("final pool %v != budget %v (Δ %.3g W)", res.Faults.PoolLeft, s.Budget, dev)
+	}
+	var _ units.Power = res.Faults.BudgetReclaimed
 }

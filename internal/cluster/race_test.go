@@ -76,37 +76,6 @@ func TestScheduleConcurrentRounds(t *testing.T) {
 	}
 }
 
-// TestQueueRunsConcurrent exercises the shared profile cache through the
-// event-driven queue engines running concurrently on one scheduler.
-func TestQueueRunsConcurrent(t *testing.T) {
-	cpu, err := hw.PlatformByName("ivybridge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewScheduler(400, []Node{
-		{ID: "n1", Platform: cpu},
-		{ID: "n2", Platform: cpu},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []TimedJob{
-		{Job: Job{ID: "a", Workload: mustWorkload(t, "stream")}, Units: 2e11},
-		{Job: Job{ID: "b", Workload: mustWorkload(t, "dgemm")}, Units: 2e11},
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.RunQueue(jobs, PolicyCoord); err != nil {
-				t.Errorf("RunQueue: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 func mustWorkload(t *testing.T, name string) workload.Workload {
 	t.Helper()
 	w, err := workload.ByName(name)

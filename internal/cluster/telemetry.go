@@ -4,37 +4,18 @@ import "repro/internal/telemetry"
 
 // Scheduler instrument handles; nil (no-op) until Instrument is called.
 var (
-	mAdmissions     *telemetry.Counter
-	mEvictNodeFail  *telemetry.Counter
-	mEvictShock     *telemetry.Counter
-	mReadmissions   *telemetry.Counter
-	mReclaimedWatts *telemetry.Counter
-	mNodeFailures   *telemetry.Counter
-	mNodeRecoveries *telemetry.Counter
-	mShocks         *telemetry.Counter
-	mQueueDepth     *telemetry.Gauge
-	mActiveJobs     *telemetry.Gauge
+	mAdmissions *telemetry.Counter
+	mQueueDepth *telemetry.Gauge
+	mActiveJobs *telemetry.Gauge
 )
 
-// Instrument registers the cluster scheduler metrics on r and activates
-// the admission- and fault-path counters. Passing nil disables them.
-// Call before running queue simulations concurrently.
+// Instrument registers the cluster scheduler's admission metrics on r.
+// Passing nil disables them. The fault-path counters of queue runs are
+// registered by des.Instrument. Call before running queue simulations
+// concurrently.
 func Instrument(r *telemetry.Registry) {
 	mAdmissions = r.Counter("cluster_admissions_total",
 		"Jobs admitted onto nodes (re-admissions after eviction included).")
-	const evHelp = "Running jobs evicted by the fault engine, by cause."
-	mEvictNodeFail = r.Counter("cluster_evictions_total", evHelp, "cause", "node-failure")
-	mEvictShock = r.Counter("cluster_evictions_total", evHelp, "cause", "budget-shock")
-	mReadmissions = r.Counter("cluster_readmissions_total",
-		"Evicted jobs returned to the queue head with remaining work.")
-	mReclaimedWatts = r.Counter("cluster_budget_reclaimed_watts_total",
-		"Power reclaimed into the pool by fault-driven evictions.")
-	mNodeFailures = r.Counter("cluster_node_failures_total",
-		"Node outage events applied by the fault engine.")
-	mNodeRecoveries = r.Counter("cluster_node_recoveries_total",
-		"Node recovery events applied by the fault engine.")
-	mShocks = r.Counter("cluster_budget_shocks_total",
-		"Facility budget shocks applied by the fault engine.")
 	mQueueDepth = r.Gauge("cluster_queue_depth",
 		"Jobs still waiting after the latest admission pass.")
 	mActiveJobs = r.Gauge("cluster_active_jobs",

@@ -1,22 +1,21 @@
-// Package des is a deterministic discrete-event traffic simulator for
-// power-bounded clusters. It drives the same admission machinery the
-// round-loop queue engines in internal/cluster use (Scheduler.AdmitWaiting
-// and the RunningJob progress state), adds a seeded open-arrival process
+// Package des is the cluster queue simulator for power-bounded
+// clusters: the one engine that runs timed jobs through the cluster
+// scheduler's admission rules (Scheduler.AdmitWaiting and the
+// RunningJob progress state). It adds a seeded open-arrival process
 // (bursty, optionally diurnal), time-varying budget shocks and node
-// outages reused from internal/faults, and scales to tens of thousands
-// of nodes and millions of jobs with streaming statistics.
+// outages from internal/faults, and scales to tens of thousands of
+// nodes and millions of jobs with streaming statistics.
 //
-// The simulator has two engines:
+// The simulator has two modes:
 //
-//   - the exact engine mirrors the cluster round loop operation for
-//     operation, so a run whose jobs all arrive at t=0 reproduces
-//     Scheduler.RunQueueOpts / RunQueueFaulty byte for byte (the golden
-//     equivalence the tests pin);
-//   - the fast engine indexes completions in a binary heap keyed by
-//     absolute virtual time with lazy deletion and caches admission
-//     decisions, trading byte-identity with the round loop for
-//     event-throughput at scale. It is still fully deterministic: the
-//     same seed replays the same trace hash, bit for bit.
+//   - exact mode keeps the full per-job result and the transition log;
+//     a run whose jobs all arrive at t=0 reproduces the frozen goldens
+//     in testdata byte for byte;
+//   - fast mode indexes completions in a binary heap keyed by absolute
+//     virtual time with lazy deletion and caches admission decisions,
+//     trading byte-identity with exact mode for event-throughput at
+//     scale. It is still fully deterministic: the same seed replays the
+//     same trace hash, bit for bit.
 package des
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -12,11 +13,6 @@ import (
 	"repro/internal/units"
 	"repro/internal/workload"
 )
-
-// goldenFaultSpec exercises node outages, recoveries, and budget shocks
-// in the golden-equivalence runs — the same scenario the pbc faults
-// cluster demo uses.
-const goldenFaultSpec = "node.mtbf=45,node.mttr=30,shock.mtbs=60,shock.frac=0.25,shock.len=10"
 
 func testSched(t *testing.T, n int) (*cluster.Scheduler, workload.Workload) {
 	t.Helper()
@@ -48,113 +44,6 @@ func testJobs(w workload.Workload, n int, unitsPer float64) []cluster.TimedJob {
 		}
 	}
 	return jobs
-}
-
-// TestGoldenEquivalenceFaultFree pins the tentpole contract: a 1-shot
-// DES run whose jobs all arrive round-synchronously at t=0 reproduces
-// the round loop's output byte for byte — same events, same stats, same
-// makespan and energy bits — across policies and disciplines.
-func TestGoldenEquivalenceFaultFree(t *testing.T) {
-	cases := []struct {
-		name   string
-		policy cluster.SplitPolicy
-		disc   cluster.Discipline
-	}{
-		{"coord-backfill", cluster.PolicyCoord, cluster.DisciplineBackfill},
-		{"coord-fifo", cluster.PolicyCoord, cluster.DisciplineFIFO},
-		{"evensplit-backfill", cluster.PolicyEvenSplit, cluster.DisciplineBackfill},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sched, w := testSched(t, 3)
-			jobs := testJobs(w, 7, 2e12)
-			want, err := sched.RunQueueOpts(jobs, tc.policy, tc.disc)
-			if err != nil {
-				t.Fatalf("RunQueueOpts: %v", err)
-			}
-			got, err := Run(Config{
-				Sched: sched, Workload: w,
-				Policy: tc.policy, Discipline: tc.disc,
-				Jobs: jobs, Mode: ModeExact,
-			})
-			if err != nil {
-				t.Fatalf("des.Run: %v", err)
-			}
-			if got.Queue == nil {
-				t.Fatal("exact mode returned no queue result")
-			}
-			if !reflect.DeepEqual(got.Queue.QueueResult, want) {
-				t.Errorf("DES output diverges from RunQueueOpts:\n des: %+v\nloop: %+v",
-					got.Queue.QueueResult, want)
-			}
-			if got.Completed != len(jobs) || got.Arrived != len(jobs) {
-				t.Errorf("completed %d arrived %d, want %d", got.Completed, got.Arrived, len(jobs))
-			}
-			if math.Float64bits(got.Makespan) != math.Float64bits(want.Makespan) {
-				t.Errorf("makespan bits differ: %v vs %v", got.Makespan, want.Makespan)
-			}
-		})
-	}
-}
-
-// TestGoldenEquivalenceFaulty is the same contract against the
-// fault-aware round loop: identical injector schedules must produce an
-// identical FaultyQueueResult — fault accounting included.
-func TestGoldenEquivalenceFaulty(t *testing.T) {
-	sp, err := faults.ParseSpec(goldenFaultSpec)
-	if err != nil {
-		t.Fatalf("spec: %v", err)
-	}
-	for _, seed := range []uint64{1, 7, 42} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			sched, w := testSched(t, 3)
-			jobs := testJobs(w, 6, 2e12)
-			want, err := sched.RunQueueFaulty(jobs, cluster.PolicyCoord, cluster.DisciplineBackfill,
-				faults.NewInjector(sp, seed), nil)
-			if err != nil {
-				t.Fatalf("RunQueueFaulty: %v", err)
-			}
-			got, err := Run(Config{
-				Sched: sched, Workload: w,
-				Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill,
-				Jobs: jobs, Injector: faults.NewInjector(sp, seed), Mode: ModeExact,
-			})
-			if err != nil {
-				t.Fatalf("des.Run: %v", err)
-			}
-			if !reflect.DeepEqual(*got.Queue, want) {
-				t.Errorf("DES output diverges from RunQueueFaulty:\n des: %+v\nloop: %+v",
-					*got.Queue, want)
-			}
-			if got.Faults != want.Faults {
-				t.Errorf("fault summaries differ:\n des: %+v\nloop: %+v", got.Faults, want.Faults)
-			}
-		})
-	}
-}
-
-// TestGoldenEquivalenceNilInjector: the exact engine with no injector
-// matches RunQueueFaulty driven with a nil injector (the fault-free
-// path through the fault-aware loop, clamped advance included).
-func TestGoldenEquivalenceNilInjector(t *testing.T) {
-	sched, w := testSched(t, 3)
-	jobs := testJobs(w, 6, 2e12)
-	want, err := sched.RunQueueFaulty(jobs, cluster.PolicyCoord, cluster.DisciplineBackfill, nil, nil)
-	if err != nil {
-		t.Fatalf("RunQueueFaulty: %v", err)
-	}
-	got, err := Run(Config{
-		Sched: sched, Workload: w,
-		Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill,
-		Jobs: jobs, Mode: ModeExact,
-	})
-	if err != nil {
-		t.Fatalf("des.Run: %v", err)
-	}
-	if !reflect.DeepEqual(*got.Queue, want) {
-		t.Errorf("DES output diverges from nil-injector RunQueueFaulty:\n des: %+v\nloop: %+v",
-			*got.Queue, want)
-	}
 }
 
 func replayCfg(t *testing.T, mode Mode, seed uint64) Config {
@@ -313,7 +202,7 @@ func TestFastEngineFaultAccounting(t *testing.T) {
 	}
 	// With every job complete and every shock expired, the shock-adjusted
 	// pool must equal the cluster budget — the invariant pbc verify pins
-	// for the round loop, held here by the fast engine too.
+	// for exact mode, held here by the fast engine too.
 	if diff := math.Abs(res.Faults.PoolLeft.Watts() - 832); diff > 1e-6 {
 		t.Errorf("PoolLeft %v != budget 832 W", res.Faults.PoolLeft)
 	}
@@ -381,62 +270,29 @@ func TestGenerateArrivals(t *testing.T) {
 	}
 }
 
-// TestPhasedGPUJobs runs phased ML-inference jobs on an H100-class
-// cluster through both engines: exact mode must reproduce the round
-// loop byte for byte — phased workloads and GPU platforms included —
-// and each engine's trace hash must be stable across repeat runs.
-func TestPhasedGPUJobs(t *testing.T) {
-	p, err := hw.PlatformByName("h100")
-	if err != nil {
-		t.Fatalf("platform: %v", err)
+// TestFastModeRejectsMixedWorkloads: fast mode simulates every job as
+// Config.Workload, so a t=0 job with a workload of its own is an error
+// instead of silently running as the wrong one. Exact mode runs the
+// same config, and homogeneous jobs still run in fast mode.
+func TestFastModeRejectsMixedWorkloads(t *testing.T) {
+	sched, w := testSched(t, 2)
+	jobs := testJobs(w, 3, 1e12)
+	jobs[1].Workload = mustWorkload(t, "dgemm")
+	cfg := Config{
+		Sched: sched, Workload: w,
+		Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill,
+		Jobs: jobs, Mode: ModeFast,
 	}
-	w, err := workload.ByName("llmserve")
-	if err != nil {
-		t.Fatalf("workload: %v", err)
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), `"job01"`) {
+		t.Fatalf("fast mode with a mixed-workload job: err %v, want one naming job01", err)
 	}
-	nodes := make([]cluster.Node, 3)
-	for i := range nodes {
-		nodes[i] = cluster.Node{ID: fmt.Sprintf("gpu%02d", i), Platform: p}
+	cfg.Mode = ModeExact
+	if res, err := Run(cfg); err != nil || res.Completed != len(jobs) {
+		t.Fatalf("exact mode: completed %d, err %v", res.Completed, err)
 	}
-	sched, err := cluster.NewScheduler(units.Power(400*len(nodes)), nodes)
-	if err != nil {
-		t.Fatalf("scheduler: %v", err)
-	}
-	jobs := testJobs(w, 7, 2e12)
-
-	want, err := sched.RunQueueOpts(jobs, cluster.PolicyCoord, cluster.DisciplineBackfill)
-	if err != nil {
-		t.Fatalf("RunQueueOpts: %v", err)
-	}
-	run := func(mode Mode) Result {
-		got, err := Run(Config{
-			Sched: sched, Workload: w,
-			Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill,
-			Jobs: jobs, Mode: mode,
-		})
-		if err != nil {
-			t.Fatalf("des.Run mode %v: %v", mode, err)
-		}
-		return got
-	}
-
-	exact := run(ModeExact)
-	if exact.Queue == nil || !reflect.DeepEqual(exact.Queue.QueueResult, want) {
-		t.Errorf("phased DES run diverges from round loop:\n des: %+v\nloop: %+v",
-			exact.Queue, want)
-	}
-	if exact.Completed != len(jobs) {
-		t.Errorf("completed %d of %d phased jobs", exact.Completed, len(jobs))
-	}
-	if exact.TraceHash != run(ModeExact).TraceHash {
-		t.Error("exact-mode trace hash unstable across repeat runs")
-	}
-
-	fast := run(ModeFast)
-	if fast.Completed != len(jobs) || !(fast.Makespan > 0) {
-		t.Errorf("fast mode: completed %d, makespan %v", fast.Completed, fast.Makespan)
-	}
-	if fast.TraceHash != run(ModeFast).TraceHash {
-		t.Error("fast-mode trace hash unstable across repeat runs")
+	jobs[1].Workload = w
+	cfg.Mode = ModeFast
+	if res, err := Run(cfg); err != nil || res.Completed != len(jobs) {
+		t.Fatalf("fast mode, homogeneous jobs: completed %d, err %v", res.Completed, err)
 	}
 }

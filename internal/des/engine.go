@@ -3,9 +3,11 @@ package des
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -15,14 +17,17 @@ type Mode int
 
 // Engines.
 const (
-	// ModeExact mirrors the cluster round loop operation for operation.
-	// A run whose jobs all arrive at t=0 is byte-identical to
-	// Scheduler.RunQueueOpts / RunQueueFaulty. O(active) per event.
+	// ModeExact is the cluster queue engine: it rescans the running
+	// jobs at every event, keeps the full per-job result and records
+	// transitions into Config.Log. A run whose jobs all arrive at t=0
+	// reproduces the frozen goldens in testdata byte for byte.
+	// O(active) per event.
 	ModeExact Mode = iota
 	// ModeFast indexes completions in a min-heap keyed by absolute
 	// virtual time and caches admission decisions; built for 10k-node,
-	// million-job traces with streaming stats. Deterministic, but not
-	// byte-identical to the round loop.
+	// million-job traces with streaming stats. Every job runs
+	// Config.Workload. Deterministic, but not byte-identical to exact
+	// mode.
 	ModeFast
 )
 
@@ -50,8 +55,8 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// Default engine bounds. Exact mode mirrors the round loop's event cap;
-// fast mode gets headroom for million-job traces.
+// Default engine bounds. Exact mode caps its event loop at a million
+// events; fast mode gets headroom for million-job traces.
 const (
 	defaultMaxEventsExact = 1_000_000
 	defaultMaxEventsFast  = 1 << 25
@@ -62,15 +67,15 @@ const (
 type Config struct {
 	// Sched is the cluster under simulation (budget + nodes).
 	Sched *cluster.Scheduler
-	// Workload is the job workload; every generated job runs it.
+	// Workload is the job workload; every generated job runs it. Fast
+	// mode requires every t=0 job to run it too.
 	Workload workload.Workload
-	// Policy and Discipline select the admission semantics, exactly as
-	// in the round-loop engines.
+	// Policy and Discipline select the admission semantics.
 	Policy     cluster.SplitPolicy
 	Discipline cluster.Discipline
 
-	// Jobs arrive round-synchronously at t=0 ahead of any generated
-	// traffic — the round-loop compatibility input.
+	// Jobs arrive at t=0 ahead of any generated traffic, in queue
+	// order. Exact mode runs each with its own workload.
 	Jobs []cluster.TimedJob
 	// Arrivals seeds the open-arrival process over [0, Horizon).
 	Arrivals ArrivalSpec
@@ -83,6 +88,10 @@ type Config struct {
 	// Injector, when non-nil, disturbs the run with node outages and
 	// budget shocks on its deterministic schedule (see internal/faults).
 	Injector *faults.Injector
+	// Log, when non-nil, receives exact mode's cluster transitions:
+	// node failures and recoveries, budget shocks and restores, and
+	// each eviction's reclaim and re-admission.
+	Log *trace.EventLog
 
 	// Mode selects the engine; the zero value is ModeExact.
 	Mode Mode
@@ -113,15 +122,43 @@ type Result struct {
 	// from each job's arrival time. MaxSlowdown is the worst ratio of
 	// turnaround to time-in-service.
 	AvgWait, AvgTurnaround, MaxSlowdown float64
-	// Faults carries the fault accounting (zero without an injector).
-	Faults cluster.FaultSummary
+	// Faults carries the fault accounting (zero counts without an
+	// injector).
+	Faults FaultSummary
 	// TraceHash fingerprints the full event trace (FNV-1a over every
 	// event's time bits, kind, job and node). Two runs of the same
 	// config are byte-reproducible iff their hashes match.
 	TraceHash uint64
-	// Queue is the full round-loop-compatible per-job result. Exact
-	// mode only; nil in fast mode (per-job maps don't scale).
-	Queue *cluster.FaultyQueueResult
+	// Queue is the full per-job result: events, stats, makespan and
+	// energy. Exact mode only; nil in fast mode (per-job maps don't
+	// scale).
+	Queue *cluster.QueueResult
+}
+
+// FaultSummary counts what the engine handled under an injector.
+type FaultSummary struct {
+	// NodeFailures and NodeRecoveries count node outage transitions.
+	NodeFailures, NodeRecoveries int
+	// Readmissions counts jobs returned to the queue because their node
+	// failed or a budget shock evicted them; each re-admission reclaims
+	// the job's grant into the pool.
+	Readmissions int
+	// Shocks counts facility budget shocks applied.
+	Shocks int
+	// BudgetReclaimed is the total power returned to the pool by
+	// failure- and shock-driven evictions.
+	BudgetReclaimed units.Power
+	// PoolLeft is the shock-adjusted uncommitted power at the end of the
+	// run: the free pool plus any power still held back by unexpired
+	// budget shocks. With every job complete it must equal the cluster
+	// budget (up to float accumulation) — the pool-conservation
+	// invariant `pbc verify` asserts.
+	PoolLeft units.Power
+	// MaxConservationError is the largest absolute deviation of
+	// (pool + committed grants + shock-held power) from the cluster
+	// budget observed at any event boundary. A non-trivial value means
+	// re-admission accounting leaked or minted power.
+	MaxConservationError units.Power
 }
 
 // Run executes the configured simulation.
@@ -146,6 +183,14 @@ func Run(cfg Config) (Result, error) {
 			cfg.MaxEvents = defaultMaxEventsFast
 		} else {
 			cfg.MaxEvents = defaultMaxEventsExact
+		}
+	}
+	if cfg.Mode == ModeFast {
+		for _, j := range cfg.Jobs {
+			if !reflect.DeepEqual(j.Workload, cfg.Workload) {
+				return Result{}, fmt.Errorf("des: fast mode runs every job as %q, but job %q runs %q (use exact mode for mixed workloads)",
+					cfg.Workload.Name, j.ID, j.Workload.Name)
+			}
 		}
 	}
 	arrivals := generateArrivals(cfg.Arrivals, cfg.Seed, cfg.Horizon, cfg.MaxJobs)
@@ -230,14 +275,30 @@ func (a *agg) fill(res *Result) {
 	}
 }
 
-// faultHorizon mirrors Scheduler.faultHorizon: total work at a
-// conservative 1e9 units/s, padded 4x, floored at one hour. The exact
-// engine must reproduce the round loop's fault schedules, so the
-// formula — including the accumulation order — matches failures.go.
+// faultHorizon bounds the makespan for fault scheduling: total work at
+// a conservative 1e9 units/s, padded 4x, floored at one hour. Catalog
+// workloads run at 1e10-1e11 units/s even under tight grants, so the
+// horizon covers any plausible makespan; outages past the finish never
+// fire and shocks past it are never drawn. The goldens pin the outage
+// schedules, so the formula and the callers' accumulation order (t=0
+// jobs first, then the generated trace) are part of the contract.
 func faultHorizon(totalUnits float64) float64 {
 	h := 4 * totalUnits / 1e9
 	if h < 3600 {
 		h = 3600
 	}
 	return h
+}
+
+// outageEdges is the injector's merged outage schedule for the
+// scheduler's nodes over horizon, with Node indexing s.Nodes.
+func outageEdges(in *faults.Injector, s *cluster.Scheduler, horizon float64) []faults.OutageEdge {
+	if in == nil {
+		return nil
+	}
+	ids := make([]string, len(s.Nodes))
+	for i, n := range s.Nodes {
+		ids[i] = n.ID
+	}
+	return in.OutageEdges(ids, horizon)
 }

@@ -9,18 +9,33 @@ import (
 	"repro/internal/units"
 )
 
-// runExact executes the simulation by mirroring the cluster round loop
-// (Scheduler.RunQueueOpts / RunQueueFaulty) operation for operation —
-// the same AdmitWaiting calls, the same advance arithmetic, the same
-// event ordering and accumulation order — with job arrivals layered in
-// as one more event class. When every job arrives at t=0 (cfg.Jobs set,
-// no arrival spec), the result is byte-identical to the round loop's:
-// the golden equivalence the tests pin. Do not "simplify" float
-// expressions here; their shape is the contract.
+// runExact is the cluster queue engine. Jobs start when both a node and
+// a productive power grant are available (Scheduler.AdmitWaiting, in
+// queue order); grants are fixed for a job's lifetime and capped at its
+// maximum demand; power returns to the pool when a job finishes, and
+// waiting jobs are reconsidered at every event. Under an injector:
+//
+//   - when a node fails, its job's grant is reclaimed into the pool, the
+//     job re-enters the queue head with its remaining work, and the
+//     admission pass re-runs at once (admission re-splits with COORD
+//     and reclaims the surplus);
+//   - when a budget shock arrives, the pool shrinks by the shock
+//     fraction of the cluster budget; if committed grants no longer fit,
+//     the most recently started jobs are evicted the same way until they
+//     do — the bound is never knowingly exceeded;
+//   - when a node recovers or a shock ends, waiting jobs are
+//     reconsidered at once.
+//
+// Generated arrivals are one more event class. A run whose jobs all
+// arrive at t=0 reproduces the frozen goldens in testdata byte for
+// byte. Do not "simplify" float expressions here; their shape is the
+// contract.
 func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 	out := Result{Mode: ModeExact}
-	res := cluster.FaultyQueueResult{QueueResult: cluster.QueueResult{Stats: map[string]cluster.JobStat{}}}
+	res := cluster.QueueResult{Stats: map[string]cluster.JobStat{}}
+	var sum FaultSummary
 	s := cfg.Sched
+	log := cfg.Log
 
 	for _, j := range cfg.Jobs {
 		if j.Units <= 0 {
@@ -53,10 +68,10 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 	hash := newTraceHash()
 	var stats agg
 
-	// Fault schedules, built exactly as the round loop builds them: the
-	// horizon accumulates total work in input order (t=0 jobs first,
-	// then the generated trace). Outages are precomputed, since the
-	// per-node schedules need a cross-node merge into one time order.
+	// Fault schedules over a horizon accumulated in input order (t=0
+	// jobs first, then the generated trace). Outages are precomputed,
+	// since the per-node schedules need a cross-node merge into one time
+	// order.
 	var totalUnits float64
 	for _, j := range cfg.Jobs {
 		totalUnits += j.Units
@@ -65,37 +80,7 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 		totalUnits += a.units
 	}
 	horizon := faultHorizon(totalUnits)
-
-	type outageEvent struct {
-		at     float64
-		nodeID string
-		up     bool
-	}
-	var outages []outageEvent
-	if cfg.Injector != nil {
-		nodeIDs := make([]string, 0, len(s.Nodes))
-		for _, n := range s.Nodes {
-			nodeIDs = append(nodeIDs, n.ID)
-		}
-		sort.Strings(nodeIDs)
-		for _, id := range nodeIDs {
-			for _, o := range cfg.Injector.NodeOutages(id, horizon) {
-				outages = append(outages, outageEvent{at: o.At, nodeID: id, up: false})
-				if !math.IsInf(o.Duration, 1) {
-					outages = append(outages, outageEvent{at: o.At + o.Duration, nodeID: id, up: true})
-				}
-			}
-		}
-		sort.SliceStable(outages, func(i, j int) bool {
-			if outages[i].at != outages[j].at {
-				return outages[i].at < outages[j].at
-			}
-			if outages[i].up != outages[j].up {
-				return outages[i].up
-			}
-			return outages[i].nodeID < outages[j].nodeID
-		})
-	}
+	outages := outageEdges(cfg.Injector, s, horizon)
 	// Shock edges are pulled as the event cursor reaches them: the
 	// horizon runs far past the last job, and the shocks beyond it are
 	// never drawn. A nil injector yields none.
@@ -105,10 +90,16 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 	freeNodes := append([]cluster.Node(nil), s.Nodes...)
 	waiting := append([]cluster.TimedJob(nil), cfg.Jobs...)
 	var active []*cluster.RunningJob
-	down := map[string]bool{}
+	down := make([]bool, len(s.Nodes))
+	nDown := 0
 	firstStart := map[string]float64{}
 	now := 0.0
 
+	// shockHeld is the power currently withheld from the pool by active
+	// budget shocks. At every event boundary the engine audits the
+	// conservation identity pool + Σ(committed grants) + shockHeld ==
+	// Budget; eviction/re-admission bugs that leak or mint power show up
+	// as a growing deviation.
 	shockHeld := units.Power(0)
 	conserve := func() {
 		var committed units.Power
@@ -119,19 +110,19 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 		if dev < 0 {
 			dev = -dev
 		}
-		if dev > res.Faults.MaxConservationError {
-			res.Faults.MaxConservationError = dev
+		if dev > sum.MaxConservationError {
+			sum.MaxConservationError = dev
 		}
 	}
 
-	// admit wraps AdmitWaiting like the round loop does, preserving
-	// each job's first admission time across re-admissions, and folds
-	// the newly appended "start" events into the trace hash.
+	// admit runs an AdmitWaiting pass, preserves each job's first
+	// admission time across re-admissions, and folds the newly appended
+	// "start" events into the trace hash.
 	admit := func() error {
 		before := len(res.Events)
 		var err error
 		active, waiting, freeNodes, pool, err = s.AdmitWaiting(
-			&res.QueueResult, active, waiting, freeNodes, pool, now, cfg.Policy, cfg.Discipline)
+			&res, active, waiting, freeNodes, pool, now, cfg.Policy, cfg.Discipline)
 		if err != nil {
 			return err
 		}
@@ -148,6 +139,11 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 		return nil
 	}
 
+	// evict kills a running job, reclaims its grant, and re-queues it at
+	// the head with its remaining work. keepNode returns the node to the
+	// free list (budget-shock evictions: the node is healthy, only the
+	// power is gone); node-failure evictions lose the node until its
+	// recovery event.
 	evict := func(idx int, keepNode bool) {
 		r := active[idx]
 		active = append(active[:idx], active[idx+1:]...)
@@ -157,13 +153,26 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 		if keepNode {
 			freeNodes = append(freeNodes, r.Node)
 		}
-		res.Faults.BudgetReclaimed += r.Budget
-		res.Faults.Readmissions++
+		sum.BudgetReclaimed += r.Budget
+		sum.Readmissions++
+		cause := "node failure"
+		if keepNode {
+			cause = "budget shock"
+			mEvictShock.Inc()
+		} else {
+			mEvictNodeFail.Inc()
+		}
+		mReadmissions.Inc()
+		mReclaimedWatts.Add(r.Budget.Watts())
 		j := r.Job
 		j.Units = r.Remaining
 		waiting = append([]cluster.TimedJob{j}, waiting...)
 		res.Events = append(res.Events, cluster.Event{Time: now, Kind: "suspend", JobID: j.ID, NodeID: r.Node.ID})
 		hash.event(now, evSuspend, jobIndex[j.ID], nodeIndex[r.Node.ID])
+		if log != nil {
+			log.Recordf(now, "budget-reclaim", j.ID, "%s returned to pool (%s)", r.Budget, cause)
+			log.Recordf(now, "job-readmit", j.ID, "re-queued with %.3g work units left", j.Units)
+		}
 	}
 
 	advance := func(dt float64) {
@@ -180,6 +189,8 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 		return out, err
 	}
 	conserve()
+	// At t=0 every node is up and the budget is unshocked, so a queue
+	// that cannot start now can never start: faults only remove capacity.
 	if len(active) == 0 && len(waiting) > 0 {
 		return out, fmt.Errorf("cluster: no job can start (budget %v too small for every job): %w",
 			s.Budget, cluster.ErrStarved)
@@ -201,7 +212,7 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 		}
 		nextOutage := math.Inf(1)
 		if oi < len(outages) {
-			nextOutage = outages[oi].at - now
+			nextOutage = outages[oi].At - now
 		}
 		nextShock := math.Inf(1)
 		if ev, ok := shocks.Peek(); ok {
@@ -215,14 +226,12 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			}
 		}
 
+		// Nothing running and no event left that could free a node or
+		// power: starved. (Rates are positive, so an idle cluster is the
+		// only way nextDone is infinite.)
 		if math.IsInf(nextDone, 1) && math.IsInf(nextOutage, 1) && math.IsInf(nextShock, 1) && math.IsInf(nextArr, 1) {
 			return out, fmt.Errorf("cluster: %d job(s) can never start (%d node(s) down, pool %v): %w",
-				len(waiting), len(down), pool, cluster.ErrStarved)
-		}
-		if di == -1 && len(waiting) > 0 &&
-			math.IsInf(nextOutage, 1) && math.IsInf(nextShock, 1) && math.IsInf(nextArr, 1) {
-			return out, fmt.Errorf("cluster: %d job(s) can never start under budget %v: %w",
-				len(waiting), s.Budget, cluster.ErrStarved)
+				len(waiting), nDown, pool, cluster.ErrStarved)
 		}
 
 		switch {
@@ -230,34 +239,44 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			ev := outages[oi]
 			oi++
 			advance(nextOutage)
-			if ev.up {
-				if !down[ev.nodeID] {
-					continue
+			node := s.Nodes[ev.Node]
+			if ev.Up {
+				if !down[ev.Node] {
+					continue // node was never taken down
 				}
-				delete(down, ev.nodeID)
-				node, ok := nodeByID(s, ev.nodeID)
-				if !ok {
-					continue
-				}
+				down[ev.Node] = false
+				nDown--
 				freeNodes = append(freeNodes, node)
-				res.Faults.NodeRecoveries++
-				res.Events = append(res.Events, cluster.Event{Time: now, Kind: "recover", NodeID: ev.nodeID})
-				hash.event(now, evNodeUp, -1, nodeIndex[ev.nodeID])
+				sum.NodeRecoveries++
+				mNodeRecoveries.Inc()
+				res.Events = append(res.Events, cluster.Event{Time: now, Kind: "recover", NodeID: node.ID})
+				hash.event(now, evNodeUp, -1, ev.Node)
+				if log != nil {
+					log.Record(now, "node-recover", node.ID, "node back in service")
+				}
 				if err := admit(); err != nil {
 					return out, err
 				}
 				continue
 			}
-			if down[ev.nodeID] {
+			if down[ev.Node] {
 				continue
 			}
-			down[ev.nodeID] = true
-			res.Faults.NodeFailures++
-			res.Events = append(res.Events, cluster.Event{Time: now, Kind: "fail", NodeID: ev.nodeID})
-			hash.event(now, evNodeFail, -1, nodeIndex[ev.nodeID])
+			down[ev.Node] = true
+			nDown++
+			sum.NodeFailures++
+			mNodeFailures.Inc()
+			res.Events = append(res.Events, cluster.Event{Time: now, Kind: "fail", NodeID: node.ID})
+			hash.event(now, evNodeFail, -1, ev.Node)
+			if log != nil {
+				log.Record(now, "node-fail", node.ID, "node lost")
+			}
+			// Remove the node from the free list if idle, or evict its
+			// job; the evicted job is reconsidered at once on the
+			// surviving nodes.
 			removed := false
 			for i, n := range freeNodes {
-				if n.ID == ev.nodeID {
+				if n.ID == node.ID {
 					freeNodes = append(freeNodes[:i], freeNodes[i+1:]...)
 					removed = true
 					break
@@ -265,7 +284,7 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			}
 			if !removed {
 				for i, r := range active {
-					if r.Node.ID == ev.nodeID {
+					if r.Node.ID == node.ID {
 						evict(i, false)
 						break
 					}
@@ -281,8 +300,14 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			pool += ev.Delta
 			shockHeld -= ev.Delta
 			if ev.Delta < 0 {
-				res.Faults.Shocks++
+				sum.Shocks++
+				mShocks.Inc()
 				hash.event(now, evShock, -1, -1)
+				if log != nil {
+					log.Recordf(now, "budget-shock", "facility", "pool reduced by %v", -ev.Delta)
+				}
+				// Evict the most recently started jobs until the
+				// committed grants fit the shrunken budget again.
 				for pool < 0 && len(active) > 0 {
 					latest := 0
 					for i, r := range active {
@@ -294,6 +319,9 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 				}
 			} else {
 				hash.event(now, evRestore, -1, -1)
+				if log != nil {
+					log.Recordf(now, "budget-restore", "facility", "pool restored by %v", ev.Delta)
+				}
 			}
 			if err := admit(); err != nil {
 				return out, err
@@ -333,7 +361,7 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 		}
 	}
 	conserve()
-	res.Faults.PoolLeft = pool + shockHeld
+	sum.PoolLeft = pool + shockHeld
 	res.Makespan = now
 	sort.SliceStable(res.Events, func(i, j int) bool { return res.Events[i].Time < res.Events[j].Time })
 
@@ -341,19 +369,9 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 	out.EngineEvents = steps
 	out.Makespan = res.Makespan
 	out.Energy = res.Energy
-	out.Faults = res.Faults
+	out.Faults = sum
 	out.TraceHash = hash.h
 	out.Queue = &res
 	stats.fill(&out)
 	return out, nil
-}
-
-// nodeByID finds a scheduler node, mirroring the round loop's lookup.
-func nodeByID(s *cluster.Scheduler, id string) (cluster.Node, bool) {
-	for _, n := range s.Nodes {
-		if n.ID == id {
-			return n, true
-		}
-	}
-	return cluster.Node{}, false
 }

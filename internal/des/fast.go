@@ -3,7 +3,6 @@ package des
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/units"
@@ -115,11 +114,11 @@ type admEntry struct {
 }
 
 // runFast executes the simulation with a completion heap and admission
-// caching. It keeps the round loop's semantics — admission through the
+// caching. It keeps exact mode's semantics — admission through the
 // shared Scheduler.AdmitWaiting, grant-for-lifetime, evict-latest under
 // shocks, re-queue at the head — but indexes state for scale instead of
 // rescanning it, so its float operation order (and therefore its exact
-// event times) can differ from the exact engine in the last ulps.
+// event times) can differ from exact mode in the last ulps.
 // Deterministic: one seed, one trace hash.
 func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 	out := Result{Mode: ModeFast}
@@ -166,48 +165,15 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 	}
 	out.Arrived = len(jobs)
 	qHead, qArrived := 0, len(cfg.Jobs) // FIFO window [qHead, qArrived)
-	var readmit []int32                 // evictions re-enter here, LIFO like the round loop's head prepend
+	var readmit []int32                 // evictions re-enter here, LIFO like exact mode's head prepend
 
-	// Fault schedules over the same horizon formula as the round loop.
-	// Outages are precomputed and pre-resolved to node indices, since
-	// the per-node schedules need a cross-node merge into one time order.
+	// Fault schedules over the same horizon formula as exact mode.
 	var totalUnits float64
 	for i := range jobs {
 		totalUnits += jobs[i].units
 	}
 	horizon := faultHorizon(totalUnits)
-	type outageEvent struct {
-		at   float64
-		node int32
-		up   bool
-	}
-	var outages []outageEvent
-	if cfg.Injector != nil {
-		ids := make([]string, 0, len(s.Nodes))
-		byID := make(map[string]int32, len(s.Nodes))
-		for i, n := range s.Nodes {
-			ids = append(ids, n.ID)
-			byID[n.ID] = int32(i)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			for _, o := range cfg.Injector.NodeOutages(id, horizon) {
-				outages = append(outages, outageEvent{at: o.At, node: byID[id], up: false})
-				if !math.IsInf(o.Duration, 1) {
-					outages = append(outages, outageEvent{at: o.At + o.Duration, node: byID[id], up: true})
-				}
-			}
-		}
-		sort.SliceStable(outages, func(i, j int) bool {
-			if outages[i].at != outages[j].at {
-				return outages[i].at < outages[j].at
-			}
-			if outages[i].up != outages[j].up {
-				return outages[i].up
-			}
-			return outages[i].node < outages[j].node
-		})
-	}
+	outages := outageEdges(cfg.Injector, s, horizon)
 	// Shock edges are pulled as the event cursor reaches them: the
 	// horizon runs far past the last job, and the shocks beyond it are
 	// never drawn. A nil injector yields none.
@@ -216,7 +182,7 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 	pool := s.Budget
 	committed := units.Power(0)
 	shockHeld := units.Power(0)
-	var faultSum cluster.FaultSummary
+	var faultSum FaultSummary
 	conserve := func() {
 		dev := pool + committed + shockHeld - s.Budget
 		if dev < 0 {
@@ -384,7 +350,7 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 		hash.event(now, evSuspend, j, node)
 	}
 
-	// t=0 admission, mirroring the round loop's pre-loop pass: a queue
+	// t=0 admission, as in exact mode: a queue
 	// that cannot start on a full budget and healthy nodes never will.
 	if err := admit(); err != nil {
 		return out, err
@@ -405,7 +371,7 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 		nextDone := peekDone()
 		nextOutage := math.Inf(1)
 		if oi < len(outages) {
-			nextOutage = outages[oi].at
+			nextOutage = outages[oi].At
 		}
 		nextShock := math.Inf(1)
 		if ev, ok := shocks.Peek(); ok {
@@ -425,32 +391,32 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 		case nextOutage <= nextDone && nextOutage <= nextShock && nextOutage <= nextArr:
 			ev := outages[oi]
 			oi++
-			if ev.at > now {
-				now = ev.at
+			if ev.At > now {
+				now = ev.At
 			}
-			if ev.up {
-				if !down[ev.node] {
+			if ev.Up {
+				if !down[ev.Node] {
 					continue
 				}
-				down[ev.node] = false
-				free[classOf[ev.node]] = append(free[classOf[ev.node]], ev.node)
+				down[ev.Node] = false
+				free[classOf[ev.Node]] = append(free[classOf[ev.Node]], ev.Node)
 				faultSum.NodeRecoveries++
-				hash.event(now, evNodeUp, -1, ev.node)
+				hash.event(now, evNodeUp, -1, ev.Node)
 				if err := admit(); err != nil {
 					return out, err
 				}
 				continue
 			}
-			if down[ev.node] {
+			if down[ev.Node] {
 				continue
 			}
-			down[ev.node] = true
+			down[ev.Node] = true
 			faultSum.NodeFailures++
-			hash.event(now, evNodeFail, -1, ev.node)
-			if j := nodeJob[ev.node]; j >= 0 {
+			hash.event(now, evNodeFail, -1, ev.Node)
+			if j := nodeJob[ev.Node]; j >= 0 {
 				evictJob(j, false)
 			} else {
-				removeFree(ev.node)
+				removeFree(ev.Node)
 			}
 			if err := admit(); err != nil {
 				return out, err

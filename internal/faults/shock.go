@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/units"
 )
@@ -125,4 +126,49 @@ func (e *ShockEdges) Pop() ShockEdge {
 		e.head++
 	}
 	return ev
+}
+
+// OutageEdge is one node state change of a merged outage schedule: the
+// node fails (Up false) or returns to service (Up true) at At. Node
+// indexes the ID list the schedule was built from.
+type OutageEdge struct {
+	At   float64
+	Node int32
+	Up   bool
+}
+
+// OutageEdges merges the outage schedules of the nodes named by ids
+// over [0, horizon) into one time-ordered edge list — the event source
+// every cluster engine replays node failures from. Schedules are drawn
+// per node in sorted-ID order; edges are ordered by time, recoveries
+// before failures at equal times, then by node ID. A nil injector, or a
+// spec without node faults, yields none.
+func (in *Injector) OutageEdges(ids []string, horizon float64) []OutageEdge {
+	if in == nil || in.spec.NodeMTBF <= 0 {
+		return nil
+	}
+	order := make([]int32, len(ids))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return ids[order[a]] < ids[order[b]] })
+	var out []OutageEdge
+	for _, n := range order {
+		for _, o := range in.NodeOutages(ids[n], horizon) {
+			out = append(out, OutageEdge{At: o.At, Node: n})
+			if !math.IsInf(o.Duration, 1) {
+				out = append(out, OutageEdge{At: o.At + o.Duration, Node: n, Up: true})
+			}
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].At != out[j].At {
+			return out[i].At < out[j].At
+		}
+		if out[i].Up != out[j].Up {
+			return out[i].Up
+		}
+		return ids[out[i].Node] < ids[out[j].Node]
+	})
+	return out
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/units"
@@ -113,5 +114,51 @@ func TestShockStreamEmpty(t *testing.T) {
 	}
 	if ev, ok := edges.Peek(); ok {
 		t.Fatalf("exhausted source yields %+v after Pop", ev)
+	}
+}
+
+// TestOutageEdgesMergeOrder: the merged schedule holds exactly each
+// node's NodeOutages as fail/recover edge pairs, ordered by time, then
+// recoveries before failures, then node ID — whatever order the IDs
+// are given in.
+func TestOutageEdgesMergeOrder(t *testing.T) {
+	ids := []string{"n3", "n1", "n2", "n0"}
+	for _, spec := range []Spec{{NodeMTBF: 20, NodeMTTR: 10}, {NodeMTBF: 200}} {
+		in := NewInjector(spec, 3)
+		edges := in.OutageEdges(ids, 500)
+		for i := 1; i < len(edges); i++ {
+			a, b := edges[i-1], edges[i]
+			ordered := a.At < b.At ||
+				a.At == b.At && (a.Up && !b.Up || a.Up == b.Up && ids[a.Node] < ids[b.Node])
+			if !ordered {
+				t.Fatalf("spec %+v: edges %d,%d out of order: %+v %+v", spec, i-1, i, a, b)
+			}
+		}
+		for n, id := range ids {
+			var want, got []OutageEdge
+			for _, o := range in.NodeOutages(id, 500) {
+				want = append(want, OutageEdge{At: o.At, Node: int32(n)})
+				if !math.IsInf(o.Duration, 1) {
+					want = append(want, OutageEdge{At: o.At + o.Duration, Node: int32(n), Up: true})
+				}
+			}
+			for _, e := range edges {
+				if e.Node == int32(n) {
+					got = append(got, e)
+				}
+			}
+			if len(want) == 0 {
+				t.Fatalf("spec %+v: node %s drew no outages; the test checks nothing", spec, id)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("spec %+v: node %s edges %+v, want %+v", spec, id, got, want)
+			}
+		}
+	}
+	if e := (*Injector)(nil).OutageEdges(ids, 500); e != nil {
+		t.Errorf("nil injector yielded %d edges", len(e))
+	}
+	if e := NewInjector(Spec{ShockMTBS: 10, ShockFrac: 0.1, ShockLen: 1}, 1).OutageEdges(ids, 500); e != nil {
+		t.Errorf("spec without node faults yielded %d edges", len(e))
 	}
 }

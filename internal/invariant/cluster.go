@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/cluster"
+	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/profile"
@@ -135,8 +136,11 @@ func checkClusterPair(cfg Config, c *collector, p hw.Platform, w workload.Worklo
 		{Job: jobs[1], Units: 3e11},
 		{Job: jobs[2], Units: 4e11},
 	}
-	res, err := s.RunQueueFaulty(timed, cluster.PolicyCoord, cluster.DisciplineBackfill,
-		faults.NewInjector(spec, 7), nil)
+	res, err := des.Run(des.Config{
+		Sched: s, Jobs: timed,
+		Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill,
+		Injector: faults.NewInjector(spec, 7),
+	})
 	if err != nil {
 		return err
 	}

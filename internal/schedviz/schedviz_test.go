@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/des"
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
@@ -29,15 +30,15 @@ func queueResult(t *testing.T) *cluster.QueueResult {
 		}
 		return cluster.TimedJob{Job: cluster.Job{ID: id, Workload: w}, Units: units}
 	}
-	res, err := s.RunQueue([]cluster.TimedJob{
+	res, err := des.Run(des.Config{Sched: s, Policy: cluster.PolicyCoord, Jobs: []cluster.TimedJob{
 		mk("alpha", "dgemm", 5e13),
 		mk("beta", "stream", 3e12),
 		mk("gamma", "mg", 3e12),
-	}, cluster.PolicyCoord)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &res
+	return res.Queue
 }
 
 func TestGanttRendersSchedule(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/des"
 	"repro/internal/dyncoord"
 	"repro/internal/evalpool"
 	"repro/internal/faults"
@@ -79,8 +80,11 @@ func captureGolden(t *testing.T, workers int) string {
 			Units: 2e12,
 		})
 	}
-	if _, err := sched.RunQueueFaulty(jobs, cluster.PolicyCoord,
-		cluster.DisciplineBackfill, faults.NewInjector(sp, 1), log); err != nil {
+	if _, err := des.Run(des.Config{
+		Sched: sched, Jobs: jobs,
+		Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill,
+		Injector: faults.NewInjector(sp, 1), Log: log,
+	}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@ package wire
 import (
 	"repro/internal/cluster"
 	"repro/internal/coord"
+	"repro/internal/des"
 	"repro/internal/dyncoord"
 	"repro/internal/evalpool"
 	"repro/internal/faults"
@@ -16,7 +17,7 @@ import (
 )
 
 // Instrument points the deterministic control-stack layers (coord,
-// dyncoord, cluster, rapl, faults) at r. These counters depend only on
+// dyncoord, cluster, des, rapl, faults) at r. These counters depend only on
 // the simulated decisions, which are byte-identical across worker
 // counts, so a registry wired this way snapshots reproducibly — the
 // golden tests rely on that. Passing nil disables instrumentation.
@@ -27,6 +28,7 @@ func Instrument(r *telemetry.Registry) {
 	coord.Instrument(r)
 	dyncoord.Instrument(r)
 	cluster.Instrument(r)
+	des.Instrument(r)
 	rapl.Instrument(r)
 	faults.Instrument(r)
 }
