@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt vet race check fuzz bench benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc
+.PHONY: all build test fmt vet race check fuzz bench benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc sim-alloc golden
 
 all: check
 
@@ -93,7 +93,22 @@ fastpath-alloc:
 		awk '/BenchmarkBinaryFastPath/ { if ($$(NF-1)+0 != 0) { print "FAIL: binary fast path allocates:", $$0; exit 1 } found=1 } \
 		END { if (!found) { print "FAIL: BenchmarkBinaryFastPath did not run"; exit 1 } }'
 
-check: fmt vet build race benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc
+# The simulator allocates only the per-phase results it returns: run
+# the CPU and GPU simulator benchmarks and fail if either reports more
+# than 1 alloc/op.
+sim-alloc:
+	$(GO) test -run=^$$ -bench='^BenchmarkSimRun(CPU|GPU)$$' -benchtime=20000x -benchmem . | \
+		awk '/^BenchmarkSimRun(CPU|GPU)/ { if ($$(NF-1)+0 > 1) { print "FAIL: simulator allocates:", $$0; bad=1 } found++ } \
+		END { if (found != 2) { print "FAIL: BenchmarkSimRunCPU/GPU did not both run"; exit 1 } if (bad) exit 1 }'
+
+# The committed paper artifacts (results/*) and generated docs
+# (WORKLOADS.md, PLATFORMS.md) must equal what the code produces, byte
+# for byte. After an intended change, regenerate them with
+# `go test -run TestArtifactsGolden -update .` and review the diff.
+golden:
+	$(GO) test -run TestArtifactsGolden -count=1 .
+
+check: fmt vet build race benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc sim-alloc golden
 
 # Coverage gates: internal/telemetry must keep at least 70% statement
 # coverage, and internal/powertree (the budget-tree solver) and

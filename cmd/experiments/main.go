@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/evalpool"
 	"repro/internal/experiments"
@@ -74,7 +73,7 @@ func main() {
 			failed++
 		}
 		if *outDir != "" {
-			if err := writeArtifact(*outDir, &out); err != nil {
+			if err := out.WriteFiles(*outDir); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 				os.Exit(1)
 			}
@@ -91,28 +90,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %d artifact(s) with failed claims\n", failed)
 		os.Exit(1)
 	}
-}
-
-func writeArtifact(dir string, out *experiments.Output) error {
-	txt := filepath.Join(dir, out.ID+".txt")
-	if err := os.WriteFile(txt, []byte(out.Render()), 0o644); err != nil {
-		return err
-	}
-	var csv string
-	for _, t := range out.Tables {
-		csv += "# " + t.Title + "\n" + t.CSV() + "\n"
-	}
-	if err := os.WriteFile(filepath.Join(dir, out.ID+".csv"), []byte(csv), 0o644); err != nil {
-		return err
-	}
-	for i := range out.Figures {
-		name := out.ID + ".svg"
-		if len(out.Figures) > 1 {
-			name = fmt.Sprintf("%s_%d.svg", out.ID, i+1)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(out.Figures[i].SVG()), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }

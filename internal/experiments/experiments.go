@@ -11,6 +11,8 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -87,6 +89,33 @@ func (o *Output) Render() string {
 		}
 	}
 	return b.String()
+}
+
+// WriteFiles writes the artifact's files into dir: <id>.txt (the
+// rendered text), <id>.csv (every table, each under a "# title" line)
+// and one SVG per figure (<id>.svg, or <id>_<n>.svg when there are
+// several). These are the files committed under results/.
+func (o *Output) WriteFiles(dir string) error {
+	if err := os.WriteFile(filepath.Join(dir, o.ID+".txt"), []byte(o.Render()), 0o644); err != nil {
+		return err
+	}
+	var csv strings.Builder
+	for _, t := range o.Tables {
+		csv.WriteString("# " + t.Title + "\n" + t.CSV() + "\n")
+	}
+	if err := os.WriteFile(filepath.Join(dir, o.ID+".csv"), []byte(csv.String()), 0o644); err != nil {
+		return err
+	}
+	for i := range o.Figures {
+		name := o.ID + ".svg"
+		if len(o.Figures) > 1 {
+			name = fmt.Sprintf("%s_%d.svg", o.ID, i+1)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(o.Figures[i].SVG()), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Runner regenerates one paper artifact.
