@@ -83,37 +83,90 @@ func (c *CPUSpec) Validate() error {
 func (c *CPUSpec) Cores() int { return c.Sockets * c.CoresPerSocket }
 
 // PStates returns the available P-state frequencies in ascending order,
-// from FMin to FNom inclusive.
+// from FMin to FNom inclusive: PStateAt(i) for every i below
+// NumPStates.
 func (c *CPUSpec) PStates() []units.Frequency {
-	var states []units.Frequency
-	for f := c.FMin; f < c.FNom+c.PStateStep/2; f += c.PStateStep {
-		if f > c.FNom {
-			f = c.FNom
-		}
-		states = append(states, f)
-	}
-	if len(states) == 0 || states[len(states)-1] != c.FNom {
-		states = append(states, c.FNom)
+	states := make([]units.Frequency, c.NumPStates())
+	for i := range states {
+		states[i] = c.PStateAt(i)
 	}
 	return states
 }
 
-// Duties returns the available T-state duty cycles in descending order,
-// starting at 1.0 (no throttling) down to MinDuty.
-func (c *CPUSpec) Duties() []float64 {
-	duties := []float64{1.0}
-	if c.TStateSteps <= 0 {
-		return duties
+// NumPStates returns the number of P-states: the grid points
+// FMin + k·PStateStep below FNom + PStateStep/2, plus a final FNom
+// state when the grid does not land on it.
+func (c *CPUSpec) NumPStates() int {
+	top := c.pTopBin()
+	if top < 0 || c.FMin+units.Frequency(top)*c.PStateStep < c.FNom {
+		return top + 2
 	}
-	step := (1.0 - c.MinDuty) / float64(c.TStateSteps)
-	for i := 1; i <= c.TStateSteps; i++ {
-		d := 1.0 - float64(i)*step
-		if d < c.MinDuty {
-			d = c.MinDuty
-		}
-		duties = append(duties, d)
+	return top + 1
+}
+
+// PStateAt returns the i-th P-state, 0 <= i < NumPStates():
+// FMin + i·PStateStep, clamped to FNom. The closed form needs no
+// table; for whole-Hz specs (every catalog CPU) it equals stepping up
+// from FMin by repeated addition, bit for bit.
+func (c *CPUSpec) PStateAt(i int) units.Frequency {
+	f := c.FMin + units.Frequency(i)*c.PStateStep
+	if f > c.FNom {
+		f = c.FNom
+	}
+	return f
+}
+
+// pTopBin returns the largest k with FMin + k·PStateStep strictly below
+// FNom + PStateStep/2, or -1 when even FMin is not. The quotient
+// estimate is corrected against the exact grid comparison, so rounding
+// in the division cannot move the state count.
+func (c *CPUSpec) pTopBin() int {
+	lim := c.FNom + c.PStateStep/2
+	at := func(k int) units.Frequency { return c.FMin + units.Frequency(k)*c.PStateStep }
+	if at(0) >= lim {
+		return -1
+	}
+	k := int((c.FNom - c.FMin) / c.PStateStep)
+	for at(k+1) < lim {
+		k++
+	}
+	for k > 0 && at(k) >= lim {
+		k--
+	}
+	return k
+}
+
+// Duties returns the available T-state duty cycles in descending order,
+// starting at 1.0 (no throttling) down to MinDuty: DutyAt(i) for every
+// i below NumDuties.
+func (c *CPUSpec) Duties() []float64 {
+	duties := make([]float64, c.NumDuties())
+	for i := range duties {
+		duties[i] = c.DutyAt(i)
 	}
 	return duties
+}
+
+// NumDuties returns the number of T-state duty cycles, 1.0 included.
+func (c *CPUSpec) NumDuties() int {
+	if c.TStateSteps <= 0 {
+		return 1
+	}
+	return c.TStateSteps + 1
+}
+
+// DutyAt returns the i-th duty cycle, 0 <= i < NumDuties(): 1.0 for
+// i = 0, else 1 − i·(1 − MinDuty)/TStateSteps, clamped to MinDuty.
+func (c *CPUSpec) DutyAt(i int) float64 {
+	if i == 0 {
+		return 1.0
+	}
+	step := (1.0 - c.MinDuty) / float64(c.TStateSteps)
+	d := 1.0 - float64(i)*step
+	if d < c.MinDuty {
+		d = c.MinDuty
+	}
+	return d
 }
 
 // Voltage returns the core voltage at frequency f, interpolated linearly

@@ -2,6 +2,7 @@ package rapl
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/hw"
@@ -91,7 +92,7 @@ func (c *Controller) Limit(d Domain) (units.Power, bool) {
 	if err != nil {
 		return 0, false
 	}
-	w, _, enabled := DecodeLimit(reg)
+	w, enabled := decodePower(reg)
 	return units.Power(w), enabled
 }
 
@@ -101,27 +102,42 @@ func (c *Controller) Limit(d Domain) (units.Power, bool) {
 // highest P-state that fits; if even the lowest P-state exceeds the cap,
 // engage T-state clock throttling; if the deepest throttle still exceeds
 // the cap, run at the floor regardless (the cap is not respected).
+//
+// The highest fitting P-state is found by binary search over the
+// closed-form grid (hw.CPUSpec.PStateAt), not by building the table
+// and scanning it down. Package power is non-decreasing in frequency
+// (VNom >= VMin, every term is a non-negative product of monotone
+// factors, and correctly rounded arithmetic preserves order), so the
+// P-states that fit form a prefix of the grid and both find the same
+// state. The fit predicate is written as the scan wrote it, so a NaN
+// activity selects the same state too.
 func (c *Controller) ActuatePackage(act float64) PackageState {
 	cap, enabled := c.Limit(DomainPackage)
 	if !enabled {
 		return PackageState{Freq: c.cpu.FNom, Duty: 1}
 	}
+	return c.actuateUnder(cap, act)
+}
+
+// actuateUnder is ActuatePackage for an enabled package cap.
+func (c *Controller) actuateUnder(cap units.Power, act float64) PackageState {
+	cpu := c.cpu
 	// Highest P-state under the cap, no throttling.
-	pstates := c.cpu.PStates()
-	for i := len(pstates) - 1; i >= 0; i-- {
-		if c.cpu.Power(pstates[i], 1, act) <= cap {
-			return PackageState{Freq: pstates[i], Duty: 1}
-		}
+	fit := sort.Search(cpu.NumPStates(), func(i int) bool {
+		return !(cpu.Power(cpu.PStateAt(i), 1, act) <= cap)
+	})
+	if fit > 0 {
+		return PackageState{Freq: cpu.PStateAt(fit - 1), Duty: 1}
 	}
 	// Lowest P-state still over the cap: engage T-states at FMin.
-	for _, duty := range c.cpu.Duties()[1:] {
-		if c.cpu.Power(c.cpu.FMin, duty, act) <= cap {
-			return PackageState{Freq: c.cpu.FMin, Duty: duty, Throttled: true}
+	for i := 1; i < cpu.NumDuties(); i++ {
+		if duty := cpu.DutyAt(i); cpu.Power(cpu.FMin, duty, act) <= cap {
+			return PackageState{Freq: cpu.FMin, Duty: duty, Throttled: true}
 		}
 	}
 	// Even the deepest throttle exceeds the cap: hardware floor.
 	return PackageState{
-		Freq: c.cpu.FMin, Duty: c.cpu.MinDuty,
+		Freq: cpu.FMin, Duty: cpu.MinDuty,
 		Throttled: true, AtFloor: true,
 	}
 }

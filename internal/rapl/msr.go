@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 )
 
 // Sentinel errors for MSR access faults, matchable with errors.Is.
@@ -64,45 +64,55 @@ const (
 	windowMask     = 0x7F
 )
 
-// RegisterFile is a concurrency-safe emulated MSR space. Only the RAPL
-// registers are backed; other addresses read as zero and reject writes,
-// mirroring the #GP a real rdmsr/wrmsr of an unimplemented MSR raises.
+// RegisterFile is a concurrency-safe emulated MSR space. Only the five
+// RAPL registers are backed, each an atomic word; other addresses
+// reject reads and writes, mirroring the #GP a real rdmsr/wrmsr of an
+// unimplemented MSR raises.
 type RegisterFile struct {
-	mu   sync.Mutex
-	regs map[uint32]uint64
+	powerUnit, pkgLimit, pkgEnergy, dramLimit, dramEnergy atomic.Uint64
 }
 
 // NewRegisterFile returns a register file with the RAPL unit register
 // initialized to the standard unit encoding.
 func NewRegisterFile() *RegisterFile {
-	rf := &RegisterFile{regs: map[uint32]uint64{}}
-	rf.regs[MSRRaplPowerUnit] = powerUnitBits | energyUnitBits<<8 | timeUnitBits<<16
-	rf.regs[MSRPkgPowerLimit] = 0
-	rf.regs[MSRDramPowerLimit] = 0
-	rf.regs[MSRPkgEnergyStatus] = 0
-	rf.regs[MSRDramEnergyStatus] = 0
+	rf := &RegisterFile{}
+	rf.powerUnit.Store(powerUnitBits | energyUnitBits<<8 | timeUnitBits<<16)
 	return rf
+}
+
+// reg returns the backing word of the MSR at addr, nil when the
+// emulation does not implement it.
+func (rf *RegisterFile) reg(addr uint32) *atomic.Uint64 {
+	switch addr {
+	case MSRRaplPowerUnit:
+		return &rf.powerUnit
+	case MSRPkgPowerLimit:
+		return &rf.pkgLimit
+	case MSRPkgEnergyStatus:
+		return &rf.pkgEnergy
+	case MSRDramPowerLimit:
+		return &rf.dramLimit
+	case MSRDramEnergyStatus:
+		return &rf.dramEnergy
+	}
+	return nil
 }
 
 // Read returns the value of the MSR at addr.
 func (rf *RegisterFile) Read(addr uint32) (uint64, error) {
-	rf.mu.Lock()
-	defer rf.mu.Unlock()
-	v, ok := rf.regs[addr]
-	if !ok {
+	r := rf.reg(addr)
+	if r == nil {
 		return 0, fmt.Errorf("rapl: rdmsr 0x%x: %w", addr, ErrUnimplementedMSR)
 	}
-	return v, nil
+	return r.Load(), nil
 }
 
 // Write stores value to the MSR at addr. The unit and energy status
 // registers are read-only, as on real hardware.
 func (rf *RegisterFile) Write(addr uint32, value uint64) error {
-	rf.mu.Lock()
-	defer rf.mu.Unlock()
 	switch addr {
 	case MSRPkgPowerLimit, MSRDramPowerLimit:
-		rf.regs[addr] = value
+		rf.reg(addr).Store(value)
 		return nil
 	case MSRRaplPowerUnit, MSRPkgEnergyStatus, MSRDramEnergyStatus:
 		return fmt.Errorf("rapl: wrmsr 0x%x: %w", addr, ErrReadOnlyMSR)
@@ -116,10 +126,14 @@ func (rf *RegisterFile) addEnergy(addr uint32, joules float64) {
 	if joules < 0 {
 		return
 	}
-	rf.mu.Lock()
-	defer rf.mu.Unlock()
 	ticks := uint64(joules / EnergyUnit)
-	rf.regs[addr] = (rf.regs[addr] + ticks) & 0xFFFFFFFF
+	r := rf.reg(addr)
+	for {
+		old := r.Load()
+		if r.CompareAndSwap(old, (old+ticks)&0xFFFFFFFF) {
+			return
+		}
+	}
 }
 
 // EncodeLimit packs a power limit in watts and a time window in seconds
@@ -147,11 +161,16 @@ func EncodeLimit(watts, windowSeconds float64) uint64 {
 // DecodeLimit unpacks a power-limit register into watts, window seconds,
 // and the enable flag.
 func DecodeLimit(reg uint64) (watts, windowSeconds float64, enabled bool) {
-	watts = float64(reg&powerMask) * PowerUnit
+	watts, enabled = decodePower(reg)
 	x := (reg >> windowShift) & windowMask
 	windowSeconds = math.Exp2(float64(x)) * TimeUnit
-	enabled = reg&limitEnableBit != 0
 	return watts, windowSeconds, enabled
+}
+
+// decodePower is DecodeLimit without the window: the watts and the
+// enable flag, the part the actuator reads on every control step.
+func decodePower(reg uint64) (watts float64, enabled bool) {
+	return float64(reg&powerMask) * PowerUnit, reg&limitEnableBit != 0
 }
 
 // EnergyJoules converts a raw energy-status register value to joules.

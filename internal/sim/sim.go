@@ -126,7 +126,7 @@ func RunCPUOpts(p hw.Platform, w *workload.Workload, procCap, memCap units.Power
 		return Result{}, err
 	}
 
-	var phases []PhaseResult
+	phases := make([]PhaseResult, 0, len(w.Phases))
 	for i := range w.Phases {
 		ph := w.Phases[i]
 		if opts.ForceOverlap > 0 {
@@ -222,7 +222,7 @@ func RunGPU(p hw.Platform, w *workload.Workload, totalCap units.Power, memClock 
 	}
 	gov.SetMemClock(memClock)
 
-	var phases []PhaseResult
+	phases := make([]PhaseResult, 0, len(w.Phases))
 	for i := range w.Phases {
 		phases = append(phases, solveGPUPhase(gov, p, &w.Phases[i]))
 	}
@@ -253,7 +253,7 @@ func RunGPUOffsets(p hw.Platform, w *workload.Workload, totalCap units.Power, sm
 	gov.SetSMOffset(smOffset)
 	gov.SetMemOffset(memOffset)
 
-	var phases []PhaseResult
+	phases := make([]PhaseResult, 0, len(w.Phases))
 	for i := range w.Phases {
 		phases = append(phases, solveGPUPhase(gov, p, &w.Phases[i]))
 	}
