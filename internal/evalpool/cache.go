@@ -1,7 +1,6 @@
 package evalpool
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -42,20 +41,18 @@ func (r Request) key(fp uint64) key {
 // selection is a mask.
 const shardCount = 16
 
-// fnvPrime is the FNV-1a 64-bit multiplier, reused to mix the knob bits
-// into the shard index (the fingerprint alone is constant across a
-// sweep and would pile every point into one shard).
-const fnvPrime = 1099511628211
-
 // hash mixes every key field into a well-distributed 64-bit value the
-// cache masks down to its shard count.
+// cache masks down to its shard count. The fingerprint alone is
+// constant across a sweep, and round knob values leave the low
+// mantissa bits zero, so the final avalanche is what spreads a sweep's
+// points over the shards.
 func (k key) hash() uint64 {
-	h := k.fp
-	h = (h ^ uint64(k.op)) * fnvPrime
-	h = (h ^ math.Float64bits(k.a)) * fnvPrime
-	h = (h ^ math.Float64bits(k.b)) * fnvPrime
-	h = (h ^ math.Float64bits(k.c)) * fnvPrime
-	return h
+	h := hasher(k.fp)
+	h.u64(uint64(k.op))
+	h.f64(k.a)
+	h.f64(k.b)
+	h.f64(k.c)
+	return h.sum()
 }
 
 // cache is the sharded memo store. Each shard has its own lock, so

@@ -75,10 +75,10 @@ type Problem struct {
 // fingerprint hashes the problem content: every platform scalar, the
 // dereferenced CPU, DRAM and GPU specs (a nil spec hashes as a marker
 // distinct from any present one), and every workload and phase field.
-// Each field's bits go straight into FNV-1a, so two independently built
-// problems with equal content share one key space, and any parameter
-// change yields a new one. Strings are length-prefixed so adjacent
-// fields cannot trade bytes.
+// Each field goes into the hash as one 64-bit word, so two
+// independently built problems with equal content share one key space,
+// and any parameter change yields a new one. Strings are
+// length-prefixed so adjacent fields cannot trade bytes.
 func (pr *Problem) fingerprint() uint64 {
 	h := newHasher()
 	p := &pr.Platform
@@ -159,38 +159,62 @@ func (pr *Problem) fingerprint() uint64 {
 		h.f64(ph.ActivityBase)
 		h.f64(ph.StallActivity)
 	}
-	return uint64(h)
+	return h.sum()
 }
 
-// hasher is an allocation-free FNV-1a 64 state fed whole fields.
+// hasher is an allocation-free 64-bit hash state fed one word per
+// field. Each step, x → ((x ⊕ v)·m) ⊕ ((x ⊕ v)·m >> 32) with m odd, is
+// a bijection of the state for a fixed word and of the word for a
+// fixed state, so two inputs that differ in a single field never
+// collide, however many fields follow.
 type hasher uint64
 
-// fnvOffset is the FNV-1a 64-bit offset basis.
-const fnvOffset = 14695981039346656037
+// Hash constants: the seed and step multiplier are the 64-bit golden
+// ratio constant and the FNV-1a offset basis, both odd; the finalizer
+// multipliers are MurmurHash3's fmix64.
+const (
+	hashSeed = 14695981039346656037
+	hashMul  = 0x9e3779b97f4a7c15
+	fmixMul1 = 0xff51afd7ed558ccd
+	fmixMul2 = 0xc4ceb9fe1a85ec53
+)
 
-func newHasher() hasher { return fnvOffset }
+func newHasher() hasher { return hashSeed }
 
-// u64 feeds the eight bytes of v, least significant first.
+// u64 feeds one word.
 func (h *hasher) u64(v uint64) {
-	x := uint64(*h)
-	for i := 0; i < 8; i++ {
-		x = (x ^ (v & 0xff)) * fnvPrime
-		v >>= 8
-	}
-	*h = hasher(x)
+	x := (uint64(*h) ^ v) * hashMul
+	*h = hasher(x ^ x>>32)
 }
 
 func (h *hasher) int(v int64)   { h.u64(uint64(v)) }
 func (h *hasher) f64(v float64) { h.u64(math.Float64bits(v)) }
 
-// str feeds the length, then the bytes, of s.
+// str feeds the length of s, then its bytes eight to a word
+// (little-endian, the last word zero-padded).
 func (h *hasher) str(s string) {
 	h.u64(uint64(len(s)))
-	x := uint64(*h)
-	for i := 0; i < len(s); i++ {
-		x = (x ^ uint64(s[i])) * fnvPrime
+	for len(s) > 0 {
+		var w uint64
+		n := min(len(s), 8)
+		for i := 0; i < n; i++ {
+			w |= uint64(s[i]) << (8 * i)
+		}
+		h.u64(w)
+		s = s[n:]
 	}
-	*h = hasher(x)
+}
+
+// sum returns the state after MurmurHash3's fmix64 avalanche, so every
+// input bit reaches the low bits the memo masks into a shard index.
+func (h hasher) sum() uint64 {
+	x := uint64(h)
+	x ^= x >> 33
+	x *= fmixMul1
+	x ^= x >> 33
+	x *= fmixMul2
+	x ^= x >> 33
+	return x
 }
 
 // present feeds a nil marker for an optional spec and reports ok, so a

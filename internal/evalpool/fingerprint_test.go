@@ -143,3 +143,37 @@ func TestFingerprintMarksNilSpecs(t *testing.T) {
 		seen[fp] = name
 	}
 }
+
+// TestFingerprintDistinctAcrossCatalog: every catalog (platform,
+// workload) pair, and every single-phase workload dyncoord profiles
+// per phase (built here the way dyncoord wraps a phase: named
+// "workload/phase", weight 1), gets its own fingerprint.
+func TestFingerprintDistinctAcrossCatalog(t *testing.T) {
+	seen := map[uint64]string{}
+	add := func(pr Problem) {
+		name := pr.Platform.Name + "|" + pr.Workload.Name
+		fp := pr.fingerprint()
+		if prev, dup := seen[fp]; dup {
+			t.Fatalf("%s and %s share fingerprint %#x", name, prev, fp)
+		}
+		seen[fp] = name
+	}
+	for _, p := range hw.AllPlatforms() {
+		for _, w := range workload.AllWorkloads() {
+			add(Problem{Platform: p, Workload: w})
+			if p.Kind != hw.KindCPU || w.Kind != hw.KindCPU {
+				continue
+			}
+			for _, ph := range w.Phases {
+				ph.Weight = 1
+				pw := w
+				pw.Name = w.Name + "/" + ph.Name
+				pw.Phases = []workload.Phase{ph}
+				add(Problem{Platform: p, Workload: pw})
+			}
+		}
+	}
+	if len(seen) < 50 {
+		t.Fatalf("only %d problems fingerprinted", len(seen))
+	}
+}
