@@ -27,8 +27,8 @@
 //     the shared computation later completes.
 //
 // Repeated /v1/schedule rounds against the same cluster reuse a cached
-// cluster.Scheduler, whose (now race-safe, singleflighted) profile
-// cache makes successive rounds cheap.
+// cluster.Scheduler; the job profiles it consumes are memoized on the
+// shared evaluation engine, which makes successive rounds cheap.
 package allocsvc
 
 import (
@@ -360,8 +360,8 @@ func (s *Service) Close(ctx context.Context) error {
 
 // schedulerFor returns (possibly from cache) a scheduler for the given
 // cluster fingerprint. build runs at most once per cached key; the
-// cache is bounded FIFO — old clusters fall out, their schedulers (and
-// warm profile caches) are simply rebuilt on next use.
+// cache is bounded FIFO — old clusters fall out, their schedulers are
+// simply rebuilt on next use.
 func (s *Service) schedulerFor(key string, build func() (*cluster.Scheduler, error)) (*cluster.Scheduler, error) {
 	if s.cfg.SchedulerCacheSize == 0 {
 		return build()
@@ -381,7 +381,7 @@ func (s *Service) schedulerFor(key string, build func() (*cluster.Scheduler, err
 	defer s.schedMu.Unlock()
 	if cached, ok := s.scheds[key]; ok {
 		// A concurrent request built the same cluster first; share its
-		// scheduler so the profile cache stays shared too.
+		// scheduler.
 		return cached, nil
 	}
 	if len(s.schedOrder) >= s.cfg.SchedulerCacheSize {

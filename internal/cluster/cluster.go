@@ -17,12 +17,10 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/evalpool"
-	"repro/internal/flight"
 	"repro/internal/hw"
 	"repro/internal/profile"
 	"repro/internal/sim"
@@ -77,25 +75,16 @@ type Outcome struct {
 // Scheduler owns a cluster power budget and a set of nodes. Its
 // scheduling entry points (Schedule, AdmitWaiting, Prewarm,
 // RunDemandResponse) are safe for concurrent use, and so are concurrent
-// internal/des queue runs on one scheduler: the lazily populated
-// profile caches are guarded by a mutex and a singleflight group, so
-// concurrent rounds neither race on the maps nor stampede the profiler
-// for the same (platform, workload) key.
+// internal/des queue runs on one scheduler: the scheduler holds no
+// mutable state. Job profiles come from the profile package, which
+// memoizes each one on the shared evaluation engine by the content of
+// the (platform, workload) pair, so a pair is profiled once however
+// many jobs, rounds or schedulers ask for it.
 type Scheduler struct {
 	// Budget is the total cluster power bound.
 	Budget units.Power
 	// Nodes is the machine pool.
 	Nodes []Node
-
-	// profMu guards the two profile maps. Profiling itself runs outside
-	// the lock, deduplicated by the flight groups: the first caller for
-	// a key profiles while every concurrent duplicate waits for its
-	// result instead of re-running the profiler.
-	profMu      sync.Mutex
-	profiles    map[string]profile.CPUProfile
-	gpuProfiles map[string]profile.GPUProfile
-	cpuFlight   flight.Group[string, profile.CPUProfile]
-	gpuFlight   flight.Group[string, profile.GPUProfile]
 }
 
 // NewScheduler returns a scheduler for the given budget and nodes.
@@ -119,58 +108,7 @@ func NewScheduler(budget units.Power, nodes []Node) (*Scheduler, error) {
 			return nil, fmt.Errorf("cluster: node %q: %w", n.ID, err)
 		}
 	}
-	return &Scheduler{
-		Budget:      budget,
-		Nodes:       nodes,
-		profiles:    map[string]profile.CPUProfile{},
-		gpuProfiles: map[string]profile.GPUProfile{},
-	}, nil
-}
-
-// profileFor returns (and caches) the job profile on a CPU platform.
-// Concurrent callers for the same key share one profiler run.
-func (s *Scheduler) profileFor(p hw.Platform, w workload.Workload) (profile.CPUProfile, error) {
-	key := p.Name + "/" + w.Name
-	s.profMu.Lock()
-	if prof, ok := s.profiles[key]; ok {
-		s.profMu.Unlock()
-		return prof, nil
-	}
-	s.profMu.Unlock()
-	prof, err, _ := s.cpuFlight.Do(key, func() (profile.CPUProfile, error) {
-		prof, err := profile.ProfileCPU(p, w)
-		if err != nil {
-			return profile.CPUProfile{}, err
-		}
-		s.profMu.Lock()
-		s.profiles[key] = prof
-		s.profMu.Unlock()
-		return prof, nil
-	})
-	return prof, err
-}
-
-// gpuProfileFor returns (and caches) the job profile on a GPU platform.
-// Concurrent callers for the same key share one profiler run.
-func (s *Scheduler) gpuProfileFor(p hw.Platform, w workload.Workload) (profile.GPUProfile, error) {
-	key := p.Name + "/" + w.Name
-	s.profMu.Lock()
-	if prof, ok := s.gpuProfiles[key]; ok {
-		s.profMu.Unlock()
-		return prof, nil
-	}
-	s.profMu.Unlock()
-	prof, err, _ := s.gpuFlight.Do(key, func() (profile.GPUProfile, error) {
-		prof, err := profile.ProfileGPU(p, w)
-		if err != nil {
-			return profile.GPUProfile{}, err
-		}
-		s.profMu.Lock()
-		s.gpuProfiles[key] = prof
-		s.profMu.Unlock()
-		return prof, nil
-	})
-	return prof, err
+	return &Scheduler{Budget: budget, Nodes: nodes}, nil
 }
 
 // envelope returns the job's power envelope on a node: the smallest
@@ -179,13 +117,13 @@ func (s *Scheduler) gpuProfileFor(p hw.Platform, w workload.Workload) (profile.G
 func (s *Scheduler) envelope(node Node, w workload.Workload) (threshold, maxTotal units.Power, err error) {
 	switch node.Platform.Kind {
 	case hw.KindCPU:
-		prof, err := s.profileFor(node.Platform, w)
+		prof, err := profile.ProfileCPU(node.Platform, w)
 		if err != nil {
 			return 0, 0, err
 		}
 		return prof.Critical.ProductiveThreshold(), prof.Critical.CPUMax + prof.Critical.MemMax, nil
 	case hw.KindGPU:
-		prof, err := s.gpuProfileFor(node.Platform, w)
+		prof, err := profile.ProfileGPU(node.Platform, w)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -216,7 +154,7 @@ func (s *Scheduler) envelope(node Node, w workload.Workload) (threshold, maxTota
 func (s *Scheduler) split(node Node, w workload.Workload, grant units.Power) (alloc core.Allocation, surplus units.Power, ok bool, err error) {
 	switch node.Platform.Kind {
 	case hw.KindCPU:
-		prof, err := s.profileFor(node.Platform, w)
+		prof, err := profile.ProfileCPU(node.Platform, w)
 		if err != nil {
 			return core.Allocation{}, 0, false, err
 		}
@@ -232,7 +170,7 @@ func (s *Scheduler) split(node Node, w workload.Workload, grant units.Power) (al
 		if grant < node.Platform.GPU.MinCap {
 			return core.Allocation{}, 0, false, nil
 		}
-		prof, err := s.gpuProfileFor(node.Platform, w)
+		prof, err := profile.ProfileGPU(node.Platform, w)
 		if err != nil {
 			return core.Allocation{}, 0, false, err
 		}

@@ -3,7 +3,10 @@ package cluster
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/evalpool"
 	"repro/internal/hw"
+	"repro/internal/profile"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -248,7 +251,16 @@ func TestScheduleBoostsConstrainedJobs(t *testing.T) {
 	}
 }
 
+// TestProfileCaching: a (platform, workload) pair is profiled once per
+// evaluation engine, however many jobs ask for it. A round scheduling
+// two stream jobs issues fewer engine requests than two profiles cost,
+// and profiling the pair afterwards issues none: the scheduler's
+// profile is the one memoized on the engine.
 func TestProfileCaching(t *testing.T) {
+	e := evalpool.New(evalpool.Options{Workers: 1})
+	prev := evalpool.SetDefault(e)
+	defer evalpool.SetDefault(prev)
+
 	s, err := NewScheduler(600, nodes(t, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +269,57 @@ func TestProfileCaching(t *testing.T) {
 	if _, err := s.Schedule(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.profiles) != 1 {
-		t.Errorf("profile cache has %d entries, want 1 (same platform+workload)", len(s.profiles))
+	round := e.Stats().Requests
+	prof, err := profile.ProfileCPU(s.Nodes[0].Platform, jobs[0].Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := e.Stats().Requests - round; again != 0 {
+		t.Errorf("profiling the scheduled pair again issued %d engine requests, want 0", again)
+	}
+	if round >= 2*uint64(prof.Runs) {
+		t.Errorf("round issued %d engine requests; one profile costs %d, so the pair was profiled twice",
+			round, prof.Runs)
+	}
+}
+
+// TestSameNameWorkloadsGetOwnProfiles is the regression test for the
+// scheduler's profile cache keyed by platform and workload name: a
+// workload variant sharing its name with a workload the scheduler had
+// already profiled got that workload's profile, and so its split.
+// Profiles are now keyed by content, so the variant gets the same
+// split on a shared scheduler as on a fresh one, and a different split
+// from its namesake.
+func TestSameNameWorkloadsGetOwnProfiles(t *testing.T) {
+	stream := job(t, "j1", "stream")
+	variant := job(t, "j2", "dgemm")
+	variant.Workload.Name = stream.Workload.Name
+	split := func(s *Scheduler, j Job) core.Allocation {
+		t.Helper()
+		out, err := s.Schedule([]Job{j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Placements) != 1 {
+			t.Fatalf("%s: %d placements, want 1", j.ID, len(out.Placements))
+		}
+		return out.Placements[0].Alloc
+	}
+	shared, err := NewScheduler(208, nodes(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := split(shared, stream)
+	got := split(shared, variant)
+	fresh, err := NewScheduler(208, nodes(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := split(fresh, variant); got != want {
+		t.Errorf("variant split on a scheduler that profiled its namesake = %v, on a fresh scheduler = %v",
+			got, want)
+	}
+	if got == first {
+		t.Errorf("variant and its namesake share the split %v; want the variant's own", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/profile"
 	"repro/internal/units"
 )
 
@@ -237,7 +238,7 @@ func (s *Scheduler) AdmitWaiting(res *QueueResult, active []*RunningJob, waiting
 				return active, waiting, freeNodes, pool,
 					fmt.Errorf("cluster: even-split policy supports CPU nodes only")
 			}
-			prof, err := s.profileFor(node.Platform, j.Workload)
+			prof, err := profile.ProfileCPU(node.Platform, j.Workload)
 			if err != nil {
 				return active, waiting, freeNodes, pool, err
 			}

@@ -395,8 +395,9 @@ func TestRunQueueGPUNodes(t *testing.T) {
 	}
 }
 
-// TestQueueRunsConcurrent exercises the shared profile cache through the
-// event-driven queue engines running concurrently on one scheduler.
+// TestQueueRunsConcurrent exercises the engine's shared profile memo
+// through the event-driven queue engines running concurrently on one
+// scheduler.
 func TestQueueRunsConcurrent(t *testing.T) {
 	cpu, err := hw.PlatformByName("ivybridge")
 	if err != nil {

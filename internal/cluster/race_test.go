@@ -5,16 +5,17 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/evalpool"
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
 
 // TestScheduleConcurrentRounds is the regression test for the
-// unsynchronized scheduler profile cache: two Schedule rounds running
-// concurrently on one Scheduler must neither race on the lazily
-// populated profiles/gpuProfiles maps nor diverge from a serial round.
-// On the seed code this fails under -race (concurrent map read/write in
-// profileFor); with the mutex+singleflight cache it passes.
+// unsynchronized scheduler profile cache the scheduler once held: two
+// Schedule rounds running concurrently on one Scheduler must neither
+// race on lazily populated profile state nor diverge from a serial
+// round. Profiles now live in the evaluation engine's memo, so the
+// concurrent rounds below race to fill that instead.
 func TestScheduleConcurrentRounds(t *testing.T) {
 	cpu, err := hw.PlatformByName("ivybridge")
 	if err != nil {
@@ -48,8 +49,10 @@ func TestScheduleConcurrentRounds(t *testing.T) {
 	}
 	wantStr := outcomeString(want)
 
-	// Fresh scheduler with cold caches: every concurrent round profiles
-	// lazily, so the first touch of each cache key races on seed code.
+	// Fresh engine with a cold memo: every concurrent round profiles
+	// lazily, so the first touch of each profile races.
+	prev := evalpool.SetDefault(evalpool.New(evalpool.Options{}))
+	defer evalpool.SetDefault(prev)
 	s2, err := NewScheduler(500, nodes)
 	if err != nil {
 		t.Fatal(err)

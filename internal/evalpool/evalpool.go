@@ -248,6 +248,7 @@ const DefaultCacheSize = 1 << 16
 type Engine struct {
 	workers  int
 	cache    *cache
+	derived  *derivedCache // nil exactly when cache is nil
 	requests atomic.Uint64 // points asked for
 	simRuns  atomic.Uint64 // simulator calls actually executed
 }
@@ -265,6 +266,7 @@ func New(o Options) *Engine {
 			size = DefaultCacheSize
 		}
 		e.cache = newCache(size)
+		e.derived = newDerivedCache(size)
 	}
 	return e
 }

@@ -71,12 +71,21 @@ func ProfileCPUWithMargin(p hw.Platform, w workload.Workload, margin float64) (C
 	if margin < 1 {
 		return CPUProfile{}, fmt.Errorf("profile: demand margin %v below 1", margin)
 	}
-	prof := CPUProfile{Platform: p.Name, Workload: w.Name}
-	// The probing runs go through the shared evaluation engine: the
-	// binary-search sequence is deterministic, so a re-profile of the
-	// same pair (every figure profiles its benchmarks independently)
-	// costs map lookups instead of simulator runs.
+	// The profile is a pure function of the problem's content and the
+	// margin, so the shared evaluation engine memoizes it whole: every
+	// figure, request and scheduling round that profiles the same pair
+	// gets the stored profile instead of re-running the binary search
+	// against the point memo. The probing runs go through the engine
+	// too, so even a first profile reuses points others simulated.
 	bound := evalpool.Default().Bind(evalpool.Problem{Platform: p, Workload: w})
+	return evalpool.Derive(bound, "profile.cpu", margin, func() (CPUProfile, error) {
+		return runCPUPlan(p, w, margin, bound)
+	})
+}
+
+// runCPUPlan runs the CPU profiling plan against the bound problem.
+func runCPUPlan(p hw.Platform, w workload.Workload, margin float64, bound *evalpool.Bound) (CPUProfile, error) {
+	prof := CPUProfile{Platform: p.Name, Workload: w.Name}
 	run := func(procCap, memCap units.Power) (sim.Result, error) {
 		prof.Runs++
 		return bound.Evaluate(evalpool.Request{Op: evalpool.OpCPU, Proc: procCap, Mem: memCap})
@@ -211,6 +220,15 @@ func ProfileGPU(p hw.Platform, w workload.Workload) (GPUProfile, error) {
 	if p.Kind != hw.KindGPU {
 		return GPUProfile{}, fmt.Errorf("profile: platform %q is not a GPU platform", p.Name)
 	}
+	// Memoized whole on the shared engine, like ProfileCPU.
+	bound := evalpool.Default().Bind(evalpool.Problem{Platform: p, Workload: w})
+	return evalpool.Derive(bound, "profile.gpu", 0, func() (GPUProfile, error) {
+		return runGPUPlan(p, w, bound)
+	})
+}
+
+// runGPUPlan runs the two GPU profiling runs against the bound problem.
+func runGPUPlan(p hw.Platform, w workload.Workload, bound *evalpool.Bound) (GPUProfile, error) {
 	gpu := p.GPU
 	prof := GPUProfile{
 		Platform: p.Name, Workload: w.Name,
@@ -218,7 +236,6 @@ func ProfileGPU(p hw.Platform, w workload.Workload) (GPUProfile, error) {
 		MemNom: gpu.Mem.Power(gpu.Mem.ClockNom),
 	}
 
-	bound := evalpool.Default().Bind(evalpool.Problem{Platform: p, Workload: w})
 	uncapped, err := bound.Evaluate(evalpool.Request{
 		Op: evalpool.OpGPUClock, Proc: gpu.MaxCap, Clock: gpu.Mem.ClockNom})
 	if err != nil {

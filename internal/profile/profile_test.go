@@ -3,6 +3,7 @@ package profile
 import (
 	"testing"
 
+	"repro/internal/evalpool"
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
@@ -186,5 +187,42 @@ func TestProfileCPUL2BracketsSensible(t *testing.T) {
 	// Memory at deep throttle sits at or above the floor and below max.
 	if cp.MemAtCPULow < cp.MemFloor || cp.MemAtCPULow > cp.MemMax {
 		t.Errorf("P_mem_L2 = %v outside [%v, %v]", cp.MemAtCPULow, cp.MemFloor, cp.MemMax)
+	}
+}
+
+// TestProfilesMemoizedOnEngine: a pair is profiled once per engine. A
+// repeat of ProfileCPU or ProfileGPU issues no engine request and
+// returns the profile the uncached serial engine computes; another
+// demand margin is profiled afresh.
+func TestProfilesMemoizedOnEngine(t *testing.T) {
+	want := map[string]any{}
+	serial := evalpool.SetDefault(evalpool.Serial())
+	want["cpu"] = profileCPU(t, "haswell", "mg")
+	want["gpu"] = profileGPU(t, "titanv", "minife")
+	e := evalpool.New(evalpool.Options{Workers: 1})
+	evalpool.SetDefault(e)
+	defer evalpool.SetDefault(serial)
+
+	for pass := 0; pass < 2; pass++ {
+		before := e.Stats().Requests
+		if got := profileCPU(t, "haswell", "mg"); got != want["cpu"] {
+			t.Fatalf("pass %d: CPU profile %+v, serial engine %+v", pass, got, want["cpu"])
+		}
+		if got := profileGPU(t, "titanv", "minife"); got != want["gpu"] {
+			t.Fatalf("pass %d: GPU profile %+v, serial engine %+v", pass, got, want["gpu"])
+		}
+		if n := e.Stats().Requests - before; (pass == 0) == (n == 0) {
+			t.Fatalf("pass %d issued %d engine requests", pass, n)
+		}
+	}
+	p, _ := hw.PlatformByName("haswell")
+	w, _ := workload.ByName("mg")
+	before := e.Stats().Requests
+	exact, err := ProfileCPUWithMargin(p, w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats().Requests == before || exact == want["cpu"] {
+		t.Fatal("a profile with another demand margin was served from the memo")
 	}
 }
