@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt vet race check fuzz bench benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc sim-alloc golden
+.PHONY: all build test fmt vet race check fuzz bench benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc sim-alloc golden buildsmoke
 
 all: check
 
@@ -101,6 +101,13 @@ sim-alloc:
 		awk '/^BenchmarkSimRun(CPU|GPU)/ { if ($$(NF-1)+0 > 1) { print "FAIL: simulator allocates:", $$0; bad=1 } found++ } \
 		END { if (found != 2) { print "FAIL: BenchmarkSimRunCPU/GPU did not both run"; exit 1 } if (bad) exit 1 }'
 
+# Decision tables build their segment intervals on every engine worker:
+# a build fanned over several workers must match a one-worker build
+# boundary for boundary and answer for answer, repeatedly and under the
+# race detector.
+buildsmoke:
+	$(GO) test -race -count=5 -run TestParallelBuildDeterministic ./internal/decisiontable
+
 # The committed paper artifacts (results/*) and generated docs
 # (WORKLOADS.md, PLATFORMS.md) must equal what the code produces, byte
 # for byte. After an intended change, regenerate them with
@@ -108,7 +115,7 @@ sim-alloc:
 golden:
 	$(GO) test -run TestArtifactsGolden -count=1 .
 
-check: fmt vet build race benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc sim-alloc golden
+check: fmt vet build race benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc sim-alloc golden buildsmoke
 
 # Coverage gates: internal/telemetry must keep at least 70% statement
 # coverage, and internal/powertree (the budget-tree solver) and

@@ -3,9 +3,12 @@ package decisiontable
 import (
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/coord"
 	"repro/internal/dyncoord"
+	"repro/internal/evalpool"
 	"repro/internal/hw"
 	"repro/internal/profile"
 	"repro/internal/wire"
@@ -64,6 +67,42 @@ func gridBounds(lo, hi float64, breaks []float64, n int) []float64 {
 	}
 	// Zero-width tails collapse onto hi, never drop it.
 	out[len(out)-1] = hi
+	return out
+}
+
+// buildIntervals builds the segments of n grid intervals, interval i
+// by build(i), on up to evalpool.Default().Workers() goroutines (the
+// -workers knob), and returns them concatenated in interval order.
+// Each interval's build is independent — it reads the table's fixed
+// fields and samples the exact path, which is safe for concurrent use —
+// and lands in its own index-addressed slot, as in
+// evalpool.EvaluateAll, so the table is identical to a serial build's
+// whatever the scheduling.
+func buildIntervals[S any](n int, build func(i int) []S) []S {
+	parts := make([][]S, n)
+	workers := min(evalpool.Default().Workers(), n)
+	if workers <= 1 {
+		for i := range parts {
+			parts[i] = build(i)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+					parts[i] = build(i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	var out []S
+	for _, p := range parts {
+		out = append(out, p...)
+	}
 	return out
 }
 
@@ -191,9 +230,9 @@ func (s *Set) buildCoordTable(pname, wname string) *coordTable {
 	}
 
 	bounds := gridBounds(t.lo, t.hi, breaks, s.cfg.GridPoints)
-	for i := 0; i+1 < len(bounds); i++ {
-		t.segs = append(t.segs, s.buildCoordSegs(t, bounds[i], bounds[i+1], 0)...)
-	}
+	t.segs = buildIntervals(len(bounds)-1, func(i int) []coordSeg {
+		return s.buildCoordSegs(t, bounds[i], bounds[i+1], 0)
+	})
 	if len(t.segs) == 0 {
 		return nil
 	}
@@ -369,9 +408,9 @@ func (s *Set) buildPlanTable(pname, wname string) *planTable {
 	t.top = s.constPlanRow(t, hi, hi*1.5+1)
 
 	bounds := gridBounds(lo, hi, breaks, s.cfg.GridPoints)
-	for i := 0; i+1 < len(bounds); i++ {
-		t.segs = append(t.segs, s.buildPlanSegs(t, bounds[i], bounds[i+1], 0)...)
-	}
+	t.segs = buildIntervals(len(bounds)-1, func(i int) []planSeg {
+		return s.buildPlanSegs(t, bounds[i], bounds[i+1], 0)
+	})
 	if len(t.segs) == 0 {
 		return nil
 	}
