@@ -3,8 +3,6 @@ package decisiontable
 import (
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/coord"
 	"repro/internal/dyncoord"
@@ -71,34 +69,15 @@ func gridBounds(lo, hi float64, breaks []float64, n int) []float64 {
 }
 
 // buildIntervals builds the segments of n grid intervals, interval i
-// by build(i), on up to evalpool.Default().Workers() goroutines (the
-// -workers knob), and returns them concatenated in interval order.
-// Each interval's build is independent — it reads the table's fixed
-// fields and samples the exact path, which is safe for concurrent use —
-// and lands in its own index-addressed slot, as in
-// evalpool.EvaluateAll, so the table is identical to a serial build's
-// whatever the scheduling.
+// by build(i), on the shared engine's workers (the -workers knob), and
+// returns them concatenated in interval order. Each interval's build is
+// independent — it reads the table's fixed fields and samples the
+// exact path, which is safe for concurrent use — and lands in its own
+// slot, so the table is identical to a serial build's whatever the
+// scheduling.
 func buildIntervals[S any](n int, build func(i int) []S) []S {
 	parts := make([][]S, n)
-	workers := min(evalpool.Default().Workers(), n)
-	if workers <= 1 {
-		for i := range parts {
-			parts[i] = build(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-					parts[i] = build(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	evalpool.Default().Each(n, func(i int) { parts[i] = build(i) })
 	var out []S
 	for _, p := range parts {
 		out = append(out, p...)

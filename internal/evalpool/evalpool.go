@@ -344,55 +344,45 @@ func (e *Engine) Evaluate(pr Problem, req Request) (sim.Result, error) {
 // scheduling. On error the first failure in request order is returned.
 func (e *Engine) EvaluateAll(ctx context.Context, pr Problem, reqs []Request) ([]sim.Result, error) {
 	out := make([]sim.Result, len(reqs))
-	if len(reqs) == 0 {
-		return out, nil
-	}
-	fp := pr.fingerprint()
-	workers := e.workers
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers <= 1 {
-		for i := range reqs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			res, err := e.evaluate(&pr, fp, reqs[i])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-
 	errs := make([]error, len(reqs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				out[i], errs[i] = e.evaluate(&pr, fp, reqs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	fp := pr.fingerprint()
+	e.Each(len(reqs), func(i int) {
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			out[i], errs[i] = e.evaluate(&pr, fp, reqs[i])
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// Each calls fn(i) for every i in [0, n) on up to the engine's workers
+// and returns once every call has. Workers claim indices from an atomic
+// counter, so fn writing only its own index-addressed slot produces
+// output independent of scheduling.
+func (e *Engine) Each(n int, fn func(i int)) {
+	workers := min(e.workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // evaluate resolves one point through the cache or the simulator.

@@ -2,6 +2,7 @@ package evalpool
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -299,5 +300,27 @@ func TestDefaultAndConfigure(t *testing.T) {
 	e2 := Configure(Options{Workers: 3, CacheSize: 32})
 	if Default() != e2 || e2.Workers() != 3 {
 		t.Fatalf("Configure did not install the new engine")
+	}
+}
+
+// TestEvaluateAllFirstErrorInRequestOrder: whatever the worker count,
+// a batch with several failing requests reports the earliest one in
+// request order, and a cancelled context reports its error.
+func TestEvaluateAllFirstErrorInRequestOrder(t *testing.T) {
+	pr := cpuProblem(t, "ivybridge", "stream")
+	reqs := cpuRequests(208, 8)
+	reqs[7].Op = 100
+	reqs[3].Op = 99
+	for _, workers := range []int{1, 4} {
+		e := New(Options{Workers: workers})
+		if _, err := e.EvaluateAll(context.Background(), pr, reqs); err == nil ||
+			err.Error() != "evalpool: unknown op 99" {
+			t.Errorf("workers=%d: err = %v, want the unknown op 99 of request 3", workers, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := e.EvaluateAll(ctx, pr, cpuRequests(208, 8)); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: cancelled batch err = %v", workers, err)
+		}
 	}
 }

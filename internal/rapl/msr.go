@@ -65,9 +65,11 @@ const (
 )
 
 // RegisterFile is a concurrency-safe emulated MSR space. Only the five
-// RAPL registers are backed, each an atomic word; other addresses
-// reject reads and writes, mirroring the #GP a real rdmsr/wrmsr of an
-// unimplemented MSR raises.
+// RAPL registers are backed; other addresses reject reads and writes,
+// mirroring the #GP a real rdmsr/wrmsr of an unimplemented MSR raises.
+// Each register is an atomic word rather than a map entry under a
+// mutex: the simulator builds a controller per run, and either of
+// those would move it to the heap.
 type RegisterFile struct {
 	powerUnit, pkgLimit, pkgEnergy, dramLimit, dramEnergy atomic.Uint64
 }
