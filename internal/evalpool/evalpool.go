@@ -169,8 +169,8 @@ func (pr *Problem) fingerprint() uint64 {
 // collide, however many fields follow.
 type hasher uint64
 
-// Hash constants: the seed and step multiplier are the 64-bit golden
-// ratio constant and the FNV-1a offset basis, both odd; the finalizer
+// Hash constants: the seed is the FNV-1a offset basis, the step
+// multiplier the (odd) 64-bit golden-ratio constant, and the finalizer
 // multipliers are MurmurHash3's fmix64.
 const (
 	hashSeed = 14695981039346656037
