@@ -202,24 +202,19 @@ func TestRetryAfterHonored(t *testing.T) {
 }
 
 func TestFailoverOnDeadShard(t *testing.T) {
-	live := httptest.NewServer(http.HandlerFunc(coordOK))
-	defer live.Close()
-	dead := httptest.NewServer(http.HandlerFunc(coordOK))
-	dead.Close() // connection refused from now on
-
-	c := newTestClient(t, []string{dead.URL, live.URL}, nil, nil)
-	// Find a key whose home shard is the dead one, so the request must
-	// fail over.
+	srvs := []*httptest.Server{
+		httptest.NewServer(http.HandlerFunc(coordOK)),
+		httptest.NewServer(http.HandlerFunc(coordOK)),
+	}
+	c := newTestClient(t, []string{srvs[0].URL, srvs[1].URL}, nil, nil)
+	// Kill the request's home shard, so the request must fail over.
+	// The ring hashes the shards' URLs, whose ports are random, so the
+	// home shard is found rather than assumed.
 	req := allocsvc.CoordRequest{Platform: "haswell", Workload: "stream", Budget: 100}
-	for b := 100.0; b < 200; b++ {
-		req.Budget = b
-		if c.ring.order(c.coordShardKey(req.Platform, req.Workload, req.Budget))[0] == 0 {
-			break
-		}
-	}
-	if c.ring.order(c.coordShardKey(req.Platform, req.Workload, req.Budget))[0] != 0 {
-		t.Skip("no budget in [100,200) maps to shard 0; ring hash changed")
-	}
+	home := c.ring.order(c.coordShardKey(req.Platform, req.Workload, req.Budget))[0]
+	dead, live := srvs[home], srvs[1-home]
+	defer live.Close()
+	dead.Close() // connection refused from now on
 
 	resp, meta, err := c.Coord(context.Background(), req)
 	if err != nil {
