@@ -65,12 +65,17 @@ func (c *curve) perfAt(q int64) float64 {
 // CurveSet holds the built leaf curves of a tree, keyed by
 // platform/workload (two leaves running the same pair share a curve).
 type CurveSet struct {
-	curves map[string]*curve
+	curves map[pair]*curve
 }
 
-func pairKey(p hw.Platform, w workload.Workload) string {
-	return p.Name + "/" + w.Name
+// pair names a (platform, workload) pair.
+type pair struct{ platform, workload string }
+
+func pairKey(p hw.Platform, w workload.Workload) pair {
+	return pair{p.Name, w.Name}
 }
+
+func (k pair) String() string { return k.platform + "/" + k.workload }
 
 // BuildCurves profiles every distinct (platform, workload) pair of the
 // spec and samples its performance curve through the current default
@@ -84,7 +89,7 @@ func BuildCurves(spec Spec) (*CurveSet, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cs := &CurveSet{curves: map[string]*curve{}}
+	cs := &CurveSet{curves: map[pair]*curve{}}
 	for ri := range spec.Racks {
 		for ni := range spec.Racks[ri].Nodes {
 			n := &spec.Racks[ri].Nodes[ni]
@@ -292,7 +297,7 @@ func (cs *CurveSet) Demand(spec Spec) (floor, max units.Power, err error) {
 func (cs *CurveSet) Pairs() []string {
 	keys := make([]string, 0, len(cs.curves))
 	for k := range cs.curves {
-		keys = append(keys, k)
+		keys = append(keys, k.String())
 	}
 	sort.Strings(keys)
 	return keys
