@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt vet race check fuzz bench benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc sim-alloc golden buildsmoke
+.PHONY: all build test fmt vet race check fuzz bench benchsmoke simbench loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc sim-alloc golden buildsmoke
 
 all: check
 
@@ -29,6 +29,12 @@ race:
 # with small inputs might miss.
 benchsmoke:
 	$(GO) test -race -run=^$$ -bench=BenchmarkSweepSerialVsParallel -benchtime=1x .
+
+# One iteration of each simulator layer bench (the 4096-leaf tree solve,
+# DES exact and fast mode at the perfbench simulate sizes, a recoord
+# run), so the benchmarks cannot rot.
+simbench:
+	$(GO) test -run=^$$ -bench='^Benchmark(Solve4096|RunExact256|RunFast10k|Run)$$' -benchtime=1x ./internal/powertree ./internal/des ./internal/recoord
 
 # Concurrency smoke for the allocation service under the race
 # detector: many clients over all three API routes against a small
@@ -115,7 +121,7 @@ buildsmoke:
 golden:
 	$(GO) test -run TestArtifactsGolden -count=1 .
 
-check: fmt vet build race benchsmoke loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc sim-alloc golden buildsmoke
+check: fmt vet build race benchsmoke simbench loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc sim-alloc golden buildsmoke
 
 # Coverage gates: internal/telemetry must keep at least 70% statement
 # coverage, and internal/powertree (the budget-tree solver) and
@@ -142,14 +148,16 @@ cover:
 		else { print "recoord coverage OK:", $$3"% >= "floor"%" } }'
 
 # Short fuzz passes over the input parsers (fault specs, arrival specs,
-# tree specs, phase specs, power units), the Prometheus exposition
-# encoder, and the binary wire codec (both a round-trip property fuzzer
-# and a malformed-frame decoder fuzzer).
+# tree specs, phase specs, power units), the tree solver against its
+# sort-based reference, the Prometheus exposition encoder, and the
+# binary wire codec (both a round-trip property fuzzer and a
+# malformed-frame decoder fuzzer).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseSpec -fuzztime=10s ./internal/faults
 	$(GO) test -run=^$$ -fuzz=FuzzParsePhaseSpec -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzParseArrivalSpec -fuzztime=10s ./internal/des
 	$(GO) test -run=^$$ -fuzz=FuzzTreeSpec -fuzztime=10s ./internal/powertree
+	$(GO) test -run=^$$ -fuzz=FuzzSolveMatchesSortedGreedy -fuzztime=10s ./internal/powertree
 	$(GO) test -run=^$$ -fuzz=FuzzParsePower -fuzztime=10s ./internal/units
 	$(GO) test -run=^$$ -fuzz=FuzzPromText -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=^$$ -fuzz=FuzzWireRoundTrip -fuzztime=10s ./internal/wire

@@ -296,3 +296,53 @@ func TestFastModeRejectsMixedWorkloads(t *testing.T) {
 		t.Fatalf("fast mode, homogeneous jobs: completed %d, err %v", res.Completed, err)
 	}
 }
+
+// TestRunRejectsCollidingJobIDs: exact mode keys its bookkeeping by
+// job ID, so a t=0 job named like a generated arrival (a%06d), or two
+// t=0 jobs with one ID, used to merge two jobs' stats silently. Both
+// modes reject them with an error naming the ID; an a%06d name that no
+// arrival of the run takes is fine.
+func TestRunRejectsCollidingJobIDs(t *testing.T) {
+	arr, err := ParseArrivalSpec("rate=0.05,units=2e12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func(w workload.Workload, id string) cluster.TimedJob {
+		return cluster.TimedJob{Job: cluster.Job{ID: id, Workload: w}, Units: 2e12}
+	}
+	for _, mode := range []Mode{ModeExact, ModeFast} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sched, w := testSched(t, 4)
+			cfg := Config{
+				Sched: sched, Workload: w,
+				Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill,
+				Arrivals: arr, Seed: 1, Horizon: 600, Mode: mode,
+			}
+			for _, c := range []struct {
+				name, id string
+				jobs     []cluster.TimedJob
+			}{
+				{"generated-name", "a000000", []cluster.TimedJob{job(w, "a000000")}},
+				{"duplicate", "x", []cluster.TimedJob{job(w, "x"), job(w, "x")}},
+			} {
+				cfg.Jobs = c.jobs
+				_, err := Run(cfg)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", c.id)) {
+					t.Errorf("%s: Run error = %v, want one naming %q", c.name, err, c.id)
+				}
+			}
+			cfg.Jobs = []cluster.TimedJob{job(w, "a999999")}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("unused generated name: %v", err)
+			}
+			if res.Completed != res.Arrived {
+				t.Errorf("completed %d of %d jobs", res.Completed, res.Arrived)
+			}
+			cfg.Jobs, cfg.Arrivals = []cluster.TimedJob{job(w, "a000000")}, ArrivalSpec{}
+			if _, err := Run(cfg); err != nil {
+				t.Errorf("a000000 without arrivals: %v", err)
+			}
+		})
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -194,6 +196,9 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	arrivals := generateArrivals(cfg.Arrivals, cfg.Seed, cfg.Horizon, cfg.MaxJobs)
+	if err := checkJobIDs(cfg.Jobs, len(arrivals)); err != nil {
+		return Result{}, err
+	}
 	switch cfg.Mode {
 	case ModeExact:
 		return runExact(cfg, arrivals)
@@ -202,6 +207,30 @@ func Run(cfg Config) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("des: unknown mode %v", cfg.Mode)
 	}
+}
+
+// arrivalID names generated arrival i.
+func arrivalID(i int) string {
+	return fmt.Sprintf("a%06d", i)
+}
+
+// checkJobIDs rejects t=0 jobs whose IDs repeat, or repeat the name of
+// one of the run's generated arrivals: exact mode keys its per-job
+// bookkeeping by ID, and both modes accept the same configurations.
+func checkJobIDs(jobs []cluster.TimedJob, arrivals int) error {
+	seen := make(map[string]bool, len(jobs))
+	for _, j := range jobs {
+		if seen[j.ID] {
+			return fmt.Errorf("des: duplicate job ID %q", j.ID)
+		}
+		seen[j.ID] = true
+		if rest, ok := strings.CutPrefix(j.ID, "a"); ok {
+			if i, err := strconv.Atoi(rest); err == nil && i >= 0 && i < arrivals && arrivalID(i) == j.ID {
+				return fmt.Errorf("des: job ID %q is the name of generated arrival %d", j.ID, i)
+			}
+		}
+	}
+	return nil
 }
 
 // Trace-event kinds, one byte each, folded into the trace hash.

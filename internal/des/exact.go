@@ -53,7 +53,7 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 	}
 	arrJobs := make([]cluster.TimedJob, len(arrs))
 	for i, a := range arrs {
-		id := fmt.Sprintf("a%06d", i)
+		id := arrivalID(i)
 		arrJobs[i] = cluster.TimedJob{
 			Job:   cluster.Job{ID: id, Workload: cfg.Workload},
 			Units: a.units,
@@ -119,14 +119,16 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 	// admission time across re-admissions, and folds the newly appended
 	// "start" events into the trace hash.
 	admit := func() error {
-		before := len(res.Events)
+		before, started := len(res.Events), len(active)
 		var err error
 		active, waiting, freeNodes, pool, err = s.AdmitWaiting(
 			&res, active, waiting, freeNodes, pool, now, cfg.Policy, cfg.Discipline)
 		if err != nil {
 			return err
 		}
-		for _, r := range active {
+		// AdmitWaiting only appends: the jobs before started carry their
+		// first start already.
+		for _, r := range active[started:] {
 			if first, ok := firstStart[r.Job.ID]; ok {
 				r.FirstStart = first
 			} else {

@@ -450,12 +450,15 @@ func (c *controller) run() (Result, error) {
 			}
 			visit.StaticPerf, visit.GovernorPerf = staticPerf, govPerf
 
+			// The steady state of (phase i, current) is a pure function of
+			// the pair: evaluate it on entry and after a switch, and feed
+			// the detector the same sample every tick.
+			perf, act, stall, err := c.evalPhase(i, current)
+			if err != nil {
+				return Result{}, err
+			}
 			var visitPerfTime float64
 			for tick := 0; tick < ticks[i]; tick++ {
-				perf, act, stall, err := c.evalPhase(i, current)
-				if err != nil {
-					return Result{}, err
-				}
 				if c.observe(act, stall) {
 					next, switched, err := c.recoordinate(i, current)
 					if err != nil {

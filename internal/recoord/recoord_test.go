@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/evalpool"
 	"repro/internal/hw"
 	"repro/internal/nvgov"
 	"repro/internal/telemetry"
@@ -249,5 +250,59 @@ func TestGainZeroOnEmptyResult(t *testing.T) {
 	var r Result
 	if g := r.Gain(); g != 0 {
 		t.Fatalf("zero result gain = %v, want 0", g)
+	}
+}
+
+// TestRunEvaluatesOncePerVisitAndSetting pins that the tick loop does
+// not re-ask the engine for a steady state it already has: a run on a
+// fresh engine issues fewer lookups than it has ticks, which it could
+// not if every tick evaluated its phase.
+func TestRunEvaluatesOncePerVisitAndSetting(t *testing.T) {
+	eng := evalpool.New(evalpool.Options{})
+	cfg := Config{Platform: mustPlatform(t, "h100"), Workload: mustWorkload(t, "llmbatch"),
+		Budget: 300, Engine: eng}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	ticks := DefaultRounds * DefaultTicksPerRound
+	if lookups := st.Hits + st.Misses; lookups >= uint64(ticks) {
+		t.Errorf("run made %d engine lookups for %d ticks (%d visits); want fewer than one per tick",
+			lookups, ticks, len(res.Visits))
+	}
+}
+
+// BenchmarkRun times one controller run on a warm engine, cycling the
+// phased LLM workloads on the H100-class cards across the settable
+// budget range.
+func BenchmarkRun(b *testing.B) {
+	var cfgs []Config
+	for _, pn := range []string{"h100", "h200"} {
+		p, err := hw.PlatformByName(pn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, wn := range []string{"llmserve", "llmchat", "llmbatch"} {
+			w, err := workload.ByName(wn)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, budget := range []units.Power{220, 300, 450, 650} {
+				cfgs = append(cfgs, Config{Platform: p, Workload: w, Budget: budget})
+			}
+		}
+	}
+	for _, cfg := range cfgs {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfgs[i%len(cfgs)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
