@@ -1,55 +1,19 @@
 package des
 
-import (
-	"fmt"
-	"testing"
+import "testing"
 
-	"repro/internal/cluster"
-	"repro/internal/faults"
-	"repro/internal/hw"
-	"repro/internal/units"
-	"repro/internal/workload"
+// Arrival specs of the perfbench simulate round's two DES runs.
+const (
+	benchExactArrivals = "rate=0.9,burst=2,diurnal=0.3,period=3600,units=2e12,spread=0.5"
+	benchFastArrivals  = "rate=35,burst=2,diurnal=0.3,period=3600,units=2e12,spread=0.5"
 )
 
 // benchConfig is the perfbench simulate configuration of one DES mode:
 // n ivybridge nodes at 208 W each running stream, coord/backfill, the
 // given arrival spec over horizon, and the simulate fault spec.
-func benchConfig(b *testing.B, mode Mode, n int, horizon float64, arrival string) Config {
-	b.Helper()
-	p, err := hw.PlatformByName("ivybridge")
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err := workload.ByName("stream")
-	if err != nil {
-		b.Fatal(err)
-	}
-	nodes := make([]cluster.Node, n)
-	for i := range nodes {
-		nodes[i] = cluster.Node{ID: fmt.Sprintf("node%05d", i), Platform: p}
-	}
-	sched, err := cluster.NewScheduler(units.Power(208*float64(n)), nodes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sched.Prewarm([]workload.Workload{w}); err != nil {
-		b.Fatal(err)
-	}
-	arr, err := ParseArrivalSpec(arrival)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp, err := faults.ParseSpec("shock.mtbs=3600,shock.frac=0.15,shock.len=120")
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchConfig(tb testing.TB, mode Mode, n int, horizon float64, arrival string) Config {
 	const seed = 9
-	return Config{
-		Sched: sched, Workload: w,
-		Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill,
-		Arrivals: arr, Seed: seed, Horizon: horizon, Mode: mode,
-		Injector: faults.NewInjector(sp, seed),
-	}
+	return simConfig(tb, mode, n, seed, horizon, arrival, "shock.mtbs=3600,shock.frac=0.15,shock.len=120", seed)
 }
 
 // benchRun times Run on cfg and reports the engine events per run and
@@ -73,13 +37,11 @@ func benchRun(b *testing.B, cfg Config) {
 // BenchmarkRunExact256 is the simulate round's exact-mode run: 256
 // nodes over a 1900 s horizon.
 func BenchmarkRunExact256(b *testing.B) {
-	benchRun(b, benchConfig(b, ModeExact, 256, 1900,
-		"rate=0.9,burst=2,diurnal=0.3,period=3600,units=2e12,spread=0.5"))
+	benchRun(b, benchConfig(b, ModeExact, 256, 1900, benchExactArrivals))
 }
 
 // BenchmarkRunFast10k is the simulate round's fast-mode run: 10k nodes
 // over an 800 s horizon.
 func BenchmarkRunFast10k(b *testing.B) {
-	benchRun(b, benchConfig(b, ModeFast, 10000, 800,
-		"rate=35,burst=2,diurnal=0.3,period=3600,units=2e12,spread=0.5"))
+	benchRun(b, benchConfig(b, ModeFast, 10000, 800, benchFastArrivals))
 }
