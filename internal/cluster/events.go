@@ -177,23 +177,96 @@ type RunningJob struct {
 	FirstStart float64
 }
 
+// Admission is one job's admission onto a node: the grant it holds for
+// its lifetime, and the power it draws and the rate it works at under
+// that grant.
+type Admission struct {
+	Budget units.Power
+	Power  units.Power
+	Rate   float64
+}
+
+// Admit decides the admission of job j onto node from a pool of the
+// given size, by the paper's rules: admit only at the productive
+// threshold, grant at most the maximum demand, and return COORD's
+// surplus to the pool. ok is false when the job cannot start there.
+// Admit touches no metrics; AdmitWaiting is its queue-order loop.
+//
+// sat is the pool at and above which the decision no longer depends on
+// the pool: max(threshold, maxTotal), since a pool that covers the
+// threshold is granted min(pool, maxTotal). On a node of the wrong
+// kind the job never starts and sat is 0.
+func (s *Scheduler) Admit(node Node, j Job, pool units.Power, policy SplitPolicy) (a Admission, sat units.Power, ok bool, err error) {
+	if node.Platform.Kind != j.Workload.Kind {
+		return Admission{}, 0, false, nil
+	}
+	threshold, maxTotal, err := s.envelope(node, j.Workload)
+	if err != nil {
+		return Admission{}, 0, false, err
+	}
+	sat = max(threshold, maxTotal)
+	if pool < threshold {
+		return Admission{}, sat, false, nil
+	}
+	grant := pool
+	if grant > maxTotal {
+		grant = maxTotal
+	}
+	var alloc core.Allocation
+	var surplus units.Power
+	switch policy {
+	case PolicyCoord:
+		alloc, surplus, ok, err = s.split(node, j.Workload, grant)
+		if err != nil || !ok {
+			return Admission{}, sat, false, err
+		}
+	case PolicyEvenSplit:
+		if node.Platform.Kind != hw.KindCPU {
+			return Admission{}, sat, false, fmt.Errorf("cluster: even-split policy supports CPU nodes only")
+		}
+		prof, err := profile.ProfileCPU(node.Platform, j.Workload)
+		if err != nil {
+			return Admission{}, sat, false, err
+		}
+		d := coord.EvenSplit(prof, grant)
+		if d.Status == coord.StatusTooSmall {
+			return Admission{}, sat, false, nil
+		}
+		alloc = d.Alloc
+	default:
+		return Admission{}, sat, false, fmt.Errorf("cluster: unknown split policy %v", policy)
+	}
+	if surplus > 0 {
+		grant -= surplus
+	}
+	w := j.Workload
+	simRes, err := s.simulate(node, &w, alloc)
+	if err != nil {
+		return Admission{}, sat, false, err
+	}
+	rate := simRes.UnitRate.OpsPerSecond()
+	if rate <= 0 {
+		return Admission{}, sat, false, fmt.Errorf("cluster: job %q makes no progress", j.ID)
+	}
+	return Admission{Budget: grant, Power: simRes.TotalPower, Rate: rate}, sat, true, nil
+}
+
 // AdmitWaiting starts every waiting job that can receive a productive
 // grant on a free node, in queue order, and returns the updated
-// scheduler state. Both internal/des engines admit through it, so the
-// paper's admission rules live in one place: admit only at the
-// productive threshold, grant at most the maximum demand, and reclaim
-// COORD's surplus into the pool.
+// scheduler state. Each job is decided by Admit, so the paper's
+// admission rules live in one place for both internal/des engines.
 //
 // freeNodes must be a slice the caller owns: an admitted job's node is
-// removed in place, order preserved, so the returned free list reuses
-// freeNodes' backing array and the caller must carry on with the
-// returned slice, not the one it passed in.
+// removed in place, order preserved (the head by reslicing), so the
+// returned free list reuses freeNodes' backing array and the caller
+// must carry on with the returned slice, not the one it passed in.
 func (s *Scheduler) AdmitWaiting(res *QueueResult, active []*RunningJob, waiting []TimedJob,
 	freeNodes []Node, pool units.Power, now float64,
 	policy SplitPolicy, disc Discipline) ([]*RunningJob, []TimedJob, []Node, units.Power, error) {
 
 	var still []TimedJob
 	blocked := false
+	started := len(active)
 	for _, j := range waiting {
 		if blocked && disc == DisciplineFIFO {
 			still = append(still, j)
@@ -206,77 +279,28 @@ func (s *Scheduler) AdmitWaiting(res *QueueResult, active []*RunningJob, waiting
 			continue
 		}
 		node := freeNodes[ni]
-		threshold, maxTotal, err := s.envelope(node, j.Workload)
+		a, _, ok, err := s.Admit(node, j.Job, pool, policy)
 		if err != nil {
 			return active, waiting, freeNodes, pool, err
 		}
-		if pool < threshold {
+		if !ok {
 			still = append(still, j)
 			blocked = true
 			continue
 		}
-		grant := pool
-		if grant > maxTotal {
-			grant = maxTotal
+		pool -= a.Budget
+		if ni == 0 {
+			freeNodes = freeNodes[1:]
+		} else {
+			freeNodes = append(freeNodes[:ni], freeNodes[ni+1:]...)
 		}
-		var alloc core.Allocation
-		var surplus units.Power
-		switch policy {
-		case PolicyCoord:
-			var ok bool
-			alloc, surplus, ok, err = s.split(node, j.Workload, grant)
-			if err != nil {
-				return active, waiting, freeNodes, pool, err
-			}
-			if !ok {
-				still = append(still, j)
-				blocked = true
-				continue
-			}
-		case PolicyEvenSplit:
-			if node.Platform.Kind != hw.KindCPU {
-				return active, waiting, freeNodes, pool,
-					fmt.Errorf("cluster: even-split policy supports CPU nodes only")
-			}
-			prof, err := profile.ProfileCPU(node.Platform, j.Workload)
-			if err != nil {
-				return active, waiting, freeNodes, pool, err
-			}
-			d := coord.EvenSplit(prof, grant)
-			if d.Status == coord.StatusTooSmall {
-				still = append(still, j)
-				blocked = true
-				continue
-			}
-			alloc = d.Alloc
-		default:
-			return active, waiting, freeNodes, pool,
-				fmt.Errorf("cluster: unknown split policy %v", policy)
-		}
-		if surplus > 0 {
-			grant -= surplus
-		}
-		w := j.Workload
-		simRes, err := s.simulate(node, &w, alloc)
-		if err != nil {
-			return active, waiting, freeNodes, pool, err
-		}
-		rate := simRes.UnitRate.OpsPerSecond()
-		if rate <= 0 {
-			return active, waiting, freeNodes, pool,
-				fmt.Errorf("cluster: job %q makes no progress", j.ID)
-		}
-		pool -= grant
-		freeNodes = append(freeNodes[:ni], freeNodes[ni+1:]...)
 		active = append(active, &RunningJob{
 			Job: j, Node: node, Remaining: j.Units,
-			Rate: rate, Power: simRes.TotalPower, Budget: grant,
+			Rate: a.Rate, Power: a.Power, Budget: a.Budget,
 			Started: now, FirstStart: now,
 		})
 		res.Events = append(res.Events, Event{Time: now, Kind: "start", JobID: j.ID, NodeID: node.ID})
-		mAdmissions.Inc()
 	}
-	mQueueDepth.Set(float64(len(still)))
-	mActiveJobs.Set(float64(len(active)))
+	ObserveAdmissionPass(len(active)-started, len(still), len(active))
 	return active, still, freeNodes, pool, nil
 }

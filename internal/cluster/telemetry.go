@@ -21,3 +21,13 @@ func Instrument(r *telemetry.Registry) {
 	mActiveJobs = r.Gauge("cluster_active_jobs",
 		"Jobs running after the latest admission pass.")
 }
+
+// ObserveAdmissionPass records one admission pass of a queue engine:
+// started jobs count as admissions, and the gauges take the number of
+// jobs still waiting and running after the pass. AdmitWaiting records
+// its own passes; an engine that admits through Admit records its own.
+func ObserveAdmissionPass(started, waiting, running int) {
+	mAdmissions.Add(float64(started))
+	mQueueDepth.Set(float64(waiting))
+	mActiveJobs.Set(float64(running))
+}

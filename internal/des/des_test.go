@@ -6,10 +6,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/hw"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -344,5 +346,64 @@ func TestRunRejectsCollidingJobIDs(t *testing.T) {
 				t.Errorf("a000000 without arrivals: %v", err)
 			}
 		})
+	}
+}
+
+// TestFastModeAdmissionMetrics: fast mode records its admissions like
+// exact mode does. The counter equals the run's starts (every job once,
+// plus once per re-admission) and both gauges read 0 once the run has
+// drained; admission probes touch neither.
+func TestFastModeAdmissionMetrics(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"fault-free": simConfig(t, ModeFast, 200, 3, 600, "rate=1,burst=2,units=2e12", "", 0),
+		"faulty":     replayCfg(t, ModeFast, 11),
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := telemetry.New()
+			cluster.Instrument(reg)
+			defer cluster.Instrument(nil)
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]float64{}
+			for _, p := range reg.Snapshot().Points {
+				got[p.Name] = p.Value
+			}
+			want := map[string]float64{
+				"cluster_admissions_total": float64(res.Arrived + res.Faults.Readmissions),
+				"cluster_queue_depth":      0,
+				"cluster_active_jobs":      0,
+			}
+			for name, v := range want {
+				if got[name] != v {
+					t.Errorf("%s = %v, want %v (arrived %d, readmissions %d)",
+						name, got[name], v, res.Arrived, res.Faults.Readmissions)
+				}
+			}
+		})
+	}
+}
+
+// TestNodeOutagesDrawnLazily: node outages are drawn as the run reaches
+// them, not over the whole fault horizon (about 4e5 times the makespan
+// here). A 1000-node fast run with node faults took 29 s when every
+// node's schedule was drawn up front; it must finish in well under a
+// second, with the trace it had then.
+func TestNodeOutagesDrawnLazily(t *testing.T) {
+	cfg := simConfig(t, ModeFast, 1000, 3, 1800, "rate=4,burst=2,diurnal=0.3,period=3600,units=2e12,spread=0.5",
+		"node.mtbf=20000,node.mttr=300", 1)
+	start := time.Now()
+	res, err := Run(cfg)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed > time.Second {
+		t.Errorf("run took %v, want under 1s", elapsed)
+	}
+	if res.Faults.NodeFailures != 110 || res.TraceHash != 0x2afb12ceda36118f {
+		t.Errorf("node failures %d, trace hash %016x; want 110 and 2afb12ceda36118f",
+			res.Faults.NodeFailures, res.TraceHash)
 	}
 }

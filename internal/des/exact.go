@@ -69,9 +69,7 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 	var stats agg
 
 	// Fault schedules over a horizon accumulated in input order (t=0
-	// jobs first, then the generated trace). Outages are precomputed,
-	// since the per-node schedules need a cross-node merge into one time
-	// order.
+	// jobs first, then the generated trace).
 	var totalUnits float64
 	for _, j := range cfg.Jobs {
 		totalUnits += j.Units
@@ -80,10 +78,10 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 		totalUnits += a.units
 	}
 	horizon := faultHorizon(totalUnits)
-	outages := outageEdges(cfg.Injector, s, horizon)
-	// Shock edges are pulled as the event cursor reaches them: the
-	// horizon runs far past the last job, and the shocks beyond it are
-	// never drawn. A nil injector yields none.
+	// Outage and shock edges are pulled as the event cursor reaches
+	// them: the horizon runs far past the last job, and the faults beyond
+	// it are never drawn. A nil injector yields none.
+	outages := outageStream(cfg.Injector, s, horizon)
 	shocks := cfg.Injector.ShockEdges(horizon, s.Budget)
 
 	pool := s.Budget
@@ -198,7 +196,7 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			s.Budget, cluster.ErrStarved)
 	}
 
-	oi, ai := 0, 0 // next outage / arrival indices
+	ai := 0 // next arrival index
 	steps := 0
 	for ; len(active) > 0 || len(waiting) > 0 || ai < len(arrs); steps++ {
 		conserve()
@@ -213,8 +211,8 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 			}
 		}
 		nextOutage := math.Inf(1)
-		if oi < len(outages) {
-			nextOutage = outages[oi].At - now
+		if ev, ok := outages.Peek(); ok {
+			nextOutage = ev.At - now
 		}
 		nextShock := math.Inf(1)
 		if ev, ok := shocks.Peek(); ok {
@@ -238,8 +236,7 @@ func runExact(cfg Config, arrs []jobArrival) (Result, error) {
 
 		switch {
 		case nextOutage <= nextDone && nextOutage <= nextShock && nextOutage <= nextArr:
-			ev := outages[oi]
-			oi++
+			ev := outages.Pop()
 			advance(nextOutage)
 			node := s.Nodes[ev.Node]
 			if ev.Up {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // Job states in the fast engine.
@@ -42,68 +43,136 @@ type heapItem struct {
 
 type doneHeap []heapItem
 
-func (h doneHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before orders completions by time, then by insertion sequence: a
+// total order, so every correct heap pops the same sequence.
+func (a heapItem) before(b heapItem) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
 func (h *doneHeap) push(it heapItem) {
 	*h = append(*h, it)
-	i := len(*h) - 1
+	q := *h
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !it.before(q[parent]) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = it
 }
 
+// pop removes the earliest completion. It moves the hole at the root
+// down to a leaf along the earlier child, then sifts the last item up
+// from there: one comparison per level on the way down instead of two,
+// and moves instead of swaps.
 func (h *doneHeap) pop() heapItem {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*h).less(l, small) {
-			small = l
-		}
-		if r < n && (*h).less(r, small) {
-			small = r
-		}
-		if small == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		q[i] = q[c]
+		i = c
 	}
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !last.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = last
 	return top
 }
 
 // probeVal is one cached admission decision: what a single job of the
 // run's workload receives on a node of a given platform at a given pool.
 type probeVal struct {
-	ok     bool
-	budget units.Power
-	power  units.Power
-	rate   float64
+	ok bool
+	cluster.Admission
 }
 
 type probeKey struct {
 	plat int
-	pool uint64 // float64 bits of the pool at probe time
+	pool uint64 // float64 bits of the (clamped) pool at probe time
 }
 
 // maxProbeCache bounds the admission cache; past it the cache resets
 // (pathological pool-value churn) rather than growing without bound.
 const maxProbeCache = 1 << 16
+
+// prober caches the admission decision of one job of the run's
+// workload per (platform class, pool). A pool at or above the class's
+// saturation point sat (cluster.Scheduler.Admit) is clamped to it
+// before the lookup: the job is granted its maximum demand whatever
+// the surplus, so every such pool shares one entry. Below sat the
+// decision depends on the exact pool and is keyed by its bits.
+type prober struct {
+	s      *cluster.Scheduler
+	job    cluster.Job
+	policy cluster.SplitPolicy
+	nodes  []cluster.Node // one prototype node per class
+	sat    []units.Power  // per class; +Inf until the first probe
+	cache  map[probeKey]probeVal
+}
+
+func newProber(s *cluster.Scheduler, w workload.Workload, policy cluster.SplitPolicy, nodes []cluster.Node) *prober {
+	sat := make([]units.Power, len(nodes))
+	for i := range sat {
+		sat[i] = units.Power(math.Inf(1))
+	}
+	return &prober{
+		s: s, job: cluster.Job{ID: "probe", Workload: w}, policy: policy,
+		nodes: nodes, sat: sat, cache: map[probeKey]probeVal{},
+	}
+}
+
+// probe returns the decision for one job on a node of class at pool.
+func (p *prober) probe(class int, pool units.Power) (probeVal, error) {
+	if pool > p.sat[class] {
+		pool = p.sat[class]
+	}
+	key := probeKey{plat: class, pool: math.Float64bits(pool.Watts())}
+	if v, ok := p.cache[key]; ok {
+		return v, nil
+	}
+	a, sat, ok, err := p.s.Admit(p.nodes[class], p.job, pool, p.policy)
+	if err != nil {
+		return probeVal{}, err
+	}
+	p.sat[class] = sat
+	if pool > sat {
+		// The first probe of the class ran above sat: file its answer
+		// under sat, where every later probe above sat looks.
+		key.pool = math.Float64bits(sat.Watts())
+	}
+	v := probeVal{ok: ok, Admission: a}
+	if len(p.cache) >= maxProbeCache {
+		p.cache = map[probeKey]probeVal{}
+	}
+	p.cache[key] = v
+	return v, nil
+}
 
 // admEntry is one admission, in order, for most-recently-started
 // eviction scans. Entries whose job was since completed or evicted are
@@ -115,7 +184,7 @@ type admEntry struct {
 
 // runFast executes the simulation with a completion heap and admission
 // caching. It keeps exact mode's semantics — admission through the
-// shared Scheduler.AdmitWaiting, grant-for-lifetime, evict-latest under
+// shared Scheduler.Admit, grant-for-lifetime, evict-latest under
 // shocks, re-queue at the head — but indexes state for scale instead of
 // rescanning it, so its float operation order (and therefore its exact
 // event times) can differ from exact mode in the last ulps.
@@ -173,10 +242,10 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 		totalUnits += jobs[i].units
 	}
 	horizon := faultHorizon(totalUnits)
-	outages := outageEdges(cfg.Injector, s, horizon)
-	// Shock edges are pulled as the event cursor reaches them: the
-	// horizon runs far past the last job, and the shocks beyond it are
-	// never drawn. A nil injector yields none.
+	// Outage and shock edges are pulled as the event cursor reaches
+	// them: the horizon runs far past the last job, and the faults beyond
+	// it are never drawn. A nil injector yields none.
+	outages := outageStream(cfg.Injector, s, horizon)
 	shocks := cfg.Injector.ShockEdges(horizon, s.Budget)
 
 	pool := s.Budget
@@ -193,30 +262,7 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 		}
 	}
 
-	probeCache := map[probeKey]probeVal{}
-	probeJob := []cluster.TimedJob{{Job: cluster.Job{ID: "probe", Workload: cfg.Workload}, Units: 1}}
-	probe := func(class int, pool units.Power) (probeVal, error) {
-		key := probeKey{plat: class, pool: math.Float64bits(pool.Watts())}
-		if v, ok := probeCache[key]; ok {
-			return v, nil
-		}
-		var scratch cluster.QueueResult
-		active, _, _, _, err := s.AdmitWaiting(&scratch, nil, probeJob,
-			[]cluster.Node{protoNodes[class]}, pool, 0, cfg.Policy, cfg.Discipline)
-		if err != nil {
-			return probeVal{}, err
-		}
-		var v probeVal
-		if len(active) == 1 {
-			r := active[0]
-			v = probeVal{ok: true, budget: r.Budget, power: r.Power, rate: r.Rate}
-		}
-		if len(probeCache) >= maxProbeCache {
-			probeCache = map[probeKey]probeVal{}
-		}
-		probeCache[key] = v
-		return v, nil
-	}
+	prober := newProber(s, cfg.Workload, cfg.Policy, protoNodes)
 
 	var heap doneHeap
 	var seq uint64
@@ -278,7 +324,7 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 			if len(st) == 0 {
 				continue
 			}
-			v, err := probe(class, pool)
+			v, err := prober.probe(class, pool)
 			if err != nil {
 				return false, err
 			}
@@ -299,10 +345,10 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 			if jb.firstStart < 0 {
 				jb.firstStart = now
 			}
-			jb.budget, jb.power, jb.rate = v.budget, v.power, v.rate
-			jb.doneT = now + jb.units/v.rate
-			pool -= v.budget
-			committed += v.budget
+			jb.budget, jb.power, jb.rate = v.Budget, v.Power, v.Rate
+			jb.doneT = now + jb.units/v.Rate
+			pool -= v.Budget
+			committed += v.Budget
 			nodeJob[node] = j
 			seq++
 			heap.push(heapItem{t: jb.doneT, seq: seq, job: j, gen: jb.gen})
@@ -313,15 +359,20 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 		}
 		return false, nil
 	}
+	// admit runs one admission pass and records it like AdmitWaiting
+	// does: the jobs it started, and the queue and running counts left.
 	admit := func() error {
+		started := 0
 		for {
 			ok, err := admitOne()
 			if err != nil {
 				return err
 			}
 			if !ok {
+				cluster.ObserveAdmissionPass(started, queued(), activeCount)
 				return nil
 			}
+			started++
 		}
 	}
 
@@ -361,7 +412,7 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 			s.Budget, cluster.ErrStarved)
 	}
 
-	oi, ai := 0, 0
+	ai := 0
 	steps := 0
 	for ; activeCount > 0 || queued() > 0 || ai < len(arrs); steps++ {
 		conserve()
@@ -370,8 +421,8 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 		}
 		nextDone := peekDone()
 		nextOutage := math.Inf(1)
-		if oi < len(outages) {
-			nextOutage = outages[oi].At
+		if ev, ok := outages.Peek(); ok {
+			nextOutage = ev.At
 		}
 		nextShock := math.Inf(1)
 		if ev, ok := shocks.Peek(); ok {
@@ -389,8 +440,7 @@ func runFast(cfg Config, arrs []jobArrival) (Result, error) {
 
 		switch {
 		case nextOutage <= nextDone && nextOutage <= nextShock && nextOutage <= nextArr:
-			ev := outages[oi]
-			oi++
+			ev := outages.Pop()
 			if ev.At > now {
 				now = ev.At
 			}

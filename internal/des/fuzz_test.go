@@ -5,6 +5,7 @@ import "testing"
 // FuzzParseArrivalSpec asserts the parser's contract on arbitrary
 // input: accepted specs validate, render canonically, and round-trip
 // through String exactly; everything else errors instead of panicking.
+// Accepted specs generate the same trace as the original thinning loop.
 func FuzzParseArrivalSpec(f *testing.F) {
 	seeds := []string{
 		"",
@@ -62,6 +63,10 @@ func FuzzParseArrivalSpec(f *testing.F) {
 		}
 		if len(a) > 100 {
 			t.Fatalf("generateArrivals ignored maxJobs: %d", len(a))
+		}
+		// The trough shortcut must not move a bit of the trace.
+		if diff := sameArrivals(a, thinningArrivals(sp, 1, 10, 100)); diff != "" {
+			t.Fatalf("spec %v: generateArrivals differs from the thinning loop: %s", sp, diff)
 		}
 	})
 }

@@ -1,8 +1,10 @@
 package faults
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/units"
@@ -117,6 +119,61 @@ func TestShockStreamEmpty(t *testing.T) {
 	}
 }
 
+// eagerOutageEdges is the merged outage schedule built in one pass up
+// to the horizon, the way the schedule was first defined: every node's
+// NodeOutages drawn in sorted-ID order, expanded into fail/recover
+// edges, then stably sorted by time, recoveries before failures, then
+// node ID.
+func eagerOutageEdges(in *Injector, ids []string, horizon float64) []OutageEdge {
+	if in == nil || in.spec.NodeMTBF <= 0 {
+		return nil
+	}
+	order := make([]int32, len(ids))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return ids[order[a]] < ids[order[b]] })
+	var out []OutageEdge
+	for _, n := range order {
+		for _, o := range in.NodeOutages(ids[n], horizon) {
+			out = append(out, OutageEdge{At: o.At, Node: n})
+			if !math.IsInf(o.Duration, 1) {
+				out = append(out, OutageEdge{At: o.At + o.Duration, Node: n, Up: true})
+			}
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].At != out[j].At {
+			return out[i].At < out[j].At
+		}
+		if out[i].Up != out[j].Up {
+			return out[i].Up
+		}
+		return ids[out[i].Node] < ids[out[j].Node]
+	})
+	return out
+}
+
+// collectOutages drains a stream, checking that Peek agrees with Pop.
+func collectOutages(t *testing.T, st *OutageStream) []OutageEdge {
+	t.Helper()
+	var out []OutageEdge
+	for {
+		ev, ok := st.Peek()
+		if !ok {
+			break
+		}
+		if got := st.Pop(); got != ev {
+			t.Fatalf("Pop %+v after Peek %+v", got, ev)
+		}
+		out = append(out, ev)
+	}
+	if ev := st.Pop(); ev != (OutageEdge{}) {
+		t.Fatalf("exhausted Pop = %+v, want the zero edge", ev)
+	}
+	return out
+}
+
 // TestOutageEdgesMergeOrder: the merged schedule holds exactly each
 // node's NodeOutages as fail/recover edge pairs, ordered by time, then
 // recoveries before failures, then node ID — whatever order the IDs
@@ -125,7 +182,7 @@ func TestOutageEdgesMergeOrder(t *testing.T) {
 	ids := []string{"n3", "n1", "n2", "n0"}
 	for _, spec := range []Spec{{NodeMTBF: 20, NodeMTTR: 10}, {NodeMTBF: 200}} {
 		in := NewInjector(spec, 3)
-		edges := in.OutageEdges(ids, 500)
+		edges := collectOutages(t, in.OutageStream(ids, 500))
 		for i := 1; i < len(edges); i++ {
 			a, b := edges[i-1], edges[i]
 			ordered := a.At < b.At ||
@@ -155,10 +212,52 @@ func TestOutageEdgesMergeOrder(t *testing.T) {
 			}
 		}
 	}
-	if e := (*Injector)(nil).OutageEdges(ids, 500); e != nil {
+	if e := collectOutages(t, (*Injector)(nil).OutageStream(ids, 500)); e != nil {
 		t.Errorf("nil injector yielded %d edges", len(e))
 	}
-	if e := NewInjector(Spec{ShockMTBS: 10, ShockFrac: 0.1, ShockLen: 1}, 1).OutageEdges(ids, 500); e != nil {
+	if e := collectOutages(t, NewInjector(Spec{ShockMTBS: 10, ShockFrac: 0.1, ShockLen: 1}, 1).OutageStream(ids, 500)); e != nil {
 		t.Errorf("spec without node faults yielded %d edges", len(e))
+	}
+}
+
+// TestOutageStreamEqualsEagerEdges: the lazy merge yields exactly the
+// eager merge's edges in the same order, over random ID lists (repeated
+// IDs included, whose nodes share one schedule and so tie on every
+// key), repaired and never-repaired outages, and means small enough
+// next to the edge times that failures and recoveries land on equal
+// times.
+func TestOutageStreamEqualsEagerEdges(t *testing.T) {
+	rng := NewRNG(42)
+	specs := []Spec{
+		{NodeMTBF: 50, NodeMTTR: 10},
+		{NodeMTBF: 300},                // MTTR 0: failed nodes never return
+		{NodeMTBF: 5, NodeMTTR: 1e-14}, // recoveries tie their failures
+		{NodeMTBF: 1e-14, NodeMTTR: 5}, // failures tie their recoveries
+		{NodeMTBF: 40, NodeMTTR: 40, ShockMTBS: 10, ShockFrac: 0.1, ShockLen: 1},
+	}
+	ties := 0
+	for trial := 0; trial < 60; trial++ {
+		ids := make([]string, 1+int(rng.Uint64()%12))
+		for i := range ids {
+			ids[i] = fmt.Sprintf("n%d", rng.Uint64()%8)
+		}
+		spec := specs[trial%len(specs)]
+		in := NewInjector(spec, rng.Uint64())
+		want := eagerOutageEdges(in, ids, 400)
+		got := collectOutages(t, in.OutageStream(ids, 400))
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (%+v, ids %v): %d edges, eager %d", trial, spec, ids, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (%+v, ids %v): edge %d = %+v, eager %+v", trial, spec, ids, i, got[i], want[i])
+			}
+			if i > 0 && want[i].At == want[i-1].At {
+				ties++
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no equal-time edges drawn; the tie order is untested")
 	}
 }
