@@ -109,24 +109,50 @@ func (in *Injector) NodeOutages(nodeID string, horizon float64) []Outage {
 	if in == nil || in.spec.NodeMTBF <= 0 || horizon <= 0 {
 		return nil
 	}
-	rng := in.root.Fork("node/" + nodeID)
+	d := in.outageDraws(nodeID, horizon)
 	var out []Outage
-	t := 0.0
-	for {
-		t += rng.Exp(in.spec.NodeMTBF)
-		if t >= horizon || math.IsInf(t, 1) {
-			return out
-		}
-		down := rng.Exp(in.spec.NodeMTTR)
-		if in.spec.NodeMTTR <= 0 {
-			down = math.Inf(1) // never repaired
-		}
-		out = append(out, Outage{At: t, Duration: down})
-		if math.IsInf(down, 1) {
-			return out
-		}
-		t += down
+	for o, ok := d.next(); ok; o, ok = d.next() {
+		out = append(out, o)
 	}
+	return out
+}
+
+// outageDraws is one node's outage schedule, drawn one outage at a
+// time from the node's own stream.
+type outageDraws struct {
+	rng        *RNG
+	mtbf, mttr float64
+	horizon, t float64
+	done       bool
+}
+
+func (in *Injector) outageDraws(nodeID string, horizon float64) *outageDraws {
+	return &outageDraws{rng: in.root.Fork("node/" + nodeID),
+		mtbf: in.spec.NodeMTBF, mttr: in.spec.NodeMTTR, horizon: horizon}
+}
+
+// next returns the node's next outage; ok is false once the schedule
+// has reached the horizon or the node has failed for good.
+func (d *outageDraws) next() (o Outage, ok bool) {
+	if d.done {
+		return Outage{}, false
+	}
+	d.t += d.rng.Exp(d.mtbf)
+	if d.t >= d.horizon || math.IsInf(d.t, 1) {
+		d.done = true
+		return Outage{}, false
+	}
+	down := d.rng.Exp(d.mttr)
+	if d.mttr <= 0 {
+		down = math.Inf(1) // never repaired
+	}
+	o = Outage{At: d.t, Duration: down}
+	if math.IsInf(down, 1) {
+		d.done = true
+	} else {
+		d.t += down
+	}
+	return o, true
 }
 
 // FaultyController interposes the injector's actuator faults between a
