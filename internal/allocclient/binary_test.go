@@ -15,7 +15,8 @@ import (
 
 // TestBinaryRoundTrip drives a binary-enabled client against a real
 // binary-enabled allocsvc and checks the answers are content-identical
-// to the JSON path across all three routes.
+// to the JSON path on every route: coord, plan, schedule and tree over
+// binary, and recoord, which stays JSON-only even on a binary client.
 func TestBinaryRoundTrip(t *testing.T) {
 	svc := allocsvc.New(allocsvc.Config{Workers: 2, Binary: true})
 	defer svc.Close(context.Background())
@@ -75,6 +76,61 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if len(bsched.Placements) == 0 {
 		t.Fatal("binary schedule placed no jobs")
+	}
+	jsched, _, err := jc.Schedule(ctx, sreq)
+	if err != nil {
+		t.Fatalf("json schedule: %v", err)
+	}
+	if !reflect.DeepEqual(bsched, jsched) {
+		t.Fatalf("binary and JSON schedules differ:\n  bin:  %+v\n  json: %+v", bsched, jsched)
+	}
+
+	treq := allocsvc.TreeRequest{
+		Budget: 700,
+		Racks: []allocsvc.TreeRackJSON{
+			{ID: "cpu", CapWatts: 400, Nodes: []allocsvc.TreeNodeJSON{
+				{ID: "cpu/0", Platform: "ivybridge", Workload: "stream", Priority: 1},
+				{ID: "cpu/1", Platform: "haswell", Workload: "dgemm"},
+			}},
+			{ID: "gpu", Nodes: []allocsvc.TreeNodeJSON{
+				{ID: "gpu/0", Platform: "titanxp", Workload: "gpustream"},
+			}},
+		},
+	}
+	btree, bmeta, err := bc.Tree(ctx, treq)
+	if err != nil {
+		t.Fatalf("binary tree: %v", err)
+	}
+	if !bmeta.Binary {
+		t.Fatal("tree did not use the binary protocol")
+	}
+	jtree, _, err := jc.Tree(ctx, treq)
+	if err != nil {
+		t.Fatalf("json tree: %v", err)
+	}
+	if !reflect.DeepEqual(btree, jtree) {
+		t.Fatalf("binary and JSON trees differ:\n  bin:  %+v\n  json: %+v", btree, jtree)
+	}
+
+	// Recoord is JSON-only: a binary client still gets a JSON answer,
+	// on the first attempt, without demoting the shard.
+	rreq := allocsvc.RecoordRequest{Platform: "h100", Workload: "llmbatch", Budget: 300, Rounds: 1}
+	brec, bmeta, err := bc.Recoord(ctx, rreq)
+	if err != nil {
+		t.Fatalf("recoord on a binary client: %v", err)
+	}
+	if bmeta.Binary || bmeta.Attempts != 1 {
+		t.Fatalf("recoord meta = %+v, want one JSON attempt", bmeta)
+	}
+	if !bc.binaryOK[0].Load() {
+		t.Fatal("a recoord call must not demote the shard")
+	}
+	jrec, _, err := jc.Recoord(ctx, rreq)
+	if err != nil {
+		t.Fatalf("json recoord: %v", err)
+	}
+	if !reflect.DeepEqual(brec, jrec) {
+		t.Fatalf("recoord answers differ across clients:\n  bin:  %+v\n  json: %+v", brec, jrec)
 	}
 }
 
