@@ -120,8 +120,8 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serving /metrics, /healthz, and the allocation API (%s, %s, %s) on http://%s (fault seed %d, spec %s)\n",
-		allocsvc.RouteCoord, allocsvc.RoutePlan, allocsvc.RouteSchedule, ln.Addr(), cfg.seed, sp)
+	fmt.Printf("serving /metrics, /healthz, and the allocation API (%s) on http://%s (fault seed %d, spec %s)\n",
+		strings.Join(allocsvc.Paths(), ", "), ln.Addr(), cfg.seed, sp)
 
 	loopDone := make(chan error, 1)
 	go func() {
@@ -169,7 +169,7 @@ func cpuPlatformNames() string {
 // newServeMux routes the server's endpoints: Prometheus exposition on
 // /metrics (with ?format=json|text variants), the health flag on
 // /healthz, shard topology on /v1/peers, and — when a service is
-// given — the allocation API (/v1/coord, /v1/plan, /v1/schedule).
+// given — the allocation API (allocsvc.Paths).
 func newServeMux(reg *telemetry.Registry, health *telemetry.Health, svc *allocsvc.Service, topo allocclient.Peers) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", telemetry.MetricsHandler(reg))

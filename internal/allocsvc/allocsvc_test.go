@@ -3,6 +3,7 @@ package allocsvc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"net/http"
 	"net/http/httptest"
@@ -244,7 +245,8 @@ func TestQueueFullReturns429(t *testing.T) {
 }
 
 // TestBadInputs pins the client-error surface: wrong method, malformed
-// body, unknown field, non-positive budget, empty cluster.
+// body, unknown field, data after the JSON object, non-positive budget,
+// empty cluster.
 func TestBadInputs(t *testing.T) {
 	_, srv := newTestService(t, Config{Workers: 2})
 
@@ -274,6 +276,13 @@ func TestBadInputs(t *testing.T) {
 		{"bad_strategy", RouteCoord,
 			`{"platform":"ivybridge","workload":"stream","budget_watts":208,"strategy":"magic"}`,
 			"unknown CPU strategy"},
+		{"trailing_garbage", RouteCoord,
+			`{"platform":"ivybridge","workload":"stream","budget_watts":200}garbage`, "bad request body"},
+		{"second_object", RouteCoord,
+			`{"platform":"ivybridge","workload":"stream","budget_watts":200}{"platform":"haswell"}`,
+			"bad request body"},
+		{"trailing_array", RoutePlan,
+			`{"platform":"ivybridge","workload":"stream","budget_watts":200} []`, "bad request body"},
 		{"dup_node", RouteSchedule,
 			`{"budget_watts":500,"nodes":[{"id":"n","platform":"ivybridge"},{"id":"n","platform":"ivybridge"}],` +
 				`"jobs":[{"id":"j","workload":"stream"}]}`, "duplicate node"},
@@ -322,6 +331,50 @@ func TestScheduleReusesCachedScheduler(t *testing.T) {
 	svc.schedMu.Unlock()
 	if n != 2 {
 		t.Errorf("scheduler cache has %d entries after a second cluster, want 2", n)
+	}
+}
+
+// collidingRounds are two /v1/schedule rounds whose node IDs and
+// platforms, joined with the separators a naive key uses ("|", "="),
+// spell the same string: a 2-node cluster and a 1-node cluster whose
+// single node is named after both.
+var collidingRounds = [2]string{
+	`{"budget_watts":400,"nodes":[{"id":"n0","platform":"haswell"},{"id":"n1","platform":"ivybridge"}],` +
+		`"jobs":[{"id":"j0","workload":"stream"},{"id":"j1","workload":"dgemm"}]}`,
+	`{"budget_watts":400,"nodes":[{"id":"n0=haswell|n1","platform":"ivybridge"}],` +
+		`"jobs":[{"id":"j0","workload":"stream"},{"id":"j1","workload":"dgemm"}]}`,
+}
+
+// TestCollidingKeysKeepRequestsApart: free-form IDs cannot make two
+// different clusters share a cached scheduler (or two different rounds
+// share a coalesced answer). The second round must get the answer a
+// fresh service gives it, with placements only on its own node.
+func TestCollidingKeysKeepRequestsApart(t *testing.T) {
+	_, fresh := newTestService(t, Config{Workers: 2})
+	resp, want := post(t, fresh, RouteSchedule, collidingRounds[1])
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fresh round: status = %d, body %s", resp.StatusCode, want)
+	}
+
+	_, srv := newTestService(t, Config{Workers: 2})
+	if resp, body := post(t, srv, RouteSchedule, collidingRounds[0]); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first round: status = %d, body %s", resp.StatusCode, body)
+	}
+	resp, got := post(t, srv, RouteSchedule, collidingRounds[1])
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second round: status = %d, body %s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("second round answered from the first round's cluster:\n got  %s\n want %s", got, want)
+	}
+	var out ScheduleResponse
+	if err := json.Unmarshal(got, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range out.Placements {
+		if pl.Node != "n0=haswell|n1" {
+			t.Errorf("placement on %q, a node the round does not name", pl.Node)
+		}
 	}
 }
 

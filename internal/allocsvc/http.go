@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -51,11 +52,9 @@ func (s *Service) since(start time.Time) time.Duration { return s.cfg.Now().Sub(
 
 // Register mounts the service's routes on mux.
 func (s *Service) Register(mux *http.ServeMux) {
-	mux.HandleFunc(RouteCoord, s.handleCoord)
-	mux.HandleFunc(RoutePlan, s.handlePlan)
-	mux.HandleFunc(RouteSchedule, s.handleSchedule)
-	mux.HandleFunc(RouteTree, s.handleTree)
-	mux.HandleFunc(RouteRecoord, s.handleRecoord)
+	for _, rt := range routes {
+		mux.HandleFunc(rt.path(), func(w http.ResponseWriter, r *http.Request) { rt.serveHTTP(s, w, r) })
+	}
 }
 
 // Handler returns a mux with only the service routes, for tests and
@@ -130,54 +129,53 @@ func renderJSON(v any) []byte {
 	return append(b, '\n')
 }
 
-func okResponse(v any) *response {
-	return &response{code: http.StatusOK, body: renderJSON(v)}
+// encoding is a response body format: JSON, or binary wire frames.
+// It renders every outcome a route can answer: ok, error, 429, 503
+// and 504.
+type encoding string
+
+const (
+	jsonEncoding   encoding = "json"
+	binaryEncoding encoding = "binary"
+)
+
+func (e encoding) ok(body []byte) *response {
+	return &response{code: http.StatusOK, body: body, enc: e}
 }
 
-func errorResponse(err error) *response {
-	return &response{code: errorCode(err), body: renderJSON(errorJSON{Error: err.Error()})}
+// errorResponse renders an error body: {"error": msg} in JSON, an
+// error frame in binary.
+func (e encoding) errorResponse(code int, msg string) *response {
+	if e == binaryEncoding {
+		return &response{code: code, body: wire.AppendError(nil, code, msg), enc: e}
+	}
+	return &response{code: code, body: renderJSON(errorJSON{Error: msg}), enc: e}
+}
+
+// fail renders a computation error with its mapped status.
+func (e encoding) fail(err error) *response {
+	return e.errorResponse(errorCode(err), err.Error())
+}
+
+func (e encoding) timeout(err error) *response {
+	return e.errorResponse(http.StatusGatewayTimeout, "deadline exceeded: "+err.Error())
 }
 
 // errorCode maps a computation error to its HTTP status: 400 for
 // validation failures, 413 for oversized payloads, 500 otherwise.
 func errorCode(err error) int {
 	var be *badRequestError
-	if asBadRequest(err, &be) {
+	var tl *tooLargeError
+	switch {
+	case errors.As(err, &be):
 		return http.StatusBadRequest
-	}
-	if isTooLarge(err) {
+	case errors.As(err, &tl), errors.Is(err, wire.ErrFrameTooLarge):
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusInternalServerError
 }
 
-func timeoutResponse(err error) *response {
-	msg := "deadline exceeded"
-	if err != nil {
-		msg = err.Error()
-	}
-	return &response{
-		code: http.StatusGatewayTimeout,
-		body: renderJSON(errorJSON{Error: "deadline exceeded: " + msg}),
-	}
-}
-
-func busyResponse(retryAfterSecs int) *response {
-	return &response{
-		code:       http.StatusTooManyRequests,
-		body:       renderJSON(errorJSON{Error: "service saturated; retry later"}),
-		retryAfter: retryAfterSecs,
-	}
-}
-
-func closingResponse() *response {
-	return &response{
-		code: http.StatusServiceUnavailable,
-		body: renderJSON(errorJSON{Error: "service closing; not admitting new requests"}),
-	}
-}
-
-// badRequestError marks validation failures so errorResponse maps them
+// badRequestError marks validation failures so errorCode maps them
 // to 400 instead of 500. cause, when set, keeps the originating typed
 // error reachable through errors.Is/As (e.g. nvgov.ErrCapOutOfRange).
 type badRequestError struct {
@@ -193,21 +191,6 @@ func badRequestf(format string, args ...any) error {
 	return &badRequestError{msg: fmt.Sprintf(format, args...)}
 }
 
-func asBadRequest(err error, target **badRequestError) bool {
-	for err != nil {
-		if be, ok := err.(*badRequestError); ok {
-			*target = be
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
 // tooLargeError marks oversized request or response payloads so the
 // handlers answer 413 (and the binary client knows to retry in JSON)
 // instead of a generic 400/500.
@@ -219,59 +202,35 @@ func tooLargef(format string, args ...any) error {
 	return &tooLargeError{msg: fmt.Sprintf(format, args...)}
 }
 
-func isTooLarge(err error) bool {
-	for err != nil {
-		if _, ok := err.(*tooLargeError); ok {
-			return true
-		}
-		if errors.Is(err, wire.ErrFrameTooLarge) {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
 // decode reads and unmarshals a request body, strictly: unknown fields
 // are rejected so typos ("budget" for "budget_watts") fail loudly
-// instead of silently meaning zero watts. Oversized bodies surface as
-// 413, not 400 — the request may be well-formed, just too big.
+// instead of silently meaning zero watts, and so is anything but
+// whitespace after the object. Oversized bodies surface as 413, not
+// 400 — the request may be well-formed, just too big.
 func decode(w http.ResponseWriter, r *http.Request, into any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return tooLargef("request body exceeds %d bytes", mbe.Limit)
+	err := dec.Decode(into)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		return badRequestf("bad request body: %v", err)
+		if err == nil {
+			err = errors.New("data after the JSON object")
+		}
 	}
-	return nil
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return tooLargef("request body exceeds %d bytes", mbe.Limit)
+	}
+	return badRequestf("bad request body: %v", err)
 }
 
-// serve is the shared handler tail: method check, coalesced execution,
-// response write, accounting.
-func (s *Service) serve(w http.ResponseWriter, r *http.Request, route, key string, timeout time.Duration, compute func() (any, error)) {
-	start := s.now()
-	resp := s.do(r.Context(), route, key, timeout, false, compute)
-	s.write(w, resp)
-	s.count(route, resp.code, s.since(start))
-}
-
-// reject short-circuits a request that never reaches the worker pool
-// (bad method, bad body), with the same accounting as served requests.
-func (s *Service) reject(w http.ResponseWriter, route string, resp *response, start time.Time) {
-	s.write(w, resp)
-	s.count(route, resp.code, s.since(start))
-}
-
-func (s *Service) write(w http.ResponseWriter, resp *response) {
+// reply writes resp and accounts for the request that started at
+// start.
+func (s *Service) reply(w http.ResponseWriter, route string, resp *response, start time.Time) {
 	ct := "application/json"
-	if resp.binary {
+	if resp.enc == binaryEncoding {
 		ct = wire.ContentType
 	}
 	w.Header().Set("Content-Type", ct)
@@ -280,13 +239,11 @@ func (s *Service) write(w http.ResponseWriter, resp *response) {
 	}
 	w.WriteHeader(resp.code)
 	w.Write(resp.body)
+	s.count(route, resp.code, s.since(start))
 }
 
-func methodNotAllowed(r *http.Request) *response {
-	return &response{
-		code: http.StatusMethodNotAllowed,
-		body: renderJSON(errorJSON{Error: "method " + r.Method + " not allowed; use POST"}),
-	}
+func methodNotAllowed(enc encoding, r *http.Request) *response {
+	return enc.errorResponse(http.StatusMethodNotAllowed, "method "+r.Method+" not allowed; use POST")
 }
 
 // platformNames renders the catalog's platform names, optionally
@@ -322,56 +279,11 @@ func resolvePair(platform, wl string) (hw.Platform, workload.Workload, error) {
 	return p, w, nil
 }
 
-// budgetBits renders a float into the coalescing key exactly: two
-// budgets coalesce only when bit-identical, the same content-key
-// discipline the evalpool memo cache uses.
-func budgetBits(v float64) string {
-	return strconv.FormatUint(math.Float64bits(v), 16)
-}
-
 func checkBudget(v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 		return badRequestf("budget_watts must be a positive finite number, got %v", v)
 	}
 	return nil
-}
-
-// handleCoord serves POST /v1/coord.
-func (s *Service) handleCoord(w http.ResponseWriter, r *http.Request) {
-	start := s.now()
-	if isBinary(r) {
-		s.serveBinaryHTTP(w, r, RouteCoord, start, s.serveBinaryCoord)
-		return
-	}
-	if r.Method != http.MethodPost {
-		s.reject(w, RouteCoord, methodNotAllowed(r), start)
-		return
-	}
-	var req CoordRequest
-	if err := decode(w, r, &req); err != nil {
-		s.reject(w, RouteCoord, errorResponse(err), start)
-		return
-	}
-	if req.Strategy == "" {
-		req.Strategy = "coord"
-	}
-	if !s.closed.Load() {
-		var out CoordResponse
-		if s.tableCoord(&req, &out) {
-			s.reject(w, RouteCoord, okResponse(out), start)
-			return
-		}
-	}
-	key := strings.Join([]string{
-		RouteCoord, req.Platform, req.Workload, req.Strategy, budgetBits(req.Budget),
-	}, "|")
-	s.serve(w, r, RouteCoord, key, s.timeout(req.TimeoutMS), func() (any, error) {
-		resp, err := ComputeCoord(req)
-		if err != nil {
-			return nil, err
-		}
-		return resp, nil
-	})
 }
 
 // ComputeCoord computes one /v1/coord decision in-process: it is the
@@ -380,9 +292,7 @@ func (s *Service) handleCoord(w http.ResponseWriter, r *http.Request) {
 // locally when every shard is unreachable — a degraded answer is
 // content-identical to a served one.
 func ComputeCoord(req CoordRequest) (CoordResponse, error) {
-	if req.Strategy == "" {
-		req.Strategy = "coord"
-	}
+	defaultStrategy(&req)
 	if err := checkBudget(req.Budget); err != nil {
 		return CoordResponse{}, err
 	}
@@ -492,41 +402,6 @@ func strategyNames(kind hw.Kind) string {
 	return strings.Join(names, ", ")
 }
 
-// handlePlan serves POST /v1/plan.
-func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
-	start := s.now()
-	if isBinary(r) {
-		s.serveBinaryHTTP(w, r, RoutePlan, start, s.serveBinaryPlan)
-		return
-	}
-	if r.Method != http.MethodPost {
-		s.reject(w, RoutePlan, methodNotAllowed(r), start)
-		return
-	}
-	var req PlanRequest
-	if err := decode(w, r, &req); err != nil {
-		s.reject(w, RoutePlan, errorResponse(err), start)
-		return
-	}
-	if !s.closed.Load() {
-		var out PlanResponse
-		if s.tablePlan(&req, &out) {
-			s.reject(w, RoutePlan, okResponse(out), start)
-			return
-		}
-	}
-	key := strings.Join([]string{
-		RoutePlan, req.Platform, req.Workload, budgetBits(req.Budget),
-	}, "|")
-	s.serve(w, r, RoutePlan, key, s.timeout(req.TimeoutMS), func() (any, error) {
-		resp, err := ComputePlan(req)
-		if err != nil {
-			return nil, err
-		}
-		return resp, nil
-	})
-}
-
 // ComputePlan computes one /v1/plan decision in-process — the exact
 // computation behind POST /v1/plan, exported for allocclient's
 // degraded mode.
@@ -565,76 +440,30 @@ func ComputePlan(req PlanRequest) (PlanResponse, error) {
 	return resp, nil
 }
 
-// handleSchedule serves POST /v1/schedule.
-func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	start := s.now()
-	if isBinary(r) {
-		s.serveBinaryHTTP(w, r, RouteSchedule, start, s.serveBinarySchedule)
-		return
-	}
-	if r.Method != http.MethodPost {
-		s.reject(w, RouteSchedule, methodNotAllowed(r), start)
-		return
-	}
-	var req ScheduleRequest
-	if err := decode(w, r, &req); err != nil {
-		s.reject(w, RouteSchedule, errorResponse(err), start)
-		return
-	}
-	key := scheduleKey(&req)
-	s.serve(w, r, RouteSchedule, key, s.timeout(req.TimeoutMS), func() (any, error) {
-		return s.computeSchedule(req)
-	})
-}
-
-// scheduleKey fingerprints the full round content: budget, node list,
-// and job queue (order matters — the scheduler is order-sensitive).
-func scheduleKey(req *ScheduleRequest) string {
-	var b strings.Builder
-	b.WriteString(RouteSchedule)
-	b.WriteByte('|')
-	b.WriteString(budgetBits(req.Budget))
-	for _, n := range req.Nodes {
-		b.WriteString("|n:")
-		b.WriteString(n.ID)
-		b.WriteByte('=')
-		b.WriteString(n.Platform)
-	}
-	for _, j := range req.Jobs {
-		b.WriteString("|j:")
-		b.WriteString(j.ID)
-		b.WriteByte('=')
-		b.WriteString(j.Workload)
-	}
-	return b.String()
-}
-
-// clusterKey is the scheduler-cache key: the cluster alone (budget +
-// nodes), so successive rounds with different job queues share one
+// clusterKey writes the scheduler-cache key: the cluster alone (budget
+// and nodes), so successive rounds with different job queues share one
 // scheduler and its warm profile caches.
-func clusterKey(req *ScheduleRequest) string {
-	var b strings.Builder
-	b.WriteString(budgetBits(req.Budget))
+func clusterKey(k *keyWriter, req *ScheduleRequest) {
+	k.f64(req.Budget)
+	k.int(len(req.Nodes))
 	for _, n := range req.Nodes {
-		b.WriteString("|")
-		b.WriteString(n.ID)
-		b.WriteByte('=')
-		b.WriteString(n.Platform)
+		k.str(n.ID, n.Platform)
 	}
-	return b.String()
 }
 
-func (s *Service) computeSchedule(req ScheduleRequest) (any, error) {
+func (s *Service) computeSchedule(req ScheduleRequest) (ScheduleResponse, error) {
 	if err := checkBudget(req.Budget); err != nil {
-		return nil, err
+		return ScheduleResponse{}, err
 	}
 	if len(req.Nodes) == 0 {
-		return nil, badRequestf("at least one node is required")
+		return ScheduleResponse{}, badRequestf("at least one node is required")
 	}
 	if len(req.Jobs) == 0 {
-		return nil, badRequestf("at least one job is required")
+		return ScheduleResponse{}, badRequestf("at least one job is required")
 	}
-	sched, err := s.schedulerFor(clusterKey(&req), func() (*cluster.Scheduler, error) {
+	var k keyWriter
+	clusterKey(&k, &req)
+	sched, err := s.schedulerFor(string(k.b), func() (*cluster.Scheduler, error) {
 		nodes := make([]cluster.Node, len(req.Nodes))
 		for i, n := range req.Nodes {
 			p, err := hw.PlatformByName(n.Platform)
@@ -658,19 +487,19 @@ func (s *Service) computeSchedule(req ScheduleRequest) (any, error) {
 		return sched, nil
 	})
 	if err != nil {
-		return nil, err
+		return ScheduleResponse{}, err
 	}
 	jobs := make([]cluster.Job, len(req.Jobs))
 	for i, j := range req.Jobs {
 		wl, err := workload.ByName(j.Workload)
 		if err != nil {
-			return nil, badRequestf("job %q: unknown workload %q", j.ID, j.Workload)
+			return ScheduleResponse{}, badRequestf("job %q: unknown workload %q", j.ID, j.Workload)
 		}
 		jobs[i] = cluster.Job{ID: j.ID, Workload: wl}
 	}
 	out, err := sched.Schedule(jobs)
 	if err != nil {
-		return nil, err
+		return ScheduleResponse{}, err
 	}
 	resp := ScheduleResponse{
 		PoolLeft:   out.PoolLeft.Watts(),

@@ -209,11 +209,15 @@ func TestOversizeBinaryResponse413(t *testing.T) {
 	for len(huge.Deferred) < wire.MaxFrame/len(id)+2 {
 		huge.Deferred = append(huge.Deferred, id)
 	}
-	resp := okResponseBin(huge)
+	body, err := Schedule.appendResponse(nil, &huge)
+	if err == nil {
+		t.Fatalf("a %d-entry deferred list encoded into a %d-byte frame", len(huge.Deferred), len(body))
+	}
+	resp := binaryEncoding.fail(err)
 	if resp.code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("code = %d, want 413", resp.code)
 	}
-	if !resp.binary {
+	if resp.enc != binaryEncoding {
 		t.Fatal("oversize response must still answer in the negotiated encoding")
 	}
 	e, err := wire.DecodeError(resp.body)

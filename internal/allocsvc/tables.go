@@ -19,35 +19,3 @@ type Tables interface {
 	// Plan is the analogous lookup for /v1/plan.
 	Plan(req *PlanRequest, out *PlanResponse) bool
 }
-
-// tableCoord consults the configured tables for a coord request,
-// counting the outcome. It returns false when tables are not
-// configured or do not cover the request.
-func (s *Service) tableCoord(req *CoordRequest, out *CoordResponse) bool {
-	if s.cfg.Tables == nil {
-		return false
-	}
-	if s.cfg.Tables.Coord(req, out) {
-		s.stats.tableHits.Add(1)
-		s.m.tableHit.Inc()
-		return true
-	}
-	s.stats.tableMisses.Add(1)
-	s.m.tableMiss.Inc()
-	return false
-}
-
-// tablePlan is tableCoord's /v1/plan counterpart.
-func (s *Service) tablePlan(req *PlanRequest, out *PlanResponse) bool {
-	if s.cfg.Tables == nil {
-		return false
-	}
-	if s.cfg.Tables.Plan(req, out) {
-		s.stats.tableHits.Add(1)
-		s.m.tableHit.Inc()
-		return true
-	}
-	s.stats.tableMisses.Add(1)
-	s.m.tableMiss.Inc()
-	return false
-}

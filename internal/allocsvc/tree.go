@@ -1,69 +1,9 @@
 package allocsvc
 
 import (
-	"context"
-	"net/http"
-	"strconv"
-	"strings"
-	"sync"
-
 	"repro/internal/powertree"
 	"repro/internal/units"
-	"repro/internal/wire"
 )
-
-// handleTree serves POST /v1/tree: one hierarchical division of a
-// datacenter budget over racks of nodes. Unlike coord/plan the route is
-// deliberately table-unaware — a tree solve is a cross-node water-fill,
-// not a per-pair lookup — and its compute stays unexported so the
-// degraded-local client cannot impersonate it (the curve profiles live
-// server-side, like the cluster scheduler's caches).
-func (s *Service) handleTree(w http.ResponseWriter, r *http.Request) {
-	start := s.now()
-	if isBinary(r) {
-		s.serveBinaryHTTP(w, r, RouteTree, start, s.serveBinaryTree)
-		return
-	}
-	if r.Method != http.MethodPost {
-		s.reject(w, RouteTree, methodNotAllowed(r), start)
-		return
-	}
-	var req TreeRequest
-	if err := decode(w, r, &req); err != nil {
-		s.reject(w, RouteTree, errorResponse(err), start)
-		return
-	}
-	key := treeKey(&req)
-	s.serve(w, r, RouteTree, key, s.timeout(req.TimeoutMS), func() (any, error) {
-		return computeTree(req)
-	})
-}
-
-// treeKey fingerprints the full tree content: budget, racks (with
-// caps), and every leaf's pair and priority, in request order.
-func treeKey(req *TreeRequest) string {
-	var b strings.Builder
-	b.WriteString(RouteTree)
-	b.WriteByte('|')
-	b.WriteString(budgetBits(req.Budget))
-	for _, rack := range req.Racks {
-		b.WriteString("|r:")
-		b.WriteString(rack.ID)
-		b.WriteByte('@')
-		b.WriteString(budgetBits(rack.CapWatts))
-		for _, n := range rack.Nodes {
-			b.WriteString("|n:")
-			b.WriteString(n.ID)
-			b.WriteByte('=')
-			b.WriteString(n.Platform)
-			b.WriteByte('/')
-			b.WriteString(n.Workload)
-			b.WriteByte('^')
-			b.WriteString(strconv.Itoa(n.Priority))
-		}
-	}
-	return b.String()
-}
 
 // treeSpec converts the wire request into a powertree spec, resolving
 // catalog names with the same diagnostics as the other routes.
@@ -95,19 +35,22 @@ func treeSpec(req *TreeRequest) (powertree.Spec, error) {
 	return spec, nil
 }
 
-// computeTree solves one tree request. It is intentionally not
-// exported: /v1/tree has no degraded-local fallback in allocclient.
-func computeTree(req TreeRequest) (any, error) {
+// computeTree solves one tree request. The route is deliberately
+// table-unaware (a tree solve is a cross-node water-fill, not a
+// per-pair lookup), and the computation stays unexported so the
+// degraded-local client cannot impersonate it (the curve profiles live
+// server-side, like the cluster scheduler's caches).
+func computeTree(req TreeRequest) (TreeResponse, error) {
 	if err := checkBudget(req.Budget); err != nil {
-		return nil, err
+		return TreeResponse{}, err
 	}
 	spec, err := treeSpec(&req)
 	if err != nil {
-		return nil, err
+		return TreeResponse{}, err
 	}
 	res, err := powertree.Solve(spec, units.Power(req.Budget))
 	if err != nil {
-		return nil, err
+		return TreeResponse{}, err
 	}
 	resp := TreeResponse{
 		Budget:           res.Budget.Watts(),
@@ -151,36 +94,4 @@ func computeTree(req TreeRequest) (any, error) {
 		})
 	}
 	return resp, nil
-}
-
-type treeScratch struct {
-	req TreeRequest
-}
-
-var treeScratchPool = sync.Pool{New: func() any { return &treeScratch{} }}
-
-func getTreeScratch() *treeScratch {
-	sc := treeScratchPool.Get().(*treeScratch)
-	racks := sc.req.Racks
-	sc.req = TreeRequest{Racks: racks[:0]}
-	return sc
-}
-
-func (s *Service) serveBinaryTree(ctx context.Context, frame, dst []byte) (int, int, []byte) {
-	sc := getTreeScratch()
-	defer treeScratchPool.Put(sc)
-	if err := wire.DecodeTreeRequest(frame, &sc.req); err != nil {
-		return http.StatusBadRequest, 0, wire.AppendError(dst, http.StatusBadRequest, err.Error())
-	}
-	// Deep-copy: the compute closure may outlive the pooled scratch.
-	req := sc.req
-	req.Racks = append([]TreeRackJSON(nil), sc.req.Racks...)
-	for i := range req.Racks {
-		req.Racks[i].Nodes = append([]TreeNodeJSON(nil), req.Racks[i].Nodes...)
-	}
-	key := treeKey(&req) + "|bin"
-	resp := s.do(ctx, RouteTree, key, s.timeout(req.TimeoutMS), true, func() (any, error) {
-		return computeTree(req)
-	})
-	return resp.code, resp.retryAfter, append(dst, resp.body...)
 }
