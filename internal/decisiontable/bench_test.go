@@ -63,6 +63,25 @@ func BenchmarkBinaryFastPath(b *testing.B) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
 	ctx := context.Background()
+
+	// A too-small answer clears the pooled response's allocation; the
+	// hit after it must not allocate either.
+	small := wire.CoordRequest{Platform: "ivybridge", Workload: "stream", Budget: 40, Strategy: "coord"}
+	var smallOut wire.CoordResponse
+	if !s.Coord(&small, &smallOut) || smallOut.Alloc != nil {
+		b.Fatalf("40 W on ivybridge/stream is not a table-served too-small answer: %+v", smallOut)
+	}
+	smallFrame, err := wire.AppendCoordRequest(nil, &small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		svc.ServeBinary(ctx, smallFrame, (*buf)[:0])
+		svc.ServeBinary(ctx, frames[0], (*buf)[:0])
+	}); n != 0 {
+		b.Fatalf("a table hit after a too-small answer allocates: %v allocs per pair", n)
+	}
+
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
