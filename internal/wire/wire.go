@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 )
 
@@ -13,6 +14,15 @@ import (
 // (success or error) is rendered as a binary frame too; every other
 // request stays on the JSON surface.
 const ContentType = "application/x-pbc-binary"
+
+// IsContentType reports whether a Content-Type header value names the
+// binary protocol; media-type parameters are ignored.
+func IsContentType(ct string) bool {
+	if i := strings.IndexByte(ct, ';'); i >= 0 {
+		ct = strings.TrimSpace(ct[:i])
+	}
+	return ct == ContentType
+}
 
 // Shape tags (frame byte 3).
 const (
