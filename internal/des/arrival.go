@@ -1,22 +1,20 @@
 // Package des is the cluster queue simulator for power-bounded
-// clusters: the one engine that runs timed jobs through the cluster
-// scheduler's admission rules (Scheduler.Admit, its queue-order loop
-// AdmitWaiting, and the RunningJob progress state). It adds a seeded
-// open-arrival process (bursty, optionally diurnal), time-varying
-// budget shocks and node outages from internal/faults, and scales to
-// tens of thousands of nodes and millions of jobs with streaming
-// statistics.
+// clusters: it runs timed jobs through the cluster scheduler's
+// admission rules (Scheduler.Admit and its queue-order loop
+// AdmitWaiting) under a seeded open-arrival process (bursty, optionally
+// diurnal), budget shocks and node outages from internal/faults, and
+// scales to tens of thousands of nodes and millions of jobs with
+// streaming statistics.
 //
-// The simulator has two modes:
-//
-//   - exact mode keeps the full per-job result and the transition log;
-//     a run whose jobs all arrive at t=0 reproduces the frozen goldens
-//     in testdata byte for byte;
-//   - fast mode indexes completions in a binary heap keyed by absolute
-//     virtual time with lazy deletion and caches admission decisions,
-//     trading byte-identity with exact mode for event-throughput at
-//     scale. It is still fully deterministic: the same seed replays the
-//     same trace hash, bit for bit.
+// One event loop (run) drives both modes. It owns the fault cursors,
+// the event order, the event bound and starvation checks, the
+// pool-conservation audit, the fault accounting, the trace hash and
+// the statistics. A mode supplies its clock frame and its job and node
+// state: exact mode (ModeExact) steps a relative clock over the
+// scheduler's own queue and reproduces the frozen goldens in testdata
+// byte for byte; fast mode (ModeFast) keys completions by absolute time
+// in a heap and caches admission decisions. Either replays its trace
+// hash from the same seed, bit for bit.
 package des
 
 import (

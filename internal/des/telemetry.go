@@ -13,8 +13,9 @@ var (
 	mShocks         *telemetry.Counter
 )
 
-// Instrument registers exact mode's fault-path counters on r. Passing
-// nil disables them. Call before running simulations concurrently.
+// Instrument registers the fault-path counters, which both modes
+// count, on r. Passing nil disables them. Call before running
+// simulations concurrently.
 func Instrument(r *telemetry.Registry) {
 	const evHelp = "Running jobs evicted by the fault engine, by cause."
 	mEvictNodeFail = r.Counter("cluster_evictions_total", evHelp, "cause", "node-failure")
