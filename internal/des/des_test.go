@@ -385,6 +385,55 @@ func TestFastModeAdmissionMetrics(t *testing.T) {
 	}
 }
 
+// TestFastModeFaultMetrics: both modes count the fault path into the
+// registry passed to Instrument, and the counters agree with the run's
+// FaultSummary: node failures and recoveries, shocks, evictions by
+// cause, re-admissions and the reclaimed power.
+func TestFastModeFaultMetrics(t *testing.T) {
+	const (
+		arrivals = "rate=0.1,burst=2,diurnal=0.5,period=600,units=2e12,spread=0.5"
+		faulty   = "node.mtbf=900,node.mttr=120,shock.mtbs=300,shock.frac=0.2,shock.len=30"
+	)
+	for _, mode := range []Mode{ModeFast, ModeExact} {
+		t.Run(mode.String(), func(t *testing.T) {
+			reg := telemetry.New()
+			Instrument(reg)
+			defer Instrument(nil)
+			res, err := Run(simConfig(t, mode, 32, 5, 1200, arrivals, faulty, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := res.Faults
+			if f.NodeFailures == 0 || f.NodeRecoveries == 0 || f.Shocks == 0 || f.Readmissions == 0 {
+				t.Fatalf("run should exercise outages, repairs, shocks and evictions: %+v", f)
+			}
+			got := map[string]float64{}
+			for _, p := range reg.Snapshot().Points {
+				name := p.Name
+				for _, l := range p.Labels {
+					name += "{" + l.Key + "=" + l.Value + "}"
+				}
+				got[name] = p.Value
+			}
+			evicted := got["cluster_evictions_total{cause=node-failure}"] + got["cluster_evictions_total{cause=budget-shock}"]
+			for name, c := range map[string][2]float64{
+				"cluster_node_failures_total":   {got["cluster_node_failures_total"], float64(f.NodeFailures)},
+				"cluster_node_recoveries_total": {got["cluster_node_recoveries_total"], float64(f.NodeRecoveries)},
+				"cluster_budget_shocks_total":   {got["cluster_budget_shocks_total"], float64(f.Shocks)},
+				"cluster_readmissions_total":    {got["cluster_readmissions_total"], float64(f.Readmissions)},
+				"cluster_evictions_total":       {evicted, float64(f.Readmissions)},
+			} {
+				if c[0] != c[1] {
+					t.Errorf("%s = %v, want %v", name, c[0], c[1])
+				}
+			}
+			if w, want := got["cluster_budget_reclaimed_watts_total"], f.BudgetReclaimed.Watts(); math.Abs(w-want) > 1e-6*want {
+				t.Errorf("cluster_budget_reclaimed_watts_total = %v, want %v", w, want)
+			}
+		})
+	}
+}
+
 // TestNodeOutagesDrawnLazily: node outages are drawn as the run reaches
 // them, not over the whole fault horizon (about 4e5 times the makespan
 // here). A 1000-node fast run with node faults took 29 s when every
