@@ -44,6 +44,16 @@ func TestParseSpec(t *testing.T) {
 		{name: "probability above one", in: "cap.fail=1.5", wantErr: "outside [0, 1]"},
 		{name: "negative mean", in: "node.mtbf=-5", wantErr: "negative"},
 		{name: "noise above one", in: "sensor.noise=2", wantErr: "above 1"},
+		{name: "mtbf below minimum", in: "node.mtbf=1e-14", wantErr: "node.mtbf=1e-14 below the minimum mean of 0.001 s"},
+		{name: "mttr below minimum", in: "node.mtbf=400,node.mttr=1e-9", wantErr: "node.mttr=1e-09 below the minimum mean of 0.001 s"},
+		{name: "mtbs below minimum", in: "shock.mtbs=0.000999", wantErr: "shock.mtbs=0.000999 below the minimum mean of 0.001 s"},
+		{
+			name: "means at the minimum",
+			in:   "node.mtbf=0.001,node.mttr=0.001,shock.mtbs=0.001",
+			want: Spec{NodeMTBF: 0.001, NodeMTTR: 0.001, ShockMTBS: 0.001},
+		},
+		{name: "zero means disable", in: "node.mtbf=0,shock.mtbs=0", want: Spec{}},
+		{name: "tiny shock length allowed", in: "shock.mtbs=60,shock.len=1e-9", want: Spec{ShockMTBS: 60, ShockLen: 1e-9}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,6 +116,14 @@ func TestSpecScale(t *testing.T) {
 	}
 	if d.NodeMTTR != 60 || d.ShockFrac != 0.25 || d.ShockLen != 30 {
 		t.Fatalf("Scale(2) changed severities: %+v", d)
+	}
+	// A huge factor stops the means at the minimum Validate accepts.
+	h := sp.Scale(1e9)
+	if h.NodeMTBF != minMeanSeconds || h.ShockMTBS != minMeanSeconds {
+		t.Fatalf("Scale(1e9) means = %v, %v, want %v", h.NodeMTBF, h.ShockMTBS, minMeanSeconds)
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatalf("Scale(1e9) invalid: %v", err)
 	}
 }
 

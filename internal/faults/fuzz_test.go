@@ -21,6 +21,10 @@ func FuzzParseSpec(f *testing.F) {
 		"cap.fail=0.1,,",
 		"sensor.noise=1e-3",
 		"node.mtbf=1e300",
+		"node.mtbf=1e-14",
+		"node.mtbf=400,node.mttr=1e-9",
+		"shock.mtbs=0.000999,shock.frac=0.5,shock.len=1",
+		"node.mtbf=0.001,node.mttr=0.001,shock.mtbs=0.001",
 		"cap.fail=NaN",
 		"cap.fail=Inf",
 		"  cap.fail = 0.5  ",

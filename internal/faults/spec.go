@@ -148,6 +148,12 @@ func (sp Spec) String() string {
 	return strings.Join(parts, ",")
 }
 
+// minMeanSeconds is the smallest non-zero mean time a spec accepts for
+// node.mtbf, node.mttr and shock.mtbs. Below it an exponential draw
+// barely moves t, so a schedule drawn up to a horizon never gets there
+// and a cluster simulation spends its whole event budget on faults.
+const minMeanSeconds = 1e-3
+
 // Validate rejects out-of-range rates and magnitudes.
 func (sp Spec) Validate() error {
 	for _, f := range specFields {
@@ -172,16 +178,20 @@ func (sp Spec) Validate() error {
 	nonneg := []struct {
 		name string
 		v    float64
+		mean bool // zero disables the process; else at least minMeanSeconds
 	}{
-		{"sensor.noise", sp.SensorNoise},
-		{"node.mtbf", sp.NodeMTBF},
-		{"node.mttr", sp.NodeMTTR},
-		{"shock.mtbs", sp.ShockMTBS},
-		{"shock.len", sp.ShockLen},
+		{"sensor.noise", sp.SensorNoise, false},
+		{"node.mtbf", sp.NodeMTBF, true},
+		{"node.mttr", sp.NodeMTTR, true},
+		{"shock.mtbs", sp.ShockMTBS, true},
+		{"shock.len", sp.ShockLen, false},
 	}
 	for _, p := range nonneg {
 		if p.v < 0 {
 			return fmt.Errorf("faults: %s=%v negative", p.name, p.v)
+		}
+		if p.mean && p.v > 0 && p.v < minMeanSeconds {
+			return fmt.Errorf("faults: %s=%v below the minimum mean of %v s (0 disables it)", p.name, p.v, minMeanSeconds)
 		}
 	}
 	if sp.SensorNoise > 1 {
@@ -197,9 +207,9 @@ func (sp Spec) Zero() bool {
 
 // Scale returns the spec with every fault made factor times as frequent:
 // probabilities multiply (clamped to 1), mean times between failures
-// divide. Repair times, shock magnitude, and shock length are severities
-// rather than frequencies and stay fixed. Scale(0) is the fault-free
-// spec.
+// divide, down to the minimum mean Validate accepts. Repair times, shock
+// magnitude, and shock length are severities rather than frequencies
+// and stay fixed. Scale(0) is the fault-free spec.
 func (sp Spec) Scale(factor float64) Spec {
 	if factor < 0 {
 		factor = 0
@@ -215,12 +225,13 @@ func (sp Spec) Scale(factor float64) Spec {
 	out.SensorNoise = clamp01(sp.SensorNoise * factor)
 	out.CapFail = clamp01(sp.CapFail * factor)
 	out.CapStuck = clamp01(sp.CapStuck * factor)
-	if factor == 0 {
-		out.NodeMTBF = 0
-		out.ShockMTBS = 0
-	} else {
-		out.NodeMTBF = sp.NodeMTBF / factor
-		out.ShockMTBS = sp.ShockMTBS / factor
+	mean := func(v float64) float64 {
+		if v == 0 || factor == 0 {
+			return 0
+		}
+		return math.Max(v/factor, minMeanSeconds)
 	}
+	out.NodeMTBF = mean(sp.NodeMTBF)
+	out.ShockMTBS = mean(sp.ShockMTBS)
 	return out
 }
