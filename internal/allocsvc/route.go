@@ -113,8 +113,7 @@ var Plan = &Route[PlanRequest, PlanResponse]{
 }
 
 // Schedule serves one cluster scheduling round. It has no local
-// fallback: a round mutates shard-side scheduler state, so a locally
-// computed one would silently fork it.
+// fallback: allocclient reports total shard loss as ErrUnavailable.
 var Schedule = &Route[ScheduleRequest, ScheduleResponse]{
 	Path: RouteSchedule,
 	// The ring key mirrors the scheduler cache key (budget and nodes),
