@@ -54,12 +54,13 @@ chaossmoke:
 
 # Cluster queue engine gate under the race detector: exact mode against
 # the frozen testdata goldens (byte for byte), replay determinism (same
-# seed, same trace hash) and the pinned trace hashes of representative
-# runs in both modes, then a seeded DES run through the pbc CLI with a
-# replay check, and the pbc faults cluster demo, which runs its queues
-# through exact mode.
+# seed, same trace hash), the pinned trace hashes of representative
+# runs in both modes and the cross-mode property table (same arrivals,
+# same completion or starvation, pool conservation, fast replay), then
+# a seeded DES run through the pbc CLI with a replay check, and the pbc
+# faults cluster demo, which runs its queues through exact mode.
 dessmoke:
-	$(GO) test -race -run 'TestGoldenEquivalence|TestReplayDeterminism|TestTraceHashPinned' -count=1 ./internal/des
+	$(GO) test -race -run 'TestGoldenEquivalence|TestReplayDeterminism|TestTraceHashPinned|TestCrossModeProperties' -count=1 ./internal/des
 	$(GO) run -race ./cmd/pbc des -nodes 64 -horizon 600 -seed 7 \
 		-arrival-spec "rate=0.2,burst=2,units=2e12" \
 		-fault-spec "shock.mtbs=120,shock.frac=0.25,shock.len=20" -replay-check
