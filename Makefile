@@ -31,10 +31,11 @@ benchsmoke:
 	$(GO) test -race -run=^$$ -bench=BenchmarkSweepSerialVsParallel -benchtime=1x .
 
 # One iteration of each simulator layer bench (the 4096-leaf tree solve,
-# DES exact and fast mode at the perfbench simulate sizes, a recoord
-# run), so the benchmarks cannot rot.
+# DES exact and fast mode at the perfbench simulate sizes, DES exact
+# under an oversubscribed queue, a recoord run), so the benchmarks
+# cannot rot.
 simbench:
-	$(GO) test -run=^$$ -bench='^Benchmark(Solve4096|RunExact256|RunFast10k|Run)$$' -benchtime=1x ./internal/powertree ./internal/des ./internal/recoord
+	$(GO) test -run=^$$ -bench='^Benchmark(Solve4096|RunExact256|RunExactOversubscribed|RunFast10k|Run)$$' -benchtime=1x ./internal/powertree ./internal/des ./internal/recoord
 
 # Concurrency smoke for the allocation service under the race
 # detector: many clients over all five API routes, in JSON and binary,
@@ -60,7 +61,7 @@ chaossmoke:
 # a seeded DES run through the pbc CLI with a replay check, and the pbc
 # faults cluster demo, which runs its queues through exact mode.
 dessmoke:
-	$(GO) test -race -run 'TestGoldenEquivalence|TestReplayDeterminism|TestTraceHashPinned|TestCrossModeProperties' -count=1 ./internal/des
+	$(GO) test -race -run 'TestGoldenEquivalence|TestReplayDeterminism|TestTraceHashPinned|TestCrossModeProperties|TestOneJobEqualsSim' -count=1 ./internal/des
 	$(GO) run -race ./cmd/pbc des -nodes 64 -horizon 600 -seed 7 \
 		-arrival-spec "rate=0.2,burst=2,units=2e12" \
 		-fault-spec "shock.mtbs=120,shock.frac=0.25,shock.len=20" -replay-check

@@ -16,6 +16,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/coord"
@@ -73,7 +74,7 @@ type Outcome struct {
 }
 
 // Scheduler owns a cluster power budget and a set of nodes. Its
-// scheduling entry points (Schedule, AdmitWaiting, Prewarm,
+// scheduling entry points (Schedule, Admit, Prewarm,
 // RunDemandResponse) are safe for concurrent use, and so are concurrent
 // internal/des queue runs on one scheduler: the scheduler holds no
 // mutable state. Job profiles come from the profile package, which
@@ -217,19 +218,6 @@ func (s *Scheduler) simulate(node Node, w *workload.Workload, alloc core.Allocat
 	}
 }
 
-// findNode returns the index of the first free node whose kind matches
-// the workload, or -1 when none exists. Admission looks the node up
-// first and removes it — in place, order preserved — only once the job
-// is actually admitted, so a job the pool blocks costs no copy.
-func findNode(free []Node, kind hw.Kind) int {
-	for i := range free {
-		if free[i].Platform.Kind == kind {
-			return i
-		}
-	}
-	return -1
-}
-
 // Schedule runs one scheduling round over the queued jobs. Jobs are
 // considered in queue order; each takes the next free node. A job is
 // admitted if the pool can cover at least its productive threshold; it is
@@ -248,7 +236,9 @@ func (s *Scheduler) Schedule(jobs []Job) (Outcome, error) {
 	var adm []admitted
 
 	for _, job := range jobs {
-		ni := findNode(freeNodes, job.Workload.Kind)
+		// The first free node of the job's kind; it is removed only once
+		// the job is admitted, so a job the pool blocks costs no copy.
+		ni := slices.IndexFunc(freeNodes, func(n Node) bool { return n.Platform.Kind == job.Workload.Kind })
 		if ni < 0 {
 			out.Deferred = append(out.Deferred, job.ID)
 			continue

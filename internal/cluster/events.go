@@ -81,7 +81,7 @@ func (d Discipline) String() string {
 type Event struct {
 	// Time is the simulation time in seconds.
 	Time float64
-	// Kind is "start" or "finish".
+	// Kind is "start", "finish", "suspend", "fail" or "recover".
 	Kind string
 	// JobID and NodeID identify the affected job and node.
 	JobID, NodeID string
@@ -161,22 +161,6 @@ func (r *QueueResult) MaxSlowdown() float64 {
 	return worst
 }
 
-// RunningJob is one in-flight job of an event-driven queue run, as
-// admitted by AdmitWaiting. The queue engine itself lives in
-// internal/des, which drives this progress state.
-type RunningJob struct {
-	Job       TimedJob
-	Node      Node
-	Remaining float64
-	Rate      float64
-	Power     units.Power
-	Budget    units.Power
-	Started   float64
-	// FirstStart is the job's first admission time, preserved across
-	// fault-driven re-admissions so wait-time stats stay meaningful.
-	FirstStart float64
-}
-
 // Admission is one job's admission onto a node: the grant it holds for
 // its lifetime, and the power it draws and the rate it works at under
 // that grant.
@@ -190,7 +174,9 @@ type Admission struct {
 // given size, by the paper's rules: admit only at the productive
 // threshold, grant at most the maximum demand, and return COORD's
 // surplus to the pool. ok is false when the job cannot start there.
-// Admit touches no metrics; AdmitWaiting is its queue-order loop.
+// The answer depends on the node's platform, the job's workload, the
+// pool and the policy alone. Admit touches no metrics; internal/des
+// caches its answers in its one admission pass.
 //
 // sat is the pool at and above which the decision no longer depends on
 // the pool: max(threshold, maxTotal), since a pool that covers the
@@ -246,61 +232,7 @@ func (s *Scheduler) Admit(node Node, j Job, pool units.Power, policy SplitPolicy
 	}
 	rate := simRes.UnitRate.OpsPerSecond()
 	if rate <= 0 {
-		return Admission{}, sat, false, fmt.Errorf("cluster: job %q makes no progress", j.ID)
+		return Admission{}, sat, false, fmt.Errorf("cluster: workload %q makes no progress on node %q", w.Name, node.ID)
 	}
 	return Admission{Budget: grant, Power: simRes.TotalPower, Rate: rate}, sat, true, nil
-}
-
-// AdmitWaiting starts every waiting job that can receive a productive
-// grant on a free node, in queue order, and returns the updated
-// scheduler state. Each job is decided by Admit, so the paper's
-// admission rules live in one place for both internal/des engines.
-//
-// freeNodes must be a slice the caller owns: an admitted job's node is
-// removed in place, order preserved (the head by reslicing), so the
-// returned free list reuses freeNodes' backing array and the caller
-// must carry on with the returned slice, not the one it passed in.
-func (s *Scheduler) AdmitWaiting(res *QueueResult, active []*RunningJob, waiting []TimedJob,
-	freeNodes []Node, pool units.Power, now float64,
-	policy SplitPolicy, disc Discipline) ([]*RunningJob, []TimedJob, []Node, units.Power, error) {
-
-	var still []TimedJob
-	blocked := false
-	started := len(active)
-	for _, j := range waiting {
-		if blocked && disc == DisciplineFIFO {
-			still = append(still, j)
-			continue
-		}
-		ni := findNode(freeNodes, j.Workload.Kind)
-		if ni < 0 {
-			still = append(still, j)
-			blocked = true
-			continue
-		}
-		node := freeNodes[ni]
-		a, _, ok, err := s.Admit(node, j.Job, pool, policy)
-		if err != nil {
-			return active, waiting, freeNodes, pool, err
-		}
-		if !ok {
-			still = append(still, j)
-			blocked = true
-			continue
-		}
-		pool -= a.Budget
-		if ni == 0 {
-			freeNodes = freeNodes[1:]
-		} else {
-			freeNodes = append(freeNodes[:ni], freeNodes[ni+1:]...)
-		}
-		active = append(active, &RunningJob{
-			Job: j, Node: node, Remaining: j.Units,
-			Rate: a.Rate, Power: a.Power, Budget: a.Budget,
-			Started: now, FirstStart: now,
-		})
-		res.Events = append(res.Events, Event{Time: now, Kind: "start", JobID: j.ID, NodeID: node.ID})
-	}
-	ObserveAdmissionPass(len(active)-started, len(still), len(active))
-	return active, still, freeNodes, pool, nil
 }

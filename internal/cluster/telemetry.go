@@ -24,8 +24,9 @@ func Instrument(r *telemetry.Registry) {
 
 // ObserveAdmissionPass records one admission pass of a queue engine:
 // started jobs count as admissions, and the gauges take the number of
-// jobs still waiting and running after the pass. AdmitWaiting records
-// its own passes; an engine that admits through Admit records its own.
+// jobs still waiting and running after the pass. Admit touches no
+// metrics, so the engine that admits through it (internal/des) records
+// each pass here.
 func ObserveAdmissionPass(started, waiting, running int) {
 	mAdmissions.Add(float64(started))
 	mQueueDepth.Set(float64(waiting))

@@ -1,20 +1,21 @@
 // Package des is the cluster queue simulator for power-bounded
 // clusters: it runs timed jobs through the cluster scheduler's
-// admission rules (Scheduler.Admit and its queue-order loop
-// AdmitWaiting) under a seeded open-arrival process (bursty, optionally
-// diurnal), budget shocks and node outages from internal/faults, and
-// scales to tens of thousands of nodes and millions of jobs with
-// streaming statistics.
+// admission rule (Scheduler.Admit) under a seeded open-arrival process
+// (bursty, optionally diurnal), budget shocks and node outages from
+// internal/faults, and scales to tens of thousands of nodes and
+// millions of jobs with streaming statistics.
 //
-// One event loop (run) drives both modes. It owns the fault cursors,
-// the event order, the event bound and starvation checks, the
-// pool-conservation audit, the fault accounting, the trace hash and
-// the statistics. A mode supplies its clock frame and its job and node
-// state: exact mode (ModeExact) steps a relative clock over the
-// scheduler's own queue and reproduces the frozen goldens in testdata
-// byte for byte; fast mode (ModeFast) keys completions by absolute time
-// in a heap and caches admission decisions. Either replays its trace
-// hash from the same seed, bit for bit.
+// One event loop (run) and one admission core (admit) drive both
+// modes. They own the fault cursors, the event order, the event bound
+// and starvation checks, node placement (a FIFO of free nodes per
+// hardware kind), the cached admission pass, shock eviction (latest
+// start, first admitted on ties), the pool-conservation audit, the
+// fault accounting, the trace hash and the statistics. A mode supplies
+// only its clock frame and its queue: exact mode (ModeExact) steps a
+// relative clock over a queue of job indices and reproduces the frozen
+// goldens in testdata byte for byte; fast mode (ModeFast) keys
+// completions by absolute time in a heap over an index-window queue.
+// Either replays its trace hash from the same seed, bit for bit.
 package des
 
 import (

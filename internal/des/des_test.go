@@ -451,8 +451,8 @@ func TestNodeOutagesDrawnLazily(t *testing.T) {
 	if elapsed > time.Second {
 		t.Errorf("run took %v, want under 1s", elapsed)
 	}
-	if res.Faults.NodeFailures != 110 || res.TraceHash != 0x2afb12ceda36118f {
-		t.Errorf("node failures %d, trace hash %016x; want 110 and 2afb12ceda36118f",
+	if res.Faults.NodeFailures != 110 || res.TraceHash != 0xb523136611aa6898 {
+		t.Errorf("node failures %d, trace hash %016x; want 110 and b523136611aa6898",
 			res.Faults.NodeFailures, res.TraceHash)
 	}
 }

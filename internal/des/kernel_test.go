@@ -189,10 +189,11 @@ func TestGenerateArrivalsEqualsThinning(t *testing.T) {
 
 // TestProbeEqualsAdmitWaiting: for every catalog (platform, workload)
 // pair of matching kind, under both split policies the CPU nodes take,
-// fast mode's cached probe answers pools at, one ulp above, twice and
-// far above the saturation point — and just below it — exactly as a
-// direct AdmitWaiting of one job at that pool does, whether the first
-// probe of the class lands above the saturation point or below it.
+// the admission pass's cached probe answers pools at, one ulp above,
+// twice and far above the saturation point — and just below it —
+// exactly as Scheduler.Admit at that exact pool does, whether the
+// first probe of the pair lands above the saturation point or below
+// it.
 func TestProbeEqualsAdmitWaiting(t *testing.T) {
 	pairs, admitted := 0, 0
 	for _, p := range hw.AllPlatforms() {
@@ -220,29 +221,22 @@ func TestProbeEqualsAdmitWaiting(t *testing.T) {
 				pools := []units.Power{sat / 2, 0.999 * sat, units.Power(math.Nextafter(sat.Watts(), 0)),
 					sat, units.Power(math.Nextafter(sat.Watts(), math.Inf(1))), 2 * sat, units.Power(1e6)}
 				for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1, 0}} {
-					pr := newProber(s, w, policy, []cluster.Node{node})
+					pr := newProber(s, policy, 1, []workload.Workload{w})
 					for _, i := range order {
 						pool := pools[i]
-						got, err := pr.probe(0, pool)
+						got, err := pr.probe(0, 0, 0, pool)
 						if err != nil {
 							t.Fatalf("%s/%s %v: probe at %v: %v", p.Name, w.Name, policy, pool, err)
 						}
-						active, _, _, _, err := s.AdmitWaiting(&cluster.QueueResult{}, nil,
-							[]cluster.TimedJob{{Job: job, Units: 1}}, []cluster.Node{node}, pool, 0,
-							policy, cluster.DisciplineBackfill)
+						want, _, ok, err := s.Admit(node, job, pool, policy)
 						if err != nil {
-							t.Fatalf("%s/%s %v: AdmitWaiting at %v: %v", p.Name, w.Name, policy, pool, err)
+							t.Fatalf("%s/%s %v: Admit at %v: %v", p.Name, w.Name, policy, pool, err)
 						}
-						want := probeVal{ok: len(active) == 1}
-						if want.ok {
-							r := active[0]
-							want.Admission = cluster.Admission{Budget: r.Budget, Power: r.Power, Rate: r.Rate}
-						}
-						if want.ok {
+						if ok {
 							admitted++
 						}
-						if got != want {
-							t.Errorf("%s/%s %v at %v (sat %v): probe %+v, AdmitWaiting %+v",
+						if got != want || ok != (got.Rate > 0) {
+							t.Errorf("%s/%s %v at %v (sat %v): probe %+v, Admit %+v",
 								p.Name, w.Name, policy, pool, sat, got, want)
 						}
 					}

@@ -11,13 +11,17 @@ import (
 )
 
 // lifecycle is the run state both modes share: the clock, the power
-// pool, node health, the fault cursors and accounting, the trace hash
-// and the streaming statistics. A mode embeds it and adds its own job
-// and node state; run drives both through one event loop.
+// pool, every job's admission record, node health and the admission
+// core (admit.go), the fault cursors and accounting, the trace hash and
+// the streaming statistics. A mode embeds it and adds its clock frame
+// and its queue; run drives both through one event loop.
 type lifecycle struct {
 	cfg  Config
 	arrs []jobArrival
-	log  *trace.EventLog // exact mode only
+	// Exact mode only: the per-job result, job IDs and transition log.
+	res *cluster.QueueResult
+	ids []string
+	log *trace.EventLog
 
 	outages *faults.OutageStream
 	shocks  *faults.ShockEdges
@@ -29,27 +33,52 @@ type lifecycle struct {
 	// identity pool + Σ(committed grants) + shockHeld == Budget;
 	// eviction bugs that leak or mint power show up as a deviation.
 	shockHeld units.Power
-	down      []bool
 	nDown     int
-	energy    units.Energy
-	sum       FaultSummary
-	hash      traceHash
-	stats     agg
+
+	// jobs holds every job by dense index: the t=0 jobs in order, then
+	// the generated trace. Dense indices name jobs in the trace hash
+	// and to the mode.
+	jobs   []jobRec
+	active int // running jobs
+	admitter
+
+	energy units.Energy
+	sum    FaultSummary
+	hash   traceHash
+	stats  agg
 }
 
-// newLifecycle starts a run at t=0 with the full budget and every node
-// up. The fault schedules cover a bound on the makespan (total work at
-// a conservative 1e9 units/s, padded 4x, floored at one hour) and are
-// drawn only as the event cursor reaches them. The goldens pin the
-// outage schedules, so the formula and its accumulation order (t=0
-// jobs first, then the generated trace) are part of the contract.
+// jobRec is one job's record, compact (no strings, no maps) so
+// million-job traces stay cache- and memory-friendly.
+type jobRec struct {
+	// units is the work left as of the job's last (re)admission; exact
+	// mode drains it as the job runs.
+	units             float64
+	firstStart        float64 // -1 until the first admission
+	started           float64
+	doneT             float64 // fast mode: absolute completion time while running
+	cluster.Admission         // while running
+	node              int32   // while running
+	gen               uint32  // bumped as the job leaves service: stale heap and log entries miss
+}
+
+// newLifecycle starts a run at t=0 with the full budget, every node up
+// and free, and nothing queued. The fault schedules cover a bound on
+// the makespan (total work at a conservative 1e9 units/s, padded 4x,
+// floored at one hour) and are drawn only as the event cursor reaches
+// them. The goldens pin the outage schedules, so the formula and its
+// accumulation order (t=0 jobs first, then the generated trace) are
+// part of the contract.
 func newLifecycle(cfg Config, arrs []jobArrival) lifecycle {
+	jobs := make([]jobRec, 0, len(cfg.Jobs)+len(arrs))
 	var totalUnits float64
 	for _, j := range cfg.Jobs {
 		totalUnits += j.Units
+		jobs = append(jobs, jobRec{units: j.Units, firstStart: -1})
 	}
 	for _, a := range arrs {
 		totalUnits += a.units
+		jobs = append(jobs, jobRec{units: a.units, firstStart: -1})
 	}
 	horizon := 4 * totalUnits / 1e9
 	if horizon < 3600 {
@@ -62,17 +91,17 @@ func newLifecycle(cfg Config, arrs []jobArrival) lifecycle {
 	}
 	return lifecycle{
 		cfg: cfg, arrs: arrs,
-		outages: cfg.Injector.OutageStream(ids, horizon),
-		shocks:  cfg.Injector.ShockEdges(horizon, s.Budget),
-		pool:    s.Budget,
-		down:    make([]bool, len(s.Nodes)),
-		hash:    newTraceHash(),
+		outages:  cfg.Injector.OutageStream(ids, horizon),
+		shocks:   cfg.Injector.ShockEdges(horizon, s.Budget),
+		pool:     s.Budget,
+		jobs:     jobs,
+		admitter: newAdmitter(cfg),
+		hash:     newTraceHash(),
 	}
 }
 
-// mode is what an engine adds to the lifecycle. Jobs are named by
-// handles the mode chooses: exact mode's index into its running list,
-// fast mode's dense job index.
+// mode is what an engine adds to the lifecycle: its clock frame and its
+// queue. Jobs are named by dense index.
 type mode interface {
 	// until converts an absolute time into the mode's clock frame.
 	// nextDone answers in that frame (+Inf while nothing runs), and
@@ -81,33 +110,20 @@ type mode interface {
 	nextDone() float64
 	advance(t float64)
 
-	admit() error
-	arrive(i int) // queue generated arrival i
-	// finish takes the job nextDone found out of service and frees its
-	// node; evict re-queues running job j at the queue head with its
-	// remaining work, freeing its node if keepNode. latest is the most
-	// recently started running job.
-	finish() stopped
-	evict(j int, keepNode bool) stopped
-	latest() int
-
-	// nodeUp frees recovered node n; nodeDown takes failed node n out of
-	// the free set, or returns the job running on it (-1 when idle).
-	nodeUp(n int32)
-	nodeDown(n int32) int
+	// push queues job j, at the head for a re-admission; queued and
+	// queuedJob read the queue in admission order.
+	push(j int32, head bool)
+	queued() int
+	queuedJob(i int) int32
+	// start moves the job at queue position i into service under the
+	// admission its record now holds. finish takes the job nextDone
+	// found out of service; evict takes running job j out, leaving its
+	// remaining work in its record.
+	start(i int)
+	finish() int32
+	evict(j int32)
 
 	committed() units.Power // the grants of the running jobs
-	queued() int
-	running() int
-}
-
-// stopped is a job leaving service.
-type stopped struct {
-	job, node                    int32 // dense indices for the trace hash
-	budget, power                units.Power
-	started, firstStart, arrival float64 // this run's start; the job's first start and arrival
-	id                           string  // evictions, exact mode: for the log
-	left                         float64 // evictions: remaining work
 }
 
 // run is the one event loop. It takes the next event — outage edge,
@@ -116,19 +132,22 @@ type stopped struct {
 // fails with cluster.ErrStarved; Config.MaxEvents bounds the loop.
 func run(l *lifecycle, m mode) (Result, error) {
 	out := Result{Mode: l.cfg.Mode}
-	if err := m.admit(); err != nil {
+	for j := range l.cfg.Jobs {
+		l.enqueue(m, int32(j), false)
+	}
+	if err := l.admit(m); err != nil {
 		return out, err
 	}
 	l.conserve(m)
 	// At t=0 every node is up and the budget is unshocked, so a queue
 	// that cannot start now can never start: faults only remove capacity.
-	if m.running() == 0 && m.queued() > 0 {
+	if l.active == 0 && m.queued() > 0 {
 		return out, fmt.Errorf("cluster: no job can start (budget %v too small for every job): %w",
 			l.cfg.Sched.Budget, cluster.ErrStarved)
 	}
 
 	arrs, ai, steps := l.arrs, 0, 0
-	for ; ai < len(arrs) || m.running() > 0 || m.queued() > 0; steps++ {
+	for ; ai < len(arrs) || l.active > 0 || m.queued() > 0; steps++ {
 		l.conserve(m)
 		if steps >= l.cfg.MaxEvents {
 			return out, fmt.Errorf("des: %v engine exceeded %d events (spec too hostile?)", l.cfg.Mode, l.cfg.MaxEvents)
@@ -166,18 +185,15 @@ func run(l *lifecycle, m mode) (Result, error) {
 		case nextArr <= nextDone:
 			m.advance(nextArr)
 			for at := arrs[ai].at; ai < len(arrs) && arrs[ai].at == at; ai++ {
-				m.arrive(ai)
-				l.hash.event(l.now, evArrive, int32(len(l.cfg.Jobs)+ai), -1)
+				j := int32(len(l.cfg.Jobs) + ai)
+				l.enqueue(m, j, false)
+				l.event(evArrive, j, -1)
 			}
 		default:
 			m.advance(nextDone)
-			d := m.finish()
-			l.energy += units.Energy(d.power.Watts() * (l.now - d.started))
-			l.stats.finish(d.arrival, d.firstStart, l.now)
-			l.pool += d.budget
-			l.hash.event(l.now, evFinish, d.job, d.node)
+			l.finish(m.finish())
 		}
-		if err := m.admit(); err != nil {
+		if err := l.admit(m); err != nil {
 			return out, err
 		}
 	}
@@ -198,31 +214,84 @@ func (l *lifecycle) conserve(m mode) {
 	l.sum.MaxConservationError = max(l.sum.MaxConservationError, units.Power(dev))
 }
 
+// event folds an event into the trace hash and, in exact mode, into
+// the per-job result's event log. j or n is -1 when the event names no
+// job or no node.
+func (l *lifecycle) event(kind byte, j, n int32) {
+	l.hash.event(l.now, kind, j, n)
+	if l.res == nil || resultKinds[kind] == "" {
+		return
+	}
+	ev := cluster.Event{Time: l.now, Kind: resultKinds[kind]}
+	if j >= 0 {
+		ev.JobID = l.ids[j]
+	}
+	if n >= 0 {
+		ev.NodeID = l.cfg.Sched.Nodes[n].ID
+	}
+	l.res.Events = append(l.res.Events, ev)
+}
+
+// resultKinds names the events exact mode's per-job result records.
+var resultKinds = [256]string{
+	evStart: "start", evFinish: "finish", evSuspend: "suspend", evNodeFail: "fail", evNodeUp: "recover",
+}
+
+// leave takes running job j out of service: its draw stops, its grant
+// returns to the pool and its node is idle.
+func (l *lifecycle) leave(j int32) *jobRec {
+	r := &l.jobs[j]
+	l.energy += units.Energy(r.Power.Watts() * (l.now - r.started))
+	l.pool += r.Budget
+	l.nodes[r.node].job = -1
+	l.active--
+	r.gen++
+	return r
+}
+
+// finish completes job j and frees its node.
+func (l *lifecycle) finish(j int32) {
+	r := l.leave(j)
+	l.pushFree(r.node)
+	arrival := 0.0
+	if i := int(j) - len(l.cfg.Jobs); i >= 0 {
+		arrival = l.arrs[i].at
+	}
+	l.stats.finish(arrival, r.firstStart, l.now)
+	if l.res != nil {
+		l.res.Stats[l.ids[j]] = cluster.JobStat{Start: r.firstStart, End: l.now, Budget: r.Budget, Power: r.Power, Rate: r.Rate}
+	}
+	l.event(evFinish, j, r.node)
+}
+
 // outage applies one node edge and reports whether it changed the
 // node's state. A failed node's job is evicted; the admission pass that
 // follows reconsiders it at once on the surviving nodes.
 func (l *lifecycle) outage(m mode, ev faults.OutageEdge) bool {
-	if l.down[ev.Node] != ev.Up {
+	nr := &l.nodes[ev.Node]
+	if nr.down != ev.Up {
 		return false // recovery of an up node, or failure of a down one
 	}
 	node := l.cfg.Sched.Nodes[ev.Node].ID // for the log
-	l.down[ev.Node] = !ev.Up
+	nr.down = !ev.Up
 	if ev.Up {
 		l.nDown--
-		m.nodeUp(ev.Node)
+		l.pushFree(ev.Node)
 		l.sum.NodeRecoveries++
 		mNodeRecoveries.Inc()
-		l.hash.event(l.now, evNodeUp, -1, ev.Node)
+		l.event(evNodeUp, -1, ev.Node)
 		l.log.Record(l.now, "node-recover", node, "node back in service")
 		return true
 	}
 	l.nDown++
 	l.sum.NodeFailures++
 	mNodeFailures.Inc()
-	l.hash.event(l.now, evNodeFail, -1, ev.Node)
+	l.event(evNodeFail, -1, ev.Node)
 	l.log.Record(l.now, "node-fail", node, "node lost")
-	if j := m.nodeDown(ev.Node); j >= 0 {
-		l.evict(m, j, false)
+	if nr.job >= 0 {
+		l.evict(m, nr.job, false)
+	} else {
+		l.removeFree(ev.Node)
 	}
 	return true
 }
@@ -234,7 +303,7 @@ func (l *lifecycle) shock(m mode, delta units.Power) {
 	l.pool += delta
 	l.shockHeld -= delta
 	if delta >= 0 {
-		l.hash.event(l.now, evRestore, -1, -1)
+		l.event(evRestore, -1, -1)
 		if l.log != nil {
 			l.log.Recordf(l.now, "budget-restore", "facility", "pool restored by %v", delta)
 		}
@@ -242,35 +311,37 @@ func (l *lifecycle) shock(m mode, delta units.Power) {
 	}
 	l.sum.Shocks++
 	mShocks.Inc()
-	l.hash.event(l.now, evShock, -1, -1)
+	l.event(evShock, -1, -1)
 	if l.log != nil {
 		l.log.Recordf(l.now, "budget-shock", "facility", "pool reduced by %v", -delta)
 	}
-	for l.pool < 0 && m.running() > 0 {
-		l.evict(m, m.latest(), true)
+	for l.pool < 0 && l.active > 0 {
+		l.evict(m, l.latest(), true)
 	}
 }
 
 // evict kills running job j, reclaims its grant into the pool and
-// re-queues it at the head with its remaining work. keepNode keeps the
-// node in service (budget-shock evictions: the node is healthy, only
-// the power is gone); a failed node stays out until its recovery edge.
-func (l *lifecycle) evict(m mode, j int, keepNode bool) {
-	e := m.evict(j, keepNode)
-	l.energy += units.Energy(e.power.Watts() * (l.now - e.started))
-	l.pool += e.budget
-	l.sum.BudgetReclaimed += e.budget
+// re-queues it at the head with its remaining work. keepNode frees the
+// node (budget-shock evictions: the node is healthy, only the power is
+// gone); a failed node stays out until its recovery edge.
+func (l *lifecycle) evict(m mode, j int32, keepNode bool) {
+	m.evict(j)
+	r := l.leave(j)
+	l.enqueue(m, j, true)
+	l.sum.BudgetReclaimed += r.Budget
 	l.sum.Readmissions++
 	evictions, cause := mEvictNodeFail, "node failure"
 	if keepNode {
+		l.pushFree(r.node)
 		evictions, cause = mEvictShock, "budget shock"
 	}
 	evictions.Inc()
 	mReadmissions.Inc()
-	mReclaimedWatts.Add(e.budget.Watts())
-	l.hash.event(l.now, evSuspend, e.job, e.node)
+	mReclaimedWatts.Add(r.Budget.Watts())
+	l.event(evSuspend, j, r.node)
 	if l.log != nil {
-		l.log.Recordf(l.now, "budget-reclaim", e.id, "%s returned to pool (%s)", e.budget, cause)
-		l.log.Recordf(l.now, "job-readmit", e.id, "re-queued with %.3g work units left", e.left)
+		id := l.ids[j]
+		l.log.Recordf(l.now, "budget-reclaim", id, "%s returned to pool (%s)", r.Budget, cause)
+		l.log.Recordf(l.now, "job-readmit", id, "re-queued with %.3g work units left", r.units)
 	}
 }

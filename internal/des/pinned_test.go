@@ -58,7 +58,8 @@ func simConfig(tb testing.TB, mode Mode, n int, seed uint64, horizon float64, ar
 // TestTraceHashPinned pins the trace hash of representative runs in
 // both modes: the README's pbc des example, the dessmoke run, the
 // perfbench simulate configurations (BenchmarkRunFast10k and
-// BenchmarkRunExact256) and small runs with node outages. Any change
+// BenchmarkRunExact256), small runs with node outages, and exact mode
+// under an oversubscribed queue (BenchmarkRunExactOversubscribed). Any change
 // to event order, admission decisions, float expressions, arrival or
 // fault schedules, or the hash itself moves one of these values.
 func TestTraceHashPinned(t *testing.T) {
@@ -83,19 +84,20 @@ func TestTraceHashPinned(t *testing.T) {
 		cfg  func() Config
 		want uint64
 	}{
-		{"readme/fast", func() Config { return simConfig(t, ModeFast, 100, 7, 3600, readme, shocks, 1) }, 0x6be66bbe28ba1166},
+		{"readme/fast", func() Config { return simConfig(t, ModeFast, 100, 7, 3600, readme, shocks, 1) }, 0x4b9d18c9795e8850},
 		{"readme/exact", func() Config { return simConfig(t, ModeExact, 100, 7, 3600, readme, shocks, 1) }, 0x44675b609106d604},
 		{"dessmoke", func() Config {
 			return simConfig(t, ModeFast, 64, 7, 600, smoke, smokeShocks, 1)
-		}, 0x7dee95b5f55ba9df},
-		{"bench/fast10k", func() Config { return benchConfig(t, ModeFast, 10000, 800, benchFastArrivals) }, 0xc83ba60112dd492c},
+		}, 0xb5aff0eab7034cd3},
+		{"bench/fast10k", func() Config { return benchConfig(t, ModeFast, 10000, 800, benchFastArrivals) }, 0xd38684d715a659f6},
 		{"bench/exact256", func() Config { return benchConfig(t, ModeExact, 256, 1900, benchExactArrivals) }, 0xdd2b48bb4d308ea4},
-		{"outages/fast", func() Config { return simConfig(t, ModeFast, 32, 5, 1200, outages, repaired, 2) }, 0x7352cdbc809df58c},
+		{"outages/fast", func() Config { return simConfig(t, ModeFast, 32, 5, 1200, outages, repaired, 2) }, 0xfef5aa911547031d},
 		{"outages/exact", func() Config { return simConfig(t, ModeExact, 32, 5, 1200, outages, repaired, 2) }, 0x35f117796cb9d72e},
-		{"lost-nodes/fast", func() Config { return simConfig(t, ModeFast, 32, 5, 1200, outages, lost, 2) }, 0xdf6cb8ff0ff17551},
+		{"lost-nodes/fast", func() Config { return simConfig(t, ModeFast, 32, 5, 1200, outages, lost, 2) }, 0xbebb51d5c45cb18c},
 		{"lost-nodes/exact", func() Config { return simConfig(t, ModeExact, 32, 5, 1200, outages, lost, 2) }, 0x395f92d538499753},
-		{"tight/fast", func() Config { return tight(simConfig(t, ModeFast, 64, 7, 600, busy, smokeShocks, 1)) }, 0x758f6f9f48c2faf9},
+		{"tight/fast", func() Config { return tight(simConfig(t, ModeFast, 64, 7, 600, busy, smokeShocks, 1)) }, 0x70bdc36731f7ab1e},
 		{"tight/exact", func() Config { return tight(simConfig(t, ModeExact, 64, 7, 600, busy, smokeShocks, 1)) }, 0xb017477ff6f640ff},
+		{"oversubscribed/exact", func() Config { return oversubscribedConfig(t, ModeExact) }, 0xac00a4c43ee40578},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -16,10 +16,12 @@ const conservationTol = units.Power(1e-6)
 
 // TestCrossModeProperties runs a seeded table of clusters (4 to 64
 // nodes) × split policies × fault specs × arrival shapes through both
-// modes. The modes need not be byte-identical, but on the same
-// configuration they must see the same arrivals, both finish every job
-// or both starve, and both keep the pool conserved within the pbc
-// verify tolerance; a fast run must replay to the same trace hash.
+// modes. The modes share every rule — node choice, admission, eviction
+// — and differ only in float order, so on the same configuration they
+// must see the same arrivals, both finish every job or both starve,
+// count the same node failures, recoveries, shocks and re-admissions,
+// and both keep the pool conserved within the pbc verify tolerance; a
+// fast run must replay to the same trace hash.
 func TestCrossModeProperties(t *testing.T) {
 	faultSpecs := []struct{ name, spec string }{
 		{"no-faults", ""},
@@ -68,8 +70,20 @@ func TestCrossModeProperties(t *testing.T) {
 						if starved {
 							return
 						}
-						if exact.Arrived != fast.Arrived {
-							t.Errorf("arrivals differ: exact %d, fast %d", exact.Arrived, fast.Arrived)
+						for _, c := range []struct {
+							name        string
+							exact, fast int
+						}{
+							{"arrivals", exact.Arrived, fast.Arrived},
+							{"completions", exact.Completed, fast.Completed},
+							{"node failures", exact.Faults.NodeFailures, fast.Faults.NodeFailures},
+							{"node recoveries", exact.Faults.NodeRecoveries, fast.Faults.NodeRecoveries},
+							{"shocks", exact.Faults.Shocks, fast.Faults.Shocks},
+							{"re-admissions", exact.Faults.Readmissions, fast.Faults.Readmissions},
+						} {
+							if c.exact != c.fast {
+								t.Errorf("%s differ: exact %d, fast %d", c.name, c.exact, c.fast)
+							}
 						}
 						for _, r := range []Result{exact, fast} {
 							if r.Completed != r.Arrived {
