@@ -114,10 +114,11 @@ sim-alloc:
 
 # Decision tables build their segment intervals on every engine worker:
 # a build fanned over several workers must match a one-worker build
-# boundary for boundary and answer for answer, repeatedly and under the
+# boundary for boundary and answer for answer, and concurrent misses on
+# one unbuilt pair must share its one build, repeatedly and under the
 # race detector.
 buildsmoke:
-	$(GO) test -race -count=5 -run TestParallelBuildDeterministic ./internal/decisiontable
+	$(GO) test -race -count=5 -run 'TestParallelBuildDeterministic|TestConcurrentMissesBuildOnce' ./internal/decisiontable
 
 # The committed paper artifacts (results/*) and generated docs
 # (WORKLOADS.md, PLATFORMS.md) must equal what the code produces, byte

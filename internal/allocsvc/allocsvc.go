@@ -20,17 +20,20 @@
 //     content fingerprint of (route, platform, workload, budget, ...)
 //     — the same content-key discipline as the evalpool memo cache —
 //     share one computation and one rendered response body, so a
-//     thundering herd of identical queries costs one evaluation;
+//     thundering herd of identical queries costs one evaluation.
+//     Nothing is kept once the computation completes: the next
+//     identical request computes again;
 //   - backpressure: when the queue of admitted-but-not-yet-running
 //     requests exceeds QueueDepth, new work is refused immediately with
 //     429 and a Retry-After hint instead of being buffered without
 //     bound, and every request carries a deadline (its own timeout_ms,
-//     capped by MaxTimeout) after which the caller gets 504 even if
-//     the shared computation later completes.
+//     capped by DefaultMaxTimeout) after which the caller gets 504 even
+//     if the shared computation later completes.
 //
-// Repeated /v1/schedule rounds against the same cluster reuse a cached
-// cluster.Scheduler; the job profiles it consumes are memoized on the
-// shared evaluation engine, which makes successive rounds cheap.
+// Every computation builds what it needs per request: a /v1/schedule
+// round constructs its cluster.Scheduler in place, and the job
+// profiles the round consumes are memoized on the shared evaluation
+// engine, which makes successive rounds cheap.
 package allocsvc
 
 import (
@@ -38,11 +41,9 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/flight"
 	"repro/internal/telemetry"
 )
@@ -61,18 +62,11 @@ type Config struct {
 	// DefaultTimeout is the per-request deadline when the request does
 	// not carry its own timeout_ms. 0 means DefaultTimeout.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps per-request deadlines and bounds the shared
-	// computation itself. 0 means DefaultMaxTimeout.
-	MaxTimeout time.Duration
 	// RetryAfter scales the Retry-After hint attached to 429 responses:
 	// it is the estimated time for the worker pool to drain one full
 	// round of queued work. The actual hint is adaptive — see
 	// adaptiveRetryAfter. 0 means DefaultRetryAfter.
 	RetryAfter time.Duration
-	// SchedulerCacheSize bounds the cached cluster.Scheduler instances
-	// for /v1/schedule (0 means DefaultSchedulerCacheSize; negative
-	// disables the cache).
-	SchedulerCacheSize int
 	// Registry receives the service's metrics (request counters by
 	// route and status, latency histograms, in-flight gauge, coalesce
 	// hits). nil leaves the service uninstrumented; the handles are
@@ -100,13 +94,13 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Defaults for the Config knobs.
+// Defaults for the Config knobs. DefaultMaxTimeout is fixed: it caps
+// per-request deadlines and bounds the shared computation itself.
 const (
-	DefaultQueueDepth         = 64
-	DefaultTimeout            = 5 * time.Second
-	DefaultMaxTimeout         = 30 * time.Second
-	DefaultRetryAfter         = 1 * time.Second
-	DefaultSchedulerCacheSize = 32
+	DefaultQueueDepth = 64
+	DefaultTimeout    = 5 * time.Second
+	DefaultMaxTimeout = 30 * time.Second
+	DefaultRetryAfter = 1 * time.Second
 )
 
 // Service is the allocation service. Construct with New; the zero
@@ -118,11 +112,7 @@ type Service struct {
 	inflight atomic.Int64  // leaders admitted (queued or computing)
 	closed   atomic.Bool   // set by Close: stop admitting, drain
 
-	flight flight.Group[string, *response]
-
-	schedMu    sync.Mutex
-	scheds     map[string]*cluster.Scheduler
-	schedOrder []string
+	calls flight.Group[*response] // in-flight computations by coalescing key
 
 	m metrics
 
@@ -163,11 +153,8 @@ func New(cfg Config) *Service {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = DefaultTimeout
 	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = DefaultMaxTimeout
-	}
-	if cfg.DefaultTimeout > cfg.MaxTimeout {
-		cfg.DefaultTimeout = cfg.MaxTimeout
+	if cfg.DefaultTimeout > DefaultMaxTimeout {
+		cfg.DefaultTimeout = DefaultMaxTimeout
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = DefaultRetryAfter
@@ -175,16 +162,9 @@ func New(cfg Config) *Service {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	switch {
-	case cfg.SchedulerCacheSize == 0:
-		cfg.SchedulerCacheSize = DefaultSchedulerCacheSize
-	case cfg.SchedulerCacheSize < 0:
-		cfg.SchedulerCacheSize = 0
-	}
 	s := &Service{
-		cfg:    cfg,
-		slots:  make(chan struct{}, cfg.Workers),
-		scheds: map[string]*cluster.Scheduler{},
+		cfg:   cfg,
+		slots: make(chan struct{}, cfg.Workers),
 	}
 	s.m.init(cfg.Registry)
 	return s
@@ -207,22 +187,23 @@ type response struct {
 
 // do runs one request through coalescing, backpressure, the worker
 // pool, and the caller's deadline. compute must be a pure function of
-// the key and return the rendered body. The returned response is
-// shared across coalesced callers, so callers must not mutate it.
+// the key and return the rendered body. The first request for a key
+// leads (internal/flight): its computation runs on its own goroutine,
+// so a caller that gives up never blocks the others, and its entry is
+// deleted when the computation completes. The returned response is shared across
+// coalesced callers, so callers must not mutate it.
 func (s *Service) do(ctx context.Context, route, key string, timeout time.Duration, enc encoding, compute func() ([]byte, error)) *response {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	ch, leader := s.flight.DoChan(key, func() (*response, error) {
-		return s.run(enc, compute), nil
-	})
+	c, leader := s.calls.Do(key, func() *response { return s.run(enc, compute) })
 	if !leader {
 		s.stats.coalesced.Add(1)
 		s.m.coalesceHits(route).Inc()
 	}
 	select {
-	case r := <-ch:
-		return r.Val
+	case <-c.Done():
+		return c.Val()
 	case <-ctx.Done():
 		// The shared computation keeps running for any other waiters;
 		// this caller alone gives up.
@@ -251,11 +232,11 @@ func (s *Service) run(enc encoding, compute func() ([]byte, error)) *response {
 	}
 	defer s.inflight.Add(-1)
 
-	// The computation itself is bounded by MaxTimeout regardless of
-	// the leader's own deadline: followers with longer deadlines must
-	// not inherit a shorter one, and an abandoned leader must not pin
-	// a worker slot forever.
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxTimeout)
+	// The computation itself is bounded by DefaultMaxTimeout regardless
+	// of the leader's own deadline: followers with longer deadlines must
+	// not inherit a shorter one, and an abandoned leader must not pin a
+	// worker slot forever.
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultMaxTimeout)
 	defer cancel()
 	select {
 	case s.slots <- struct{}{}:
@@ -331,42 +312,6 @@ func (s *Service) Close(ctx context.Context) error {
 	}
 }
 
-// schedulerFor returns (possibly from cache) a scheduler for the given
-// cluster fingerprint. build runs at most once per cached key; the
-// cache is bounded FIFO — old clusters fall out, their schedulers are
-// simply rebuilt on next use.
-func (s *Service) schedulerFor(key string, build func() (*cluster.Scheduler, error)) (*cluster.Scheduler, error) {
-	if s.cfg.SchedulerCacheSize == 0 {
-		return build()
-	}
-	s.schedMu.Lock()
-	if sched, ok := s.scheds[key]; ok {
-		s.schedMu.Unlock()
-		return sched, nil
-	}
-	s.schedMu.Unlock()
-
-	sched, err := build()
-	if err != nil {
-		return nil, err
-	}
-	s.schedMu.Lock()
-	defer s.schedMu.Unlock()
-	if cached, ok := s.scheds[key]; ok {
-		// A concurrent request built the same cluster first; share its
-		// scheduler.
-		return cached, nil
-	}
-	if len(s.schedOrder) >= s.cfg.SchedulerCacheSize {
-		oldest := s.schedOrder[0]
-		s.schedOrder = s.schedOrder[1:]
-		delete(s.scheds, oldest)
-	}
-	s.scheds[key] = sched
-	s.schedOrder = append(s.schedOrder, key)
-	return sched, nil
-}
-
 // Stats is a snapshot of the service counters.
 type Stats struct {
 	// Requests counts every request that reached a handler; OK,
@@ -416,14 +361,15 @@ func (s *Service) Stats() Stats {
 }
 
 // timeout resolves a request's timeout_ms field against the service
-// bounds: 0 means the default, anything above MaxTimeout is clamped.
+// bounds: 0 means the default, anything above DefaultMaxTimeout is
+// clamped.
 func (s *Service) timeout(ms int) time.Duration {
 	if ms <= 0 {
 		return s.cfg.DefaultTimeout
 	}
 	d := time.Duration(ms) * time.Millisecond
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
+	if d > DefaultMaxTimeout {
+		d = DefaultMaxTimeout
 	}
 	return d
 }

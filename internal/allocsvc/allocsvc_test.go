@@ -184,6 +184,78 @@ func TestCoalescedDuplicatesShareOneComputation(t *testing.T) {
 	}
 }
 
+// TestCoalescingContract pins what a coalesced call promises beyond
+// sharing: a leader that gives up (timeout_ms 1, 504) leaves the
+// computation running for a follower that joined it, which gets 200
+// from that one computation; and nothing outlives the computation, so
+// an identical request afterwards computes again and an error answer
+// is never replayed.
+func TestCoalescingContract(t *testing.T) {
+	svc, srv := newTestService(t, Config{Workers: 1})
+	release := make(chan struct{})
+	var mu sync.Mutex
+	computed := 0
+	svc.slow = func() {
+		mu.Lock()
+		computed++
+		mu.Unlock()
+		<-release
+	}
+	computations := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return computed
+	}
+
+	const pair = `"platform":"ivybridge","workload":"dgemm","budget_watts":170`
+	resp, body := post(t, srv, RouteCoord, `{`+pair+`,"timeout_ms":1}`)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("leader: status = %d, want 504; body %s", resp.StatusCode, body)
+	}
+	type result struct {
+		code int
+		body []byte
+	}
+	follower := make(chan result, 1)
+	go func() {
+		resp, body := post(t, srv, RouteCoord, `{`+pair+`}`)
+		follower <- result{resp.StatusCode, body}
+	}()
+	for start := time.Now(); svc.Stats().Coalesced < 1; {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("follower never joined the abandoned computation: %+v", svc.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	got := <-follower
+	if got.code != http.StatusOK {
+		t.Fatalf("follower: status = %d, want 200; body %s", got.code, got.body)
+	}
+	if n := computations(); n != 1 {
+		t.Fatalf("leader and follower ran %d computations, want 1", n)
+	}
+
+	if resp, body := post(t, srv, RouteCoord, `{`+pair+`}`); resp.StatusCode != http.StatusOK || !bytes.Equal(body, got.body) {
+		t.Fatalf("repeat: status = %d, body %s; want 200 and %s", resp.StatusCode, body, got.body)
+	}
+	if n := computations(); n != 2 {
+		t.Errorf("a request after completion computed %d times in all, want 2", n)
+	}
+	for i := 0; i < 2; i++ {
+		resp, body := post(t, srv, RouteCoord, `{"platform":"ivybridge","workload":"dgemm","budget_watts":-5}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad budget %d: status = %d, want 400; body %s", i, resp.StatusCode, body)
+		}
+	}
+	if n := computations(); n != 4 {
+		t.Errorf("two identical bad requests brought the computations to %d, want 4: an error was replayed", n)
+	}
+	if st := svc.Stats(); st.Coalesced != 1 || st.Timeouts != 1 {
+		t.Errorf("Coalesced = %d, Timeouts = %d; want 1, 1", st.Coalesced, st.Timeouts)
+	}
+}
+
 // TestDeadlineExceededReturns504: a request whose deadline expires
 // while the computation is still running gets 504, not a hung
 // connection.
@@ -300,40 +372,6 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
-// TestScheduleReusesCachedScheduler: two rounds over the same cluster
-// with different queues share one scheduler (and so one profile
-// cache); a different cluster gets its own.
-func TestScheduleReusesCachedScheduler(t *testing.T) {
-	svc, srv := newTestService(t, Config{Workers: 2})
-	round := func(jobs string) {
-		resp, body := post(t, srv, RouteSchedule,
-			`{"budget_watts":500,"nodes":[{"id":"n1","platform":"ivybridge"}],"jobs":`+jobs+`}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, body %s", resp.StatusCode, body)
-		}
-	}
-	round(`[{"id":"j1","workload":"stream"}]`)
-	round(`[{"id":"j2","workload":"dgemm"}]`)
-	svc.schedMu.Lock()
-	n := len(svc.scheds)
-	svc.schedMu.Unlock()
-	if n != 1 {
-		t.Errorf("scheduler cache has %d entries after two same-cluster rounds, want 1", n)
-	}
-
-	resp, body := post(t, srv, RouteSchedule,
-		`{"budget_watts":400,"nodes":[{"id":"n1","platform":"haswell"}],"jobs":[{"id":"j1","workload":"stream"}]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
-	}
-	svc.schedMu.Lock()
-	n = len(svc.scheds)
-	svc.schedMu.Unlock()
-	if n != 2 {
-		t.Errorf("scheduler cache has %d entries after a second cluster, want 2", n)
-	}
-}
-
 // collidingRounds are two /v1/schedule rounds whose node IDs and
 // platforms, joined with the separators a naive key uses ("|", "="),
 // spell the same string: a 2-node cluster and a 1-node cluster whose
@@ -346,9 +384,9 @@ var collidingRounds = [2]string{
 }
 
 // TestCollidingKeysKeepRequestsApart: free-form IDs cannot make two
-// different clusters share a cached scheduler (or two different rounds
-// share a coalesced answer). The second round must get the answer a
-// fresh service gives it, with placements only on its own node.
+// different rounds share an answer, whatever the service keeps between
+// them. The second round must get the answer a fresh service gives it,
+// with placements only on its own node.
 func TestCollidingKeysKeepRequestsApart(t *testing.T) {
 	_, fresh := newTestService(t, Config{Workers: 2})
 	resp, want := post(t, fresh, RouteSchedule, collidingRounds[1])
@@ -375,24 +413,6 @@ func TestCollidingKeysKeepRequestsApart(t *testing.T) {
 		if pl.Node != "n0=haswell|n1" {
 			t.Errorf("placement on %q, a node the round does not name", pl.Node)
 		}
-	}
-}
-
-// TestSchedulerCacheBounded: the FIFO bound holds.
-func TestSchedulerCacheBounded(t *testing.T) {
-	svc, srv := newTestService(t, Config{Workers: 2, SchedulerCacheSize: 2})
-	budgets := []string{"300", "400", "500"}
-	for _, b := range budgets {
-		resp, body := post(t, srv, RouteSchedule,
-			`{"budget_watts":`+b+`,"nodes":[{"id":"n1","platform":"ivybridge"}],"jobs":[{"id":"j1","workload":"stream"}]}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("budget %s: status = %d, body %s", b, resp.StatusCode, body)
-		}
-	}
-	svc.schedMu.Lock()
-	defer svc.schedMu.Unlock()
-	if len(svc.scheds) != 2 || len(svc.schedOrder) != 2 {
-		t.Errorf("cache size = %d (order %d), want 2", len(svc.scheds), len(svc.schedOrder))
 	}
 }
 

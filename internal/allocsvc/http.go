@@ -440,18 +440,9 @@ func ComputePlan(req PlanRequest) (PlanResponse, error) {
 	return resp, nil
 }
 
-// clusterKey writes the scheduler-cache key: the cluster alone (budget
-// and nodes), so successive rounds with different job queues share one
-// scheduler and its warm profile caches.
-func clusterKey(k *keyWriter, req *ScheduleRequest) {
-	k.f64(req.Budget)
-	k.int(len(req.Nodes))
-	for _, n := range req.Nodes {
-		k.str(n.ID, n.Platform)
-	}
-}
-
-func (s *Service) computeSchedule(req ScheduleRequest) (ScheduleResponse, error) {
+// computeSchedule runs one /v1/schedule round on a scheduler built for
+// the request's cluster.
+func computeSchedule(req ScheduleRequest) (ScheduleResponse, error) {
 	if err := checkBudget(req.Budget); err != nil {
 		return ScheduleResponse{}, err
 	}
@@ -461,33 +452,18 @@ func (s *Service) computeSchedule(req ScheduleRequest) (ScheduleResponse, error)
 	if len(req.Jobs) == 0 {
 		return ScheduleResponse{}, badRequestf("at least one job is required")
 	}
-	var k keyWriter
-	clusterKey(&k, &req)
-	sched, err := s.schedulerFor(string(k.b), func() (*cluster.Scheduler, error) {
-		nodes := make([]cluster.Node, len(req.Nodes))
-		for i, n := range req.Nodes {
-			p, err := hw.PlatformByName(n.Platform)
-			if err != nil {
-				return nil, badRequestf("node %q: unknown platform %q (supported: %s)",
-					n.ID, n.Platform, platformNames(0, true))
-			}
-			nodes[i] = cluster.Node{ID: n.ID, Platform: p}
-		}
-		sched, err := cluster.NewScheduler(units.Power(req.Budget), nodes)
+	nodes := make([]cluster.Node, len(req.Nodes))
+	for i, n := range req.Nodes {
+		p, err := hw.PlatformByName(n.Platform)
 		if err != nil {
-			return nil, badRequestf("%v", err)
+			return ScheduleResponse{}, badRequestf("node %q: unknown platform %q (supported: %s)",
+				n.ID, n.Platform, platformNames(0, true))
 		}
-		if s.cfg.Tables != nil {
-			// The operator opted into precompute-at-startup semantics;
-			// extend it to the cluster side so a fresh scheduler never
-			// profiles on the request path. A failed pair degrades to
-			// lazy profiling, exactly as without prewarming.
-			_ = sched.Prewarm(workload.AllWorkloads())
-		}
-		return sched, nil
-	})
+		nodes[i] = cluster.Node{ID: n.ID, Platform: p}
+	}
+	sched, err := cluster.NewScheduler(units.Power(req.Budget), nodes)
 	if err != nil {
-		return ScheduleResponse{}, err
+		return ScheduleResponse{}, badRequestf("%v", err)
 	}
 	jobs := make([]cluster.Job, len(req.Jobs))
 	for i, j := range req.Jobs {

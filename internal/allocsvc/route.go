@@ -51,7 +51,7 @@ type Route[Req, Resp any] struct {
 	// key writes the request content the answer depends on.
 	key func(*keyWriter, *Req)
 	// compute is the exact computation.
-	compute func(*Service, Req) (Resp, error)
+	compute func(Req) (Resp, error)
 	// table is the decision-table lookup, a method expression on
 	// Tables.
 	table func(Tables, *Req, *Resp) bool
@@ -85,7 +85,7 @@ var Coord = &Route[CoordRequest, CoordResponse]{
 		k.str(r.Platform, r.Workload, r.Strategy)
 		k.f64(r.Budget)
 	},
-	compute: pure(ComputeCoord),
+	compute: ComputeCoord,
 	table:   Tables.Coord,
 	// A too-small answer clears Alloc; the next hit refills the kept one.
 	blank: func() CoordResponse { return CoordResponse{Alloc: new(AllocJSON)} },
@@ -108,7 +108,7 @@ var Plan = &Route[PlanRequest, PlanResponse]{
 		k.str(r.Platform, r.Workload)
 		k.f64(r.Budget)
 	},
-	compute: pure(ComputePlan),
+	compute: ComputePlan,
 	table:   Tables.Plan,
 }
 
@@ -116,9 +116,9 @@ var Plan = &Route[PlanRequest, PlanResponse]{
 // fallback: allocclient reports total shard loss as ErrUnavailable.
 var Schedule = &Route[ScheduleRequest, ScheduleResponse]{
 	Path: RouteSchedule,
-	// The ring key mirrors the scheduler cache key (budget and nodes),
-	// so rounds against one cluster hit the shard holding its warm
-	// scheduler.
+	// The ring key is the cluster (budget and nodes), so rounds against
+	// one cluster land on one shard, whose evalpool memo holds the
+	// profiles of the cluster's (platform, workload) pairs.
 	ShardKey: func(r *ScheduleRequest, q func(float64) string) string {
 		var b strings.Builder
 		b.WriteString(q(r.Budget))
@@ -133,16 +133,20 @@ var Schedule = &Route[ScheduleRequest, ScheduleResponse]{
 	decodeRequest:  wire.DecodeScheduleRequest,
 	appendResponse: wire.AppendScheduleResponse,
 	timeout:        func(r *ScheduleRequest) int { return r.TimeoutMS },
-	// The full round content: the cluster, then the job queue in order
-	// (the scheduler is order-sensitive).
+	// The full round content: the cluster (budget and nodes), then the
+	// job queue in order (the scheduler is order-sensitive).
 	key: func(k *keyWriter, r *ScheduleRequest) {
-		clusterKey(k, r)
+		k.f64(r.Budget)
+		k.int(len(r.Nodes))
+		for _, n := range r.Nodes {
+			k.str(n.ID, n.Platform)
+		}
 		k.int(len(r.Jobs))
 		for _, j := range r.Jobs {
 			k.str(j.ID, j.Workload)
 		}
 	},
-	compute: (*Service).computeSchedule,
+	compute: computeSchedule,
 	clone: func(r ScheduleRequest) ScheduleRequest {
 		r.Nodes = append([]NodeJSON(nil), r.Nodes...)
 		r.Jobs = append([]JobJSON(nil), r.Jobs...)
@@ -189,7 +193,7 @@ var Tree = &Route[TreeRequest, TreeResponse]{
 			}
 		}
 	},
-	compute: pure(computeTree),
+	compute: computeTree,
 	clone: func(r TreeRequest) TreeRequest {
 		r.Racks = append([]TreeRackJSON(nil), r.Racks...)
 		for i := range r.Racks {
@@ -216,7 +220,7 @@ var Recoord = &Route[RecoordRequest, RecoordResponse]{
 		k.f64(r.Budget)
 		k.int(r.Rounds)
 	},
-	compute: pure(ComputeRecoord),
+	compute: ComputeRecoord,
 }
 
 // routes lists every route: Register mounts them, ServeBinary
@@ -243,11 +247,6 @@ type endpoint interface {
 
 func (rt *Route[Req, Resp]) path() string   { return rt.Path }
 func (rt *Route[Req, Resp]) frameTag() byte { return rt.tag }
-
-// pure lifts a computation that needs no service state.
-func pure[Req, Resp any](f func(Req) (Resp, error)) func(*Service, Req) (Resp, error) {
-	return func(_ *Service, req Req) (Resp, error) { return f(req) }
-}
 
 // defaultStrategy is coord's request default: the COORD heuristic.
 func defaultStrategy(r *CoordRequest) {
@@ -361,7 +360,7 @@ func (rt *Route[Req, Resp]) exact(ctx context.Context, s *Service, enc encoding,
 	k.str(string(enc))
 	rt.key(&k, &req)
 	return s.do(ctx, rt.Path, string(k.b), s.timeout(rt.timeout(&req)), enc, func() ([]byte, error) {
-		v, err := rt.compute(s, req)
+		v, err := rt.compute(req)
 		if err != nil {
 			return nil, err
 		}

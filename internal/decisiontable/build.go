@@ -208,7 +208,7 @@ func (s *Set) buildCoordTable(pname, wname string) *coordTable {
 		return t
 	}
 
-	bounds := gridBounds(t.lo, t.hi, breaks, s.cfg.GridPoints)
+	bounds := gridBounds(t.lo, t.hi, breaks, DefaultGridPoints)
 	t.segs = buildIntervals(len(bounds)-1, func(i int) []coordSeg {
 		return s.buildCoordSegs(t, bounds[i], bounds[i+1], 0)
 	})
@@ -289,7 +289,7 @@ func edgeProbes(start, end float64) [2]float64 {
 
 // checkCoordProbe verifies the segment's interpolated answer at budget
 // b against the exact path: status and zero surplus exactly, the
-// allocation within AllocEps, perf and power within cfg.Eps.
+// allocation within AllocEps, perf and power within DefaultEps.
 func (s *Set) checkCoordProbe(t *coordTable, seg *coordSeg, b float64) bool {
 	exact, err := s.exactCoord(t.platform, t.workload, b)
 	if err != nil || exact.Status != t.okStatus || exact.Alloc == nil || exact.SurplusWatts != 0 {
@@ -302,8 +302,8 @@ func (s *Set) checkCoordProbe(t *coordTable, seg *coordSeg, b float64) bool {
 	}
 	return within(proc, exact.Alloc.ProcWatts, AllocEps) &&
 		within(mem, exact.Alloc.MemWatts, AllocEps) &&
-		within(seg.perf.at(b), exact.ExpectedPerf, s.cfg.Eps*probeMargin) &&
-		within(seg.power.at(b), exact.ExpectedPower, s.cfg.Eps*probeMargin)
+		within(seg.perf.at(b), exact.ExpectedPerf, DefaultEps*probeMargin) &&
+		within(seg.power.at(b), exact.ExpectedPower, DefaultEps*probeMargin)
 }
 
 // index builds the uniform acceleration index over the segments.
@@ -386,7 +386,7 @@ func (s *Set) buildPlanTable(pname, wname string) *planTable {
 	t.below = s.constPlanRow(t, lo/2, lo/4)
 	t.top = s.constPlanRow(t, hi, hi*1.5+1)
 
-	bounds := gridBounds(lo, hi, breaks, s.cfg.GridPoints)
+	bounds := gridBounds(lo, hi, breaks, DefaultGridPoints)
 	t.segs = buildIntervals(len(bounds)-1, func(i int) []planSeg {
 		return s.buildPlanSegs(t, bounds[i], bounds[i+1], 0)
 	})

@@ -2,8 +2,11 @@ package decisiontable
 
 import (
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/allocsvc"
 	"repro/internal/evalpool"
 	"repro/internal/wire"
 )
@@ -81,5 +84,54 @@ func TestParallelBuildDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(got.served, want.served) {
 			t.Fatalf("workers=%d: served answers differ from the one-worker build", workers)
 		}
+	}
+}
+
+// TestConcurrentMissesBuildOnce: eight goroutines missing on one
+// unbuilt pair at once, half through Build and half through the Coord
+// lookup, share one table build: the exact path is sampled exactly as
+// often as by one serial Build.
+func TestConcurrentMissesBuildOnce(t *testing.T) {
+	const platform, wl = "titanxp", "minife"
+	counted := func() (*Set, *atomic.Int64) {
+		s := New(Config{})
+		calls := new(atomic.Int64)
+		s.computeCoord = func(req wire.CoordRequest) (wire.CoordResponse, error) {
+			calls.Add(1)
+			return allocsvc.ComputeCoord(req)
+		}
+		return s, calls
+	}
+	serial, serialCalls := counted()
+	if ok, _ := serial.Build(platform, wl); !ok {
+		t.Fatalf("coord table for %s/%s did not build", platform, wl)
+	}
+	k := serialCalls.Load()
+
+	s, calls := counted()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			if i%2 == 0 {
+				s.Build(platform, wl)
+				return
+			}
+			req := wire.CoordRequest{Platform: platform, Workload: wl, Budget: 200, Strategy: "coord"}
+			var out wire.CoordResponse
+			s.Coord(&req, &out)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	// A lookup's miss builds asynchronously; Build waits for that build.
+	if ok, _ := s.Build(platform, wl); !ok {
+		t.Fatalf("coord table for %s/%s did not build under concurrent misses", platform, wl)
+	}
+	if got := calls.Load(); got != k {
+		t.Errorf("concurrent misses sampled the exact path %d times, a serial build %d", got, k)
 	}
 }

@@ -21,7 +21,7 @@
 // by internal/invariant: on every probed budget — on and off the grid
 // — the table's allocation matches the exact path within AllocEps, the
 // status and surplus match exactly, and perf/power match within
-// Config.Eps relative error. Segments that cannot meet the contract
+// DefaultEps relative error. Segments that cannot meet the contract
 // (e.g. a regime boundary that fell between floats) are subdivided; a
 // segment still failing at maximum depth is marked exact-only and
 // reports a miss, so the service falls back to the exact path rather
@@ -35,25 +35,25 @@
 // strategies, invalid budgets, pairs whose profiles are degraded —
 // report a miss and fall through unchanged.
 //
-// Tables build lazily on first miss (singleflighted through
-// internal/flight so a thundering herd builds each pair once) or
-// eagerly via Warm. A pair whose build fails is cached negatively and
-// never retried: degraded pairs must keep taking the exact path, which
-// is exactly the degradation behaviour dyncoord implements.
+// Tables build lazily on first miss or eagerly via Warm; each pair's
+// slot builds under its own sync.Once, so a thundering herd builds each
+// pair once. A pair whose build fails is cached negatively and never
+// retried: degraded pairs must keep taking the exact path, which is
+// exactly the degradation behaviour dyncoord implements.
 package decisiontable
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/allocsvc"
-	"repro/internal/flight"
 	"repro/internal/hw"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// Defaults for Config.
+// Table resolution and tolerance.
 const (
 	// DefaultGridPoints is the number of uniform grid cells laid over
 	// the tabulated budget range, in addition to the analytic
@@ -76,24 +76,14 @@ const AllocEps = 1e-6
 // exact-only (lookup miss).
 const maxSplitDepth = 6
 
-// Config parameterizes a Set. The zero value gets defaults from New.
-type Config struct {
-	// GridPoints is the uniform grid density per pair (0 means
-	// DefaultGridPoints). More points mean tighter perf/power
-	// interpolation and more memory per table.
-	GridPoints int
-	// Eps is the relative tolerance for interpolated perf and power
-	// against the exact path (0 means DefaultEps). Allocations, status,
-	// and surplus are held to AllocEps/exactness regardless.
-	Eps float64
-}
+// Config is New's configuration. It has no fields: every table uses
+// DefaultGridPoints and DefaultEps.
+type Config struct{}
 
 // Set holds the decision tables for every catalog (platform, workload)
 // pair and implements allocsvc.Tables. Construct with New; safe for
 // concurrent use. Lookups on built pairs are allocation-free.
 type Set struct {
-	cfg Config
-
 	// computeCoord/computePlan are the exact decision paths the tables
 	// are built from and validated against. Production Sets point them
 	// at allocsvc.ComputeCoord/ComputePlan; tests inject fakes to
@@ -107,9 +97,6 @@ type Set struct {
 	// never have a table.
 	coord map[string]map[string]*slot[coordTable]
 	plan  map[string]map[string]*slot[planTable]
-
-	flightC flight.Group[string, *coordTable]
-	flightP flight.Group[string, *planTable]
 }
 
 // slot is the build-once cell for one pair's table. table stays nil
@@ -117,22 +104,27 @@ type Set struct {
 // produced a table or a (permanent) negative result.
 type slot[T any] struct {
 	platform, workload string
+	once               sync.Once
 	built              atomic.Bool
 	table              atomic.Pointer[T]
+}
+
+// ensure builds the pair's table exactly once (negative results
+// included) and returns it, nil when the pair cannot be tabulated.
+// Concurrent callers wait for the one build.
+func (sl *slot[T]) ensure(build func(platform, wl string) *T) *T {
+	sl.once.Do(func() {
+		sl.table.Store(build(sl.platform, sl.workload))
+		sl.built.Store(true)
+	})
+	return sl.table.Load()
 }
 
 // New returns an empty Set for the full hardware/workload catalog.
 // Tables build lazily on first lookup; call Warm to build them all up
 // front.
-func New(cfg Config) *Set {
-	if cfg.GridPoints <= 0 {
-		cfg.GridPoints = DefaultGridPoints
-	}
-	if cfg.Eps <= 0 {
-		cfg.Eps = DefaultEps
-	}
+func New(Config) *Set {
 	s := &Set{
-		cfg:          cfg,
 		computeCoord: allocsvc.ComputeCoord,
 		computePlan:  allocsvc.ComputePlan,
 		coord:        map[string]map[string]*slot[coordTable]{},
@@ -456,8 +448,8 @@ func validBudget(b float64) bool {
 // Coord answers one /v1/coord request from the tables, reporting
 // whether it was covered. A false return means the exact path must
 // serve it. The first miss on an unbuilt catalog pair kicks off an
-// asynchronous, singleflighted build; until it completes the pair
-// keeps missing, so table warm-up never blocks a request.
+// asynchronous build; until it completes the pair keeps missing, so
+// table warm-up never blocks a request.
 func (s *Set) Coord(req *wire.CoordRequest, out *wire.CoordResponse) bool {
 	if req.Strategy != "coord" || !validBudget(req.Budget) {
 		return false
@@ -473,7 +465,7 @@ func (s *Set) Coord(req *wire.CoordRequest, out *wire.CoordResponse) bool {
 	t := sl.table.Load()
 	if t == nil {
 		if !sl.built.Load() {
-			go s.ensureCoord(sl)
+			go sl.ensure(s.buildCoordTable)
 		}
 		return false
 	}
@@ -496,47 +488,11 @@ func (s *Set) Plan(req *wire.PlanRequest, out *wire.PlanResponse) bool {
 	t := sl.table.Load()
 	if t == nil {
 		if !sl.built.Load() {
-			go s.ensurePlan(sl)
+			go sl.ensure(s.buildPlanTable)
 		}
 		return false
 	}
 	return t.serve(req.Budget, out)
-}
-
-// ensureCoord builds the pair's coord table exactly once (negative
-// results included) and returns it, nil when the pair cannot be
-// tabulated.
-func (s *Set) ensureCoord(sl *slot[coordTable]) *coordTable {
-	if sl.built.Load() {
-		return sl.table.Load()
-	}
-	t, _, _ := s.flightC.Do("coord|"+sl.platform+"|"+sl.workload, func() (*coordTable, error) {
-		if sl.built.Load() {
-			return sl.table.Load(), nil
-		}
-		t := s.buildCoordTable(sl.platform, sl.workload)
-		sl.table.Store(t)
-		sl.built.Store(true)
-		return t, nil
-	})
-	return t
-}
-
-// ensurePlan is ensureCoord's plan counterpart.
-func (s *Set) ensurePlan(sl *slot[planTable]) *planTable {
-	if sl.built.Load() {
-		return sl.table.Load()
-	}
-	t, _, _ := s.flightP.Do("plan|"+sl.platform+"|"+sl.workload, func() (*planTable, error) {
-		if sl.built.Load() {
-			return sl.table.Load(), nil
-		}
-		t := s.buildPlanTable(sl.platform, sl.workload)
-		sl.table.Store(t)
-		sl.built.Store(true)
-		return t, nil
-	})
-	return t
 }
 
 // WarmStats summarizes a Warm pass.
@@ -558,7 +514,7 @@ func (s *Set) Warm() WarmStats {
 	var st WarmStats
 	for _, m := range s.coord {
 		for _, sl := range m {
-			if s.ensureCoord(sl) != nil {
+			if sl.ensure(s.buildCoordTable) != nil {
 				st.CoordTables++
 			} else {
 				st.CoordSkipped++
@@ -567,7 +523,7 @@ func (s *Set) Warm() WarmStats {
 	}
 	for _, m := range s.plan {
 		for _, sl := range m {
-			if s.ensurePlan(sl) != nil {
+			if sl.ensure(s.buildPlanTable) != nil {
 				st.PlanTables++
 			} else {
 				st.PlanSkipped++

@@ -101,7 +101,7 @@ func TestCoordTableMatchesExact(t *testing.T) {
 		if sl == nil {
 			t.Fatalf("no slot for %s/%s", pair.platform, pair.wl)
 		}
-		tab := s.ensureCoord(sl)
+		tab := sl.ensure(s.buildCoordTable)
 		if tab == nil {
 			t.Fatalf("coord table for %s/%s did not build", pair.platform, pair.wl)
 		}
@@ -124,7 +124,7 @@ func TestCoordTableMatchesExact(t *testing.T) {
 func TestCoordGridBoundaries(t *testing.T) {
 	s := New(Config{})
 	sl := s.coord["ivybridge"]["stream"]
-	tab := s.ensureCoord(sl)
+	tab := sl.ensure(s.buildCoordTable)
 	if tab == nil {
 		t.Fatal("table did not build")
 	}
@@ -145,7 +145,7 @@ func TestCoordGridBoundaries(t *testing.T) {
 func TestRegressGPUCapFloorBudgetsMissTables(t *testing.T) {
 	s := New(Config{})
 	sl := s.coord["h100"]["llmserve"]
-	tab := s.ensureCoord(sl)
+	tab := sl.ensure(s.buildCoordTable)
 	if tab == nil {
 		t.Fatal("h100/llmserve coord table did not build")
 	}
@@ -183,7 +183,7 @@ func TestRegressGPUCapFloorBudgetsMissTables(t *testing.T) {
 // from the saturation row, and miss below it.
 func TestDegenerateGPUPairAllSurplus(t *testing.T) {
 	s := New(Config{})
-	tab := s.ensureCoord(s.coord["titanv"]["gpustream"])
+	tab := s.coord["titanv"]["gpustream"].ensure(s.buildCoordTable)
 	if tab == nil {
 		t.Fatal("titanv/gpustream coord table did not build")
 	}
@@ -312,7 +312,7 @@ func TestBreakpointEdgesMatchExact(t *testing.T) {
 		if sl == nil {
 			t.Fatalf("no slot for %s/%s", pair.platform, pair.wl)
 		}
-		if s.ensureCoord(sl) == nil {
+		if sl.ensure(s.buildCoordTable) == nil {
 			t.Fatalf("coord table for %s/%s did not build", pair.platform, pair.wl)
 		}
 		for _, bp := range regimeBreakpoints(t, pair.platform, pair.wl) {
@@ -335,7 +335,7 @@ func TestBreakpointEdgesMatchExact(t *testing.T) {
 func TestFindNeverStraddlesEdge(t *testing.T) {
 	s := New(Config{})
 	for _, pair := range breakpointPairs {
-		tab := s.ensureCoord(s.coord[pair.platform][pair.wl])
+		tab := s.coord[pair.platform][pair.wl].ensure(s.buildCoordTable)
 		if tab == nil {
 			t.Fatalf("coord table for %s/%s did not build", pair.platform, pair.wl)
 		}
@@ -360,7 +360,7 @@ func TestFindNeverStraddlesEdge(t *testing.T) {
 	for _, pair := range []struct{ platform, wl string }{
 		{"ivybridge", "bt"}, {"haswell", "stream"},
 	} {
-		tab := s.ensurePlan(s.plan[pair.platform][pair.wl])
+		tab := s.plan[pair.platform][pair.wl].ensure(s.buildPlanTable)
 		if tab == nil {
 			t.Fatalf("plan table for %s/%s did not build", pair.platform, pair.wl)
 		}
@@ -388,7 +388,7 @@ func TestFindNeverStraddlesEdge(t *testing.T) {
 func TestCoordStaleAllocReuse(t *testing.T) {
 	s := New(Config{})
 	sl := s.coord["ivybridge"]["stream"]
-	tab := s.ensureCoord(sl)
+	tab := sl.ensure(s.buildCoordTable)
 	if tab == nil {
 		t.Fatal("table did not build")
 	}
@@ -426,7 +426,7 @@ func TestPlanTableMatchesExact(t *testing.T) {
 		if sl == nil {
 			t.Fatalf("no plan slot for %s/%s", pair.platform, pair.wl)
 		}
-		tab := s.ensurePlan(sl)
+		tab := sl.ensure(s.buildPlanTable)
 		if tab == nil {
 			t.Fatalf("plan table for %s/%s did not build", pair.platform, pair.wl)
 		}
@@ -474,7 +474,7 @@ func TestPlanTableMatchesExact(t *testing.T) {
 // array (the binary fast path pools the response).
 func TestPlanStepsReuse(t *testing.T) {
 	s := New(Config{})
-	tab := s.ensurePlan(s.plan["ivybridge"]["bt"])
+	tab := s.plan["ivybridge"]["bt"].ensure(s.buildPlanTable)
 	if tab == nil {
 		t.Fatal("plan table did not build")
 	}
@@ -496,7 +496,7 @@ func TestPlanStepsReuse(t *testing.T) {
 // must not answer.
 func TestUncoveredRequestsMiss(t *testing.T) {
 	s := New(Config{})
-	tab := s.ensureCoord(s.coord["ivybridge"]["stream"])
+	tab := s.coord["ivybridge"]["stream"].ensure(s.buildCoordTable)
 	if tab == nil {
 		t.Fatal("table did not build")
 	}
@@ -541,10 +541,10 @@ func TestDegradedPairBypassesTables(t *testing.T) {
 	s.computePlan = func(req wire.PlanRequest) (wire.PlanResponse, error) {
 		return wire.PlanResponse{}, fault
 	}
-	if tab := s.ensureCoord(s.coord["ivybridge"]["stream"]); tab != nil {
+	if tab := s.coord["ivybridge"]["stream"].ensure(s.buildCoordTable); tab != nil {
 		t.Fatal("coord table built from a faulting exact path")
 	}
-	if tab := s.ensurePlan(s.plan["ivybridge"]["bt"]); tab != nil {
+	if tab := s.plan["ivybridge"]["bt"].ensure(s.buildPlanTable); tab != nil {
 		t.Fatal("plan table built from a faulting exact path")
 	}
 	var out wire.CoordResponse

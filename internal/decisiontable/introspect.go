@@ -10,12 +10,12 @@ package decisiontable
 func (s *Set) Build(platform, wl string) (coordBuilt, planBuilt bool) {
 	if m := s.coord[platform]; m != nil {
 		if sl := m[wl]; sl != nil {
-			coordBuilt = s.ensureCoord(sl) != nil
+			coordBuilt = sl.ensure(s.buildCoordTable) != nil
 		}
 	}
 	if m := s.plan[platform]; m != nil {
 		if sl := m[wl]; sl != nil {
-			planBuilt = s.ensurePlan(sl) != nil
+			planBuilt = sl.ensure(s.buildPlanTable) != nil
 		}
 	}
 	return coordBuilt, planBuilt
@@ -63,5 +63,5 @@ func (s *Set) PlanBoundaries(platform, wl string) []float64 {
 	return append(out, t.hi)
 }
 
-// Eps returns the configured perf/power tolerance.
-func (s *Set) Eps() float64 { return s.cfg.Eps }
+// Eps returns the perf/power tolerance the tables are held to.
+func (s *Set) Eps() float64 { return DefaultEps }

@@ -1,107 +1,58 @@
-// Package flight is a minimal generic singleflight: concurrent callers
-// asking for the same key share one execution of the underlying
-// function instead of stampeding it. It backs the two layers of the
-// serving stack that deduplicate concurrent work:
+// Package flight is the allocation service's request coalescer:
+// concurrent callers asking for the same key share one execution of
+// the underlying function instead of stampeding it.
 //
-//   - the cluster scheduler's lazily populated profile cache, where the
-//     first concurrent rounds would otherwise all run the profiler for
-//     the same (platform, workload) key;
-//   - the allocation service's request coalescing, where identical
-//     in-flight API requests share one computation and one rendered
-//     response body.
-//
-// Unlike a memo cache, a flight group holds nothing after the call
-// completes: it deduplicates *concurrent* work only, so callers layer
-// it under their own cache when results should persist.
+// The first caller for a key leads: its function runs on a goroutine
+// of its own, so a caller that gives up (a request whose deadline
+// expired) never blocks the computation other callers still want.
+// Every caller waits on the call's Done channel, with no goroutine per
+// waiter, and can select on it next to its own deadline. The entry is
+// deleted when the function returns: a group deduplicates concurrent
+// work only, so the next call for the key runs the function again and
+// a failure is never replayed.
 package flight
 
 import "sync"
 
-// Result carries a completed call's outcome to every waiter.
-type Result[V any] struct {
-	// Val and Err are the function's return values.
-	Val V
-	Err error
-	// Shared reports whether the result was delivered to more than one
-	// caller.
-	Shared bool
+// Call is one in-flight execution of a group's function.
+type Call[V any] struct {
+	done chan struct{}
+	val  V
 }
 
-// call is one in-flight execution.
-type call[V any] struct {
-	done    chan struct{}
-	val     V
-	err     error
-	waiters int
-}
+// Done is closed when the function has returned.
+func (c *Call[V]) Done() <-chan struct{} { return c.done }
 
-// Group deduplicates concurrent function calls by key. The zero value
-// is ready to use. K must be a comparable content key — the same
-// content-key discipline as a memo cache, minus the retention.
-type Group[K comparable, V any] struct {
+// Val returns the function's result; it is valid once Done is closed.
+func (c *Call[V]) Val() V { return c.val }
+
+// Group deduplicates concurrent calls by key. The zero value is ready
+// to use. The key must carry everything the result depends on.
+type Group[V any] struct {
 	mu    sync.Mutex
-	calls map[K]*call[V]
+	calls map[string]*Call[V]
 }
 
-// Do executes fn for key, or waits for an identical in-flight call and
-// shares its result. shared reports whether the returned value was (or
-// will be) delivered to more than one caller. Errors are shared with
-// every waiter and never retained: the next call after completion
-// re-executes fn.
-func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, err error, shared bool) {
-	ch, leader := g.DoChan(key, fn)
-	r := <-ch
-	return r.Val, r.Err, r.Shared || !leader
-}
-
-// DoChan is the non-blocking variant: it returns a channel that will
-// receive exactly one Result, and whether this caller became the leader
-// (the one whose fn runs). The leader's fn executes on a new goroutine,
-// so an abandoned waiter (e.g. a request whose deadline expired) never
-// blocks the computation other waiters still want.
-func (g *Group[K, V]) DoChan(key K, fn func() (V, error)) (<-chan Result[V], bool) {
+// Do joins the in-flight call for key, or starts fn for it on a new
+// goroutine and reports leader. fn runs exactly once per call however
+// many callers join it.
+func (g *Group[V]) Do(key string, fn func() V) (c *Call[V], leader bool) {
 	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[K]*call[V])
-	}
+	defer g.mu.Unlock()
 	if c, ok := g.calls[key]; ok {
-		c.waiters++
-		g.mu.Unlock()
-		return waitChan(c), false
+		return c, false
 	}
-	c := &call[V]{done: make(chan struct{}), waiters: 1}
+	if g.calls == nil {
+		g.calls = make(map[string]*Call[V])
+	}
+	c = &Call[V]{done: make(chan struct{})}
 	g.calls[key] = c
-	g.mu.Unlock()
-
 	go func() {
-		c.val, c.err = fn()
+		c.val = fn()
 		g.mu.Lock()
-		// Guard against Forget having replaced this call: only remove
-		// the map entry if it is still ours.
-		if g.calls[key] == c {
-			delete(g.calls, key)
-		}
+		delete(g.calls, key)
 		g.mu.Unlock()
 		close(c.done)
 	}()
-	return waitChan(c), true
-}
-
-// waitChan adapts a call's completion into a buffered one-shot channel.
-func waitChan[V any](c *call[V]) <-chan Result[V] {
-	ch := make(chan Result[V], 1)
-	go func() {
-		<-c.done
-		ch <- Result[V]{Val: c.val, Err: c.err, Shared: c.waiters > 1}
-	}()
-	return ch
-}
-
-// Forget drops any in-flight call for key: future callers start a fresh
-// execution instead of joining it. Current waiters still receive the
-// old call's result.
-func (g *Group[K, V]) Forget(key K) {
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
+	return c, true
 }

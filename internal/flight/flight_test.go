@@ -8,31 +8,47 @@ import (
 	"time"
 )
 
+// wait returns the call's value, failing the test if it never
+// completes.
+func wait[V any](t *testing.T, c *Call[V]) V {
+	t.Helper()
+	select {
+	case <-c.Done():
+		return c.Val()
+	case <-time.After(5 * time.Second):
+		t.Fatal("call never completed")
+	}
+	panic("unreachable")
+}
+
+// retained reports how many calls the group still holds.
+func retained[V any](g *Group[V]) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.calls)
+}
+
 // TestDoDeduplicatesConcurrentCalls pins the core guarantee: N
 // concurrent callers for one key execute fn exactly once and all see
-// its result, marked shared.
+// its result.
 func TestDoDeduplicatesConcurrentCalls(t *testing.T) {
-	var g Group[string, int]
+	var g Group[int]
 	var calls atomic.Int32
 	release := make(chan struct{})
 
 	const n = 16
 	var wg sync.WaitGroup
 	vals := make([]int, n)
-	shared := make([]bool, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err, sh := g.Do("k", func() (int, error) {
+			c, _ := g.Do("k", func() int {
 				calls.Add(1)
 				<-release
-				return 42, nil
+				return 42
 			})
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-			}
-			vals[i], shared[i] = v, sh
+			vals[i] = wait(t, c)
 		}(i)
 	}
 	// Let every caller reach the group before the call completes.
@@ -47,64 +63,95 @@ func TestDoDeduplicatesConcurrentCalls(t *testing.T) {
 		if vals[i] != 42 {
 			t.Errorf("caller %d got %d, want 42", i, vals[i])
 		}
-		if !shared[i] {
-			t.Errorf("caller %d not marked shared", i)
-		}
 	}
 }
 
 // TestDoDistinctKeysRunIndependently checks different keys never share.
 func TestDoDistinctKeysRunIndependently(t *testing.T) {
-	var g Group[int, int]
+	var g Group[int]
 	var calls atomic.Int32
+	release := make(chan struct{})
+	keys := []string{"a", "b", "ab", "ba", "a|b", "", "0", "00"}
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i, k := range keys {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, k string) {
 			defer wg.Done()
-			v, err, _ := g.Do(i, func() (int, error) {
+			c, leader := g.Do(k, func() int {
 				calls.Add(1)
-				return i * i, nil
+				<-release
+				return i * i
 			})
-			if err != nil || v != i*i {
-				t.Errorf("key %d: got (%d, %v)", i, v, err)
+			if !leader {
+				t.Errorf("key %q joined another key's call", k)
 			}
-		}(i)
+			if v := wait(t, c); v != i*i {
+				t.Errorf("key %q: got %d, want %d", k, v, i*i)
+			}
+		}(i, k)
 	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
 	wg.Wait()
-	if got := calls.Load(); got != 8 {
-		t.Fatalf("fn ran %d times, want 8", got)
+	if got := calls.Load(); got != int32(len(keys)) {
+		t.Fatalf("fn ran %d times, want %d", got, len(keys))
 	}
 }
 
-// TestErrorsSharedNotRetained: waiters share the leader's error, and the
-// next call after completion re-executes instead of replaying it.
+// TestErrorsSharedNotRetained: waiters share the leader's failure, and
+// the next call after completion re-executes instead of replaying it.
 func TestErrorsSharedNotRetained(t *testing.T) {
-	var g Group[string, int]
+	var g Group[error]
 	boom := errors.New("boom")
-	_, err, _ := g.Do("k", func() (int, error) { return 0, boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want boom", err)
+	release := make(chan struct{})
+	c1, _ := g.Do("k", func() error {
+		<-release
+		return boom
+	})
+	c2, leader := g.Do("k", func() error {
+		t.Error("follower fn must not run")
+		return nil
+	})
+	if leader {
+		t.Fatal("second Do led; want join")
 	}
-	v, err, _ := g.Do("k", func() (int, error) { return 7, nil })
-	if err != nil || v != 7 {
-		t.Fatalf("retry got (%d, %v), want (7, nil)", v, err)
+	close(release)
+	for i, c := range []*Call[error]{c1, c2} {
+		if err := wait(t, c); !errors.Is(err, boom) {
+			t.Fatalf("caller %d got %v, want boom", i, err)
+		}
+	}
+	if n := retained(&g); n != 0 {
+		t.Fatalf("%d calls retained after completion, want 0", n)
+	}
+	c3, leader := g.Do("k", func() error { return nil })
+	if !leader {
+		t.Fatal("call after completion joined the finished call")
+	}
+	if err := wait(t, c3); err != nil {
+		t.Fatalf("retry got %v, want nil", err)
 	}
 }
 
-// TestSingleCallerNotShared: an uncontended call reports Shared=false.
+// TestSingleCallerNotShared: an uncontended call leads, and so does the
+// next one after it completes — a lone caller never counts as joined.
 func TestSingleCallerNotShared(t *testing.T) {
-	var g Group[string, int]
-	_, _, shared := g.Do("solo", func() (int, error) { return 1, nil })
-	if shared {
-		t.Fatal("uncontended call marked shared")
+	var g Group[int]
+	for i := 0; i < 2; i++ {
+		c, leader := g.Do("solo", func() int { return i })
+		if !leader {
+			t.Fatalf("uncontended call %d joined", i)
+		}
+		if v := wait(t, c); v != i {
+			t.Fatalf("call %d got %d", i, v)
+		}
 	}
 }
 
-// TestDoChanLeaderElection: exactly one of N concurrent DoChan callers
-// is the leader.
+// TestDoChanLeaderElection: exactly one of N concurrent callers is the
+// leader.
 func TestDoChanLeaderElection(t *testing.T) {
-	var g Group[string, int]
+	var g Group[int]
 	release := make(chan struct{})
 	var leaders atomic.Int32
 	var wg sync.WaitGroup
@@ -112,14 +159,14 @@ func TestDoChanLeaderElection(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ch, leader := g.DoChan("k", func() (int, error) {
+			c, leader := g.Do("k", func() int {
 				<-release
-				return 1, nil
+				return 1
 			})
 			if leader {
 				leaders.Add(1)
 			}
-			<-ch
+			wait(t, c)
 		}()
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -130,168 +177,46 @@ func TestDoChanLeaderElection(t *testing.T) {
 	}
 }
 
-// TestForgetStartsFreshCall: after Forget, a new caller re-executes
-// while old waiters still get the original result.
-func TestForgetStartsFreshCall(t *testing.T) {
-	var g Group[string, int]
-	release := make(chan struct{})
-	ch, _ := g.DoChan("k", func() (int, error) {
-		<-release
-		return 1, nil
-	})
-	g.Forget("k")
-	v2, err, _ := g.Do("k", func() (int, error) { return 2, nil })
-	if err != nil || v2 != 2 {
-		t.Fatalf("post-forget call got (%d, %v), want (2, nil)", v2, err)
-	}
-	close(release)
-	if r := <-ch; r.Err != nil || r.Val != 1 {
-		t.Fatalf("original waiter got (%d, %v), want (1, nil)", r.Val, r.Err)
-	}
-}
-
-// TestForgetDuringInflightDo pins the Forget race the allocation
-// service's shard restarts depend on: Forget while the leader is still
-// computing detaches the in-flight call, a subsequent Do starts a
-// fresh execution immediately, and the original waiters still receive
-// the old call's result.
-func TestForgetDuringInflightDo(t *testing.T) {
-	var g Group[string, int]
-	started := make(chan struct{})
-	release := make(chan struct{})
-
-	type outcome struct {
-		v      int
-		shared bool
-	}
-	firstDone := make(chan outcome, 1)
-	go func() {
-		v, err, shared := g.Do("k", func() (int, error) {
-			close(started)
-			<-release
-			return 1, nil
-		})
-		if err != nil {
-			t.Errorf("first Do: %v", err)
-		}
-		firstDone <- outcome{v, shared}
-	}()
-	<-started // the leader is inside fn
-
-	g.Forget("k")
-
-	// A post-Forget Do must not join the detached call: its fn runs
-	// fresh and completes even though the old leader is still blocked.
-	v, err, _ := g.Do("k", func() (int, error) { return 2, nil })
-	if err != nil || v != 2 {
-		t.Fatalf("post-Forget Do = (%d, %v), want (2, nil)", v, err)
-	}
-
-	close(release)
-	got := <-firstDone
-	if got.v != 1 {
-		t.Errorf("original waiter got %d, want the detached call's 1", got.v)
-	}
-}
-
-// TestConcurrentForgetHammer interleaves Do and Forget on one key from
-// many goroutines; under -race this pins the map-guard in DoChan's
-// completion path (only the call that is still current is removed).
-func TestConcurrentForgetHammer(t *testing.T) {
-	var g Group[string, int]
-	var calls atomic.Int32
-	const loops = 200
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < loops; i++ {
-				v, err, _ := g.Do("k", func() (int, error) {
-					calls.Add(1)
-					return 7, nil
-				})
-				if err != nil || v != 7 {
-					t.Errorf("Do = (%d, %v), want (7, nil)", v, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < loops; i++ {
-			g.Forget("k")
-		}
-	}()
-	wg.Wait()
-	if n := calls.Load(); n == 0 {
-		t.Error("fn never executed")
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.calls) != 0 {
-		t.Errorf("%d calls retained after quiescence, want 0", len(g.calls))
-	}
-}
-
 // TestDoChanReceiverAbandonment pins the contract the allocation
-// service's deadline path relies on: a waiter that never reads its
-// channel must not block the leader's computation or the other
-// waiters, and the group must not retain the completed call.
+// service's deadline path relies on: a leader that never waits for its
+// call must not block the computation or the other waiters, and the
+// group must not retain the completed call.
 func TestDoChanReceiverAbandonment(t *testing.T) {
-	var g Group[string, int]
+	var g Group[int]
 	release := make(chan struct{})
 
-	// Leader: abandoned — nobody ever reads ch1.
-	ch1, leader := g.DoChan("k", func() (int, error) {
+	// Leader: abandoned — nobody reads its call.
+	_, leader := g.Do("k", func() int {
 		<-release
-		return 42, nil
+		return 42
 	})
 	if !leader {
-		t.Fatal("first DoChan did not lead")
+		t.Fatal("first Do did not lead")
 	}
-	_ = ch1 // deliberately never received from
 
 	// Follower joins the same call and does wait.
-	ch2, leader2 := g.DoChan("k", func() (int, error) {
+	c2, leader2 := g.Do("k", func() int {
 		t.Error("follower fn must not run")
-		return 0, nil
+		return 0
 	})
 	if leader2 {
-		t.Fatal("second DoChan led; want join")
+		t.Fatal("second Do led; want join")
 	}
 
 	close(release)
-	select {
-	case r := <-ch2:
-		if r.Err != nil || r.Val != 42 {
-			t.Fatalf("follower got (%d, %v), want (42, nil)", r.Val, r.Err)
-		}
-		if !r.Shared {
-			t.Error("follower result not marked shared")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("abandoned leader blocked the follower")
+	if v := wait(t, c2); v != 42 {
+		t.Fatalf("follower got %d, want 42", v)
 	}
 
 	// The completed call must not be retained: the next Do re-executes.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		g.mu.Lock()
-		n := len(g.calls)
-		g.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d calls retained after completion, want 0", n)
-		}
-		time.Sleep(time.Millisecond)
+	if n := retained(&g); n != 0 {
+		t.Fatalf("%d calls retained after completion, want 0", n)
 	}
-	v, err, _ := g.Do("k", func() (int, error) { return 7, nil })
-	if err != nil || v != 7 {
-		t.Fatalf("post-completion Do = (%d, %v), want (7, nil)", v, err)
+	c3, leader3 := g.Do("k", func() int { return 7 })
+	if !leader3 {
+		t.Fatal("post-completion Do joined the finished call")
+	}
+	if v := wait(t, c3); v != 7 {
+		t.Fatalf("post-completion Do = %d, want 7", v)
 	}
 }
