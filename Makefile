@@ -32,10 +32,11 @@ benchsmoke:
 
 # One iteration of each simulator layer bench (the 4096-leaf tree solve,
 # DES exact and fast mode at the perfbench simulate sizes, DES exact
-# under an oversubscribed queue, a recoord run), so the benchmarks
+# under an oversubscribed queue, a recoord run on a memoized slate and
+# one at a fresh budget that simulates its slate), so the benchmarks
 # cannot rot.
 simbench:
-	$(GO) test -run=^$$ -bench='^Benchmark(Solve4096|RunExact256|RunExactOversubscribed|RunFast10k|Run)$$' -benchtime=1x ./internal/powertree ./internal/des ./internal/recoord
+	$(GO) test -run=^$$ -bench='^Benchmark(Solve4096|RunExact256|RunExactOversubscribed|RunFast10k|Run|RunCold)$$' -benchtime=1x ./internal/powertree ./internal/des ./internal/recoord
 
 # Concurrency smoke for the allocation service under the race
 # detector: many clients over all five API routes, in JSON and binary,
@@ -77,9 +78,10 @@ treesmoke:
 # Online re-coordination gate under the race detector: the controller's
 # never-worse-than-static guarantee across phased ML workloads on the
 # H100-class platforms, byte-identical determinism, the typed sub-floor
-# rejection, and the recoord shard-death chaos case; then one CLI run.
+# rejection, serial-vs-parallel equality of the slate evaluation, and
+# the recoord shard-death chaos case; then one CLI run.
 recoordsmoke:
-	$(GO) test -race -run 'TestOnlineNeverWorseThanStatic|TestDeterministicRepeat|TestBudgetBelowCapFloorTypedRejection' -count=1 ./internal/recoord
+	$(GO) test -race -run 'TestOnlineNeverWorseThanStatic|TestDeterministicRepeat|TestBudgetBelowCapFloorTypedRejection|TestRunSerialParallelContract' -count=1 ./internal/recoord
 	$(GO) test -race -run TestChaosRecoordShardDeathFailover -count=1 ./internal/allocclient
 	$(GO) run ./cmd/pbc recoord -platform h100 -workload llmbatch -budget 300 >/dev/null
 

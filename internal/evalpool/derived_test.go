@@ -71,16 +71,39 @@ func TestDeriveSkipsErrorsAndDisabledCache(t *testing.T) {
 }
 
 // TestDeriveBoundedByCacheSize: the derived memo holds at most
-// CacheSize entries.
+// CacheSize points of weight, evicting lighter and heavier entries
+// alike to make room, and never stores a value heavier than the whole
+// bound.
 func TestDeriveBoundedByCacheSize(t *testing.T) {
-	e := New(Options{CacheSize: 2})
+	e := New(Options{CacheSize: 4})
 	b := e.Bind(cpuProblem(t, "ivybridge", "dgemm"))
-	for i := 0; i < 5; i++ {
-		if _, err := Derive(b, "k", float64(i), func() (int, error) { return i, nil }); err != nil {
+	calls := 0
+	derive := func(param float64, weight int) {
+		t.Helper()
+		if _, err := DeriveWeighted(b, "k", param, weight, func() (int, error) {
+			calls++
+			return calls, nil
+		}); err != nil {
 			t.Fatal(err)
 		}
+		if w := e.Stats().Derived; w > 4 {
+			t.Fatalf("derived memo weighs %d points with CacheSize 4", w)
+		}
 	}
-	if n := len(e.derived.m); n > 2 {
-		t.Fatalf("derived memo holds %d entries with CacheSize 2", n)
+	for i := 0; i < 5; i++ {
+		derive(float64(i), 1)
+	}
+	derive(10, 3)
+	derive(11, 3)
+	before := calls
+	derive(11, 3)
+	if calls != before {
+		t.Fatal("the entry just stored was evicted or never stored")
+	}
+	calls = 0
+	derive(20, 5)
+	derive(20, 5)
+	if calls != 2 {
+		t.Fatalf("a value heavier than the bound was derived %d times over 2 calls, want 2 (never stored)", calls)
 	}
 }

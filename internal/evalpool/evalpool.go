@@ -12,7 +12,10 @@
 //  2. a sharded, keyed memo cache mapping (platform, workload, call
 //     kind, caps/clocks) to the simulated result, with hit/miss/eviction
 //     counters and a size bound, shared across a whole experiment run so
-//     different artifacts stop re-simulating identical points.
+//     different artifacts stop re-simulating identical points. Next
+//     to it, a derived memo (Derive, DeriveWeighted) stores results
+//     built from a whole problem, such as profiles and recoord's
+//     operating-point slates, bounded by the points they hold.
 //
 // Both layers rely on the simulator being a pure function of its
 // arguments. That holds for every entry point the engine dispatches
@@ -233,8 +236,9 @@ type Options struct {
 	// Workers bounds the evaluation goroutines; 0 or negative means
 	// GOMAXPROCS.
 	Workers int
-	// CacheSize bounds the memo cache in entries. 0 means
-	// DefaultCacheSize; negative disables caching entirely.
+	// CacheSize bounds the point memo in entries and the derived memo
+	// in points of weight. 0 means DefaultCacheSize; negative disables
+	// caching entirely.
 	CacheSize int
 }
 
@@ -331,6 +335,16 @@ func (e *Engine) Bind(pr Problem) *Bound {
 // Evaluate evaluates one point of the bound problem.
 func (b *Bound) Evaluate(req Request) (sim.Result, error) {
 	return b.e.evaluate(&b.pr, b.fp, req)
+}
+
+// Simulate evaluates one point of the bound problem without consulting
+// or filling the point memo, for callers that memoize a whole batch of
+// points themselves (see DeriveWeighted) and would otherwise fill the
+// memo with points no later call asks for. It counts toward Requests
+// and SimRuns like Evaluate.
+func (b *Bound) Simulate(req Request) (sim.Result, error) {
+	b.e.requests.Add(1)
+	return b.e.run(&b.pr, req)
 }
 
 // Evaluate evaluates a single point, consulting the cache.
@@ -435,6 +449,10 @@ type Stats struct {
 	// caching is disabled.
 	Hits, Misses, Evictions uint64
 	Entries, Capacity       int
+	// Derived is the derived memo's occupancy in points (see
+	// DeriveWeighted); it never exceeds the CacheSize option, and is
+	// zero when caching is disabled.
+	Derived int
 }
 
 // HitRate returns hits over lookups, or 0 when nothing was looked up.
@@ -468,6 +486,7 @@ func (e *Engine) Stats() Stats {
 		s.Evictions = e.cache.evictions.Load()
 		s.Entries = e.cache.len()
 		s.Capacity = e.cache.capacity()
+		s.Derived = e.derived.load()
 	}
 	return s
 }

@@ -139,11 +139,13 @@ func TestCacheKeyCollisions(t *testing.T) {
 
 // TestRaceStress hammers one engine — with a cache small enough that
 // every shard constantly evicts — from many goroutines evaluating an
-// overlapping key set, while other goroutines snapshot stats. Run under
-// -race (make check does), this is the engine's concurrency gate.
+// overlapping key set, and deriving weighted values that overflow the
+// derived memo's bound, while other goroutines snapshot stats. Run
+// under -race (make check does), this is the engine's concurrency gate.
 func TestRaceStress(t *testing.T) {
 	pr := cpuProblem(t, "ivybridge", "mg")
 	e := New(Options{Workers: 8, CacheSize: 8}) // 8 entries → per-shard bound 1
+	b := e.Bind(pr)
 	want, err := Serial().Evaluate(pr, Request{Op: OpCPU, Proc: 120, Mem: 88})
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +172,11 @@ func TestRaceStress(t *testing.T) {
 					errCh <- fmt.Errorf("goroutine %d: perf %v != %v", g, res.Perf, want.Perf)
 					return
 				}
+				k := (g + i) % 6
+				if v, err := DeriveWeighted(b, "stress", float64(k), 1+k%3, func() (int, error) { return k, nil }); err != nil || v != k {
+					errCh <- fmt.Errorf("goroutine %d: derived %v, %v; want %d", g, v, err, k)
+					return
+				}
 				_ = e.Stats()
 			}
 		}(g)
@@ -182,6 +189,9 @@ func TestRaceStress(t *testing.T) {
 	s := e.Stats()
 	if s.Entries > s.Capacity {
 		t.Fatalf("cache holds %d entries over capacity %d", s.Entries, s.Capacity)
+	}
+	if s.Derived > 8 {
+		t.Fatalf("derived memo weighs %d points over CacheSize 8", s.Derived)
 	}
 	if s.Requests != goroutines*iters {
 		t.Fatalf("requests %d, want %d", s.Requests, goroutines*iters)
@@ -238,6 +248,35 @@ func TestCacheHitSkipsSimulation(t *testing.T) {
 		if !reflect.DeepEqual(third, second) {
 			t.Fatal("mutating a returned result corrupted the cache")
 		}
+	}
+}
+
+// TestSimulateBypassesMemo: Bound.Simulate returns what Evaluate
+// does, counts as a request and a simulator run, and neither reads
+// nor fills the point memo.
+func TestSimulateBypassesMemo(t *testing.T) {
+	e := New(Options{Workers: 1})
+	b := e.Bind(cpuProblem(t, "ivybridge", "stream"))
+	req := Request{Op: OpCPU, Proc: 120, Mem: 88}
+	for i := 0; i < 2; i++ {
+		if _, err := b.Simulate(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := e.Stats()
+	if s.Requests != 2 || s.SimRuns != 2 || s.Hits+s.Misses != 0 || s.Entries != 0 {
+		t.Fatalf("stats %+v: want 2 requests and 2 sim runs, no lookups, no entries", s)
+	}
+	got, err := b.Simulate(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Serial().Evaluate(b.pr, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Simulate %+v, Evaluate %+v", got, want)
 	}
 }
 

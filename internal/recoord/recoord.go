@@ -1,7 +1,7 @@
 // Package recoord closes the coordination loop: an online controller
 // that watches workload telemetry (activity and stall gauges) for phase
-// shifts and re-runs GPU power coordination through the shared
-// evaluation engine whenever the running phase's character changes.
+// shifts and re-runs GPU power coordination whenever the running
+// phase's character changes.
 //
 // Static COORD (Algorithm 2) picks one split from an aggregate,
 // whole-run profile. On a phased ML-inference workload that aggregate
@@ -16,6 +16,15 @@
 // candidate slate and a switch needs a SwitchMargin gain, so online
 // performance can trail static COORD only during the detection lag —
 // never at steady state.
+//
+// A run simulates its whole slate once, up front: every phase at every
+// candidate and at the governor's point, one batch fanned over the
+// evaluation engine's workers. Every tick, visit, dwell share and
+// re-coordination then reads that table. The table is memoized whole
+// on the engine, keyed by the aggregate (platform, workload) content
+// and the budget — the static candidate depends on the whole workload,
+// so no per-phase key would do — and its points bypass the engine's
+// point memo, since no other caller asks for them.
 //
 // Everything is driven in virtual time: the trace, the detector, and
 // the evaluations are pure functions of the configuration, so two runs
@@ -181,16 +190,24 @@ func singlePhase(w workload.Workload, i int) workload.Workload {
 	return out
 }
 
+// point is one simulated steady state of the slate.
+type point struct {
+	perf, activity, stall float64
+}
+
 // controller holds one run's state.
 type controller struct {
-	cfg    Config
-	gpu    *hw.GPUSpec
-	bounds []*evalpool.Bound // one per phase, singlePhase problems
-	prof   profile.GPUProfile
+	cfg Config
+	gpu *hw.GPUSpec
 
-	cap        units.Power // enforceable board cap: min(budget, MaxCap)
-	static     Setting
+	cap units.Power // enforceable board cap: min(budget, MaxCap)
+	// candidates is the slate's operating points; the static decision
+	// is the last one.
 	candidates []Setting
+	// table holds the slate's steady states phase-major: row i is phase
+	// i, column j < len(candidates) is candidates[j], and the last
+	// column is the governor's point.
+	table []point
 
 	activity, stall *telemetry.Gauge
 	recoords        *telemetry.Counter
@@ -233,14 +250,14 @@ func Run(cfg Config) (Result, error) {
 }
 
 // prepare profiles the aggregate workload, derives the static COORD
-// decision and the candidate slate, and registers the instruments.
+// decision and the candidate slate, looks up or simulates the slate
+// table, and registers the instruments.
 func (c *controller) prepare() error {
 	p, w := c.cfg.Platform, c.cfg.Workload
 	prof, err := profile.ProfileGPU(p, w)
 	if err != nil {
 		return err
 	}
-	c.prof = prof
 
 	c.cap = c.cfg.Budget
 	if c.cap > c.gpu.MaxCap {
@@ -265,7 +282,6 @@ func (c *controller) prepare() error {
 	if staticCap > c.cap {
 		staticCap = c.cap
 	}
-	c.static = Setting{Proc: staticCap, Mem: d.Alloc.Mem}
 
 	// The candidate slate: one operating point per settable memory
 	// clock, all under the enforceable cap, plus the static decision.
@@ -274,11 +290,13 @@ func (c *controller) prepare() error {
 	for _, f := range c.gpu.Mem.Clocks() {
 		c.candidates = append(c.candidates, Setting{Proc: c.cap, Mem: c.gpu.Mem.Power(f)})
 	}
-	c.candidates = append(c.candidates, c.static)
+	c.candidates = append(c.candidates, Setting{Proc: staticCap, Mem: d.Alloc.Mem})
 
-	for i := range w.Phases {
-		c.bounds = append(c.bounds, c.cfg.Engine.Bind(evalpool.Problem{
-			Platform: p, Workload: singlePhase(w, i)}))
+	aggregate := c.cfg.Engine.Bind(evalpool.Problem{Platform: p, Workload: w})
+	c.table, err = evalpool.DeriveWeighted(aggregate, "recoord.slates", c.cfg.Budget.Watts(),
+		len(w.Phases)*c.width(), c.simulate)
+	if err != nil {
+		return err
 	}
 
 	reg := c.cfg.Registry
@@ -296,50 +314,77 @@ func (c *controller) prepare() error {
 	return nil
 }
 
-// evalPhase evaluates setting s on phase i and returns the simulated
-// steady state.
-func (c *controller) evalPhase(i int, s Setting) (perf, activity, stallFrac float64, err error) {
-	res, err := c.bounds[i].Evaluate(evalpool.Request{
-		Op: evalpool.OpGPUMemPower, Proc: s.Proc, Mem: s.Mem})
-	if err != nil {
-		return 0, 0, 0, err
+// width is the table's row length: every candidate, then the
+// governor's point.
+func (c *controller) width() int { return len(c.candidates) + 1 }
+
+// static and governor are the table columns of the static decision and
+// of the governor's point.
+func (c *controller) static() int   { return len(c.candidates) - 1 }
+func (c *controller) governor() int { return len(c.candidates) }
+
+// at returns phase i's steady state at table column j.
+func (c *controller) at(i, j int) point { return c.table[i*c.width()+j] }
+
+// simulate builds the slate table: each cell one simulator call on the
+// single-phase problem, the batch spread over the engine's workers.
+// The cells skip the point memo; the table is memoized whole.
+func (c *controller) simulate() ([]point, error) {
+	p, w, eng := c.cfg.Platform, c.cfg.Workload, c.cfg.Engine
+	phases := make([]*evalpool.Bound, len(w.Phases))
+	for i := range phases {
+		phases[i] = eng.Bind(evalpool.Problem{Platform: p, Workload: singlePhase(w, i)})
 	}
-	activity = res.ComputeUtil
-	if len(res.Phases) == 1 {
-		activity = res.Phases[0].Activity
+	n := c.width()
+	table := make([]point, len(phases)*n)
+	errs := make([]error, len(table))
+	eng.Each(len(table), func(k int) {
+		req := evalpool.Request{Op: evalpool.OpGPUClock, Proc: c.cap, Clock: c.gpu.Mem.ClockNom}
+		if j := k % n; j != c.governor() {
+			s := c.candidates[j]
+			req = evalpool.Request{Op: evalpool.OpGPUMemPower, Proc: s.Proc, Mem: s.Mem}
+		}
+		res, err := phases[k/n].Simulate(req)
+		if err != nil {
+			errs[k] = err
+			return
+		}
+		activity := res.ComputeUtil
+		if len(res.Phases) == 1 {
+			activity = res.Phases[0].Activity
+		}
+		table[k] = point{perf: res.Perf, activity: activity, stall: res.StallFrac}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	return res.Perf, activity, res.StallFrac, nil
+	return table, nil
 }
 
 // recoordinate picks the best candidate for phase i by measurement and
-// returns the winner — the current setting unless a candidate beats it
-// by the switch margin. Ties inside the margin keep the incumbent, and
-// equal-perf candidates resolve by slate order, so the choice is
-// deterministic.
-func (c *controller) recoordinate(i int, current Setting) (Setting, bool, error) {
+// returns the winner's column — the current one unless a candidate
+// beats it by the switch margin. Ties inside the margin keep the
+// incumbent, and equal-perf candidates resolve by slate order, so the
+// choice is deterministic.
+func (c *controller) recoordinate(i, current int) (int, bool) {
 	c.recoords.Inc()
-	curPerf, _, _, err := c.evalPhase(i, current)
-	if err != nil {
-		return Setting{}, false, err
-	}
+	curPerf := c.at(i, current).perf
 	best, bestPerf := current, curPerf
-	for _, cand := range c.candidates {
-		if cand == current {
+	for j, cand := range c.candidates {
+		if cand == c.candidates[current] {
 			continue
 		}
-		perf, _, _, err := c.evalPhase(i, cand)
-		if err != nil {
-			return Setting{}, false, err
-		}
-		if perf > bestPerf {
-			best, bestPerf = cand, perf
+		if perf := c.at(i, j).perf; perf > bestPerf {
+			best, bestPerf = j, perf
 		}
 	}
 	if best != current && bestPerf >= curPerf*(1+c.cfg.SwitchMargin) {
 		c.switches.Inc()
-		return best, true, nil
+		return best, true
 	}
-	return current, false, nil
+	return current, false
 }
 
 // observe feeds the gauges from the running phase's steady state and
@@ -381,10 +426,7 @@ func (c *controller) trace() ([]int, error) {
 	shares := make([]float64, len(w.Phases))
 	var total float64
 	for i, ph := range w.Phases {
-		perf, _, _, err := c.evalPhase(i, c.static)
-		if err != nil {
-			return nil, err
-		}
+		perf := c.at(i, c.static()).perf
 		if perf <= 0 {
 			return nil, fmt.Errorf("recoord: phase %q produced no throughput under the static setting", ph.Name)
 		}
@@ -406,18 +448,11 @@ func (c *controller) trace() ([]int, error) {
 func (c *controller) run() (Result, error) {
 	cfg := &c.cfg
 	w := cfg.Workload
+	static := c.static()
 	res := Result{
 		Platform: cfg.Platform.Name, Workload: w.Name,
 		Budget: cfg.Budget, PerfUnit: w.PerfUnit,
-		StaticSetting: c.static,
-	}
-	governor := func(i int) (float64, error) {
-		r, err := c.bounds[i].Evaluate(evalpool.Request{
-			Op: evalpool.OpGPUClock, Proc: c.cap, Clock: c.gpu.Mem.ClockNom})
-		if err != nil {
-			return 0, err
-		}
-		return r.Perf, nil
+		StaticSetting: c.candidates[static],
 	}
 
 	ticks, err := c.trace()
@@ -425,64 +460,45 @@ func (c *controller) run() (Result, error) {
 		return Result{}, err
 	}
 
-	current := c.static
+	current := static
 	// The opening reference: the first phase's steady state under the
 	// static setting. The controller has just coordinated (statically),
 	// so the detector arms against what it is about to see.
-	_, a0, s0, err := c.evalPhase(0, current)
-	if err != nil {
-		return Result{}, err
-	}
-	c.refActivity, c.refStall = a0, s0
+	open := c.at(0, current)
+	c.refActivity, c.refStall = open.activity, open.stall
 
 	var onlineTime, staticTime, governorTime float64 // Σ perf·ticks
 	var totalTicks int
 	for round := 0; round < cfg.Rounds; round++ {
 		for i := range w.Phases {
-			visit := PhaseVisit{Phase: w.Phases[i].Name, Ticks: ticks[i], Setting: current}
-			staticPerf, _, _, err := c.evalPhase(i, c.static)
-			if err != nil {
-				return Result{}, err
-			}
-			govPerf, err := governor(i)
-			if err != nil {
-				return Result{}, err
-			}
-			visit.StaticPerf, visit.GovernorPerf = staticPerf, govPerf
+			staticPerf, govPerf := c.at(i, static).perf, c.at(i, c.governor()).perf
+			visit := PhaseVisit{Phase: w.Phases[i].Name, Ticks: ticks[i],
+				StaticPerf: staticPerf, GovernorPerf: govPerf}
 
 			// The steady state of (phase i, current) is a pure function of
-			// the pair: evaluate it on entry and after a switch, and feed
-			// the detector the same sample every tick.
-			perf, act, stall, err := c.evalPhase(i, current)
-			if err != nil {
-				return Result{}, err
-			}
+			// the pair: the detector sees the same sample every tick until
+			// a switch.
+			pt := c.at(i, current)
 			var visitPerfTime float64
 			for tick := 0; tick < ticks[i]; tick++ {
-				if c.observe(act, stall) {
-					next, switched, err := c.recoordinate(i, current)
-					if err != nil {
-						return Result{}, err
-					}
+				if c.observe(pt.activity, pt.stall) {
+					next, switched := c.recoordinate(i, current)
 					visit.Recoordinated = true
 					visit.LagTicks = tick + 1
 					res.Recoordinations++
 					if switched {
 						res.Switches++
 						current = next
-						perf, act, stall, err = c.evalPhase(i, current)
-						if err != nil {
-							return Result{}, err
-						}
+						pt = c.at(i, current)
 					}
 					// Re-arm the detector on the post-coordination
 					// steady state, switched or not: the shift has been
 					// adjudicated.
-					c.refActivity, c.refStall = act, stall
+					c.refActivity, c.refStall = pt.activity, pt.stall
 				}
-				visitPerfTime += perf
+				visitPerfTime += pt.perf
 			}
-			visit.Setting = current
+			visit.Setting = c.candidates[current]
 			visit.OnlinePerf = visitPerfTime / float64(ticks[i])
 			res.Visits = append(res.Visits, visit)
 

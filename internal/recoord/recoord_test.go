@@ -3,6 +3,7 @@ package recoord
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/evalpool"
 	"repro/internal/hw"
 	"repro/internal/nvgov"
+	"repro/internal/profile"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -253,30 +255,164 @@ func TestGainZeroOnEmptyResult(t *testing.T) {
 	}
 }
 
-// TestRunEvaluatesOncePerVisitAndSetting pins that the tick loop does
-// not re-ask the engine for a steady state it already has: a run on a
-// fresh engine issues fewer lookups than it has ticks, which it could
-// not if every tick evaluated its phase.
+// TestRunEvaluatesOncePerVisitAndSetting pins the slate table: with
+// the profile already warm, a cold run at a budget simulates every
+// phase at every candidate and at the governor's point exactly once,
+// and asks the point memo for nothing; a repeat run at the same budget
+// reads the memoized table and simulates nothing.
 func TestRunEvaluatesOncePerVisitAndSetting(t *testing.T) {
 	eng := evalpool.New(evalpool.Options{})
-	cfg := Config{Platform: mustPlatform(t, "h100"), Workload: mustWorkload(t, "llmbatch"),
-		Budget: 300, Engine: eng}
-	res, err := Run(cfg)
-	if err != nil {
+	defer evalpool.SetDefault(evalpool.SetDefault(eng))
+	p, w := mustPlatform(t, "h100"), mustWorkload(t, "llmbatch")
+	if _, err := profile.ProfileGPU(p, w); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stats()
-	ticks := DefaultRounds * DefaultTicksPerRound
-	if lookups := st.Hits + st.Misses; lookups >= uint64(ticks) {
-		t.Errorf("run made %d engine lookups for %d ticks (%d visits); want fewer than one per tick",
-			lookups, ticks, len(res.Visits))
+	cfg := Config{Platform: p, Workload: w, Budget: 300, Engine: eng}
+	candidates := len(p.GPU.Mem.Clocks()) + 1 // every memory clock, then static
+	want := uint64(len(w.Phases) * (candidates + 1))
+	for _, pass := range []struct {
+		name string
+		sims uint64
+	}{{"cold", want}, {"repeat", 0}} {
+		before := eng.Stats()
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		after := eng.Stats()
+		if sims, reqs := after.SimRuns-before.SimRuns, after.Requests-before.Requests; sims != pass.sims || reqs != pass.sims {
+			t.Errorf("%s run: %d simulator calls over %d requests, want %d of each",
+				pass.name, sims, reqs, pass.sims)
+		}
+		if lookups := after.Hits + after.Misses - before.Hits - before.Misses; lookups != 0 {
+			t.Errorf("%s run made %d point-memo lookups, want 0", pass.name, lookups)
+		}
 	}
 }
 
-// BenchmarkRun times one controller run on a warm engine, cycling the
-// phased LLM workloads on the H100-class cards across the settable
-// budget range.
-func BenchmarkRun(b *testing.B) {
+// TestRunSerialParallelContract: the serial reference engine defines
+// the answer; a 4-worker cached engine must return it exactly, on the
+// cold run that simulates the slate and on the warm one that reads it
+// back. The budgets run from the cards' cap floor to above MaxCap.
+func TestRunSerialParallelContract(t *testing.T) {
+	par := evalpool.New(evalpool.Options{Workers: 4})
+	for _, pn := range []string{"h100", "h200"} {
+		p := mustPlatform(t, pn)
+		for _, wn := range []string{"llmserve", "llmchat", "llmbatch"} {
+			w := mustWorkload(t, wn)
+			for _, budget := range []units.Power{200, 237.5, 450, 700, 750} {
+				cfg := Config{Platform: p, Workload: w, Budget: budget, Engine: evalpool.Serial()}
+				want, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s/%s@%v serial: %v", pn, wn, budget, err)
+				}
+				cfg.Engine = par
+				for _, pass := range []string{"cold", "warm"} {
+					got, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("%s/%s@%v %s: %v", pn, wn, budget, pass, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%s@%v %s run differs from serial:\n%+v\nvs\n%+v",
+							pn, wn, budget, pass, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSlateKeyedByAggregateContent: the slate memo is keyed by the
+// whole workload's content. Two phase_spec mixes with the same prefill
+// phase get different static splits, so the prefill rows of their
+// slates differ; two variants named alike differ in one decode
+// parameter. On one cached engine, each run must equal its serial
+// reference whatever ran before it.
+func TestSlateKeyedByAggregateContent(t *testing.T) {
+	p := mustPlatform(t, "h100")
+	spec := func(s string) workload.Workload {
+		t.Helper()
+		w, err := workload.ParsePhaseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	// The mixes differ only in the phase weights: with the description
+	// copied too, phase 0 alone is the same problem for both.
+	mixA, mixB := spec("prefill=1,decode=1"), spec("prefill=9,decode=1")
+	mixB.Desc = mixA.Desc
+	llm := mustWorkload(t, "llmbatch")
+	variant := llm
+	variant.Phases = append([]workload.Phase(nil), llm.Phases...)
+	variant.Phases[1].BytesPerUnit *= 1.5
+	const budget = 400 * units.Watt
+	for _, tc := range []struct {
+		name string
+		a, b workload.Workload
+	}{
+		{"shared-phase-0", mixA, mixB},
+		{"same-name", llm, variant},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.a.Name != tc.b.Name {
+				t.Fatalf("workloads named %q and %q; the case needs one name", tc.a.Name, tc.b.Name)
+			}
+			eng := evalpool.New(evalpool.Options{})
+			var static []Setting
+			for _, w := range []workload.Workload{tc.a, tc.b} {
+				cfg := Config{Platform: p, Workload: w, Budget: budget, Engine: evalpool.Serial()}
+				want, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Engine = eng
+				got, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("run on a shared engine differs from serial:\n%+v\nvs\n%+v", got, want)
+				}
+				static = append(static, got.StaticSetting)
+			}
+			if tc.name == "shared-phase-0" && static[0] == static[1] {
+				t.Fatalf("both mixes got static split %+v; the case needs them to differ", static[0])
+			}
+		})
+	}
+}
+
+// TestSlateMemoBounded: the slate memo counts each table's points
+// against CacheSize. 200 runs at distinct budgets on an engine bounded
+// at 256 keep its derived memo at or under 256 points, and every run
+// still equals its serial reference.
+func TestSlateMemoBounded(t *testing.T) {
+	const size = 256
+	eng := evalpool.New(evalpool.Options{CacheSize: size})
+	p, w := mustPlatform(t, "h200"), mustWorkload(t, "llmchat")
+	for k := 0; k < 200; k++ {
+		cfg := Config{Platform: p, Workload: w, Budget: units.Power(200 + 2.5*float64(k)), Engine: evalpool.Serial()}
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Engine = eng
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run at %v differs from serial:\n%+v\nvs\n%+v", cfg.Budget, got, want)
+		}
+		if d := eng.Stats().Derived; d > size {
+			t.Fatalf("after run %d the derived memo holds %d points, bound %d", k, d, size)
+		}
+	}
+}
+
+// benchConfigs cycles the phased LLM workloads on the H100-class cards
+// across the settable budget range.
+func benchConfigs(b *testing.B) []Config {
 	var cfgs []Config
 	for _, pn := range []string{"h100", "h200"} {
 		p, err := hw.PlatformByName(pn)
@@ -298,10 +434,36 @@ func BenchmarkRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return cfgs
+}
+
+// BenchmarkRun times one controller run whose slate table is already
+// memoized on the engine.
+func BenchmarkRun(b *testing.B) {
+	cfgs := benchConfigs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfgs[i%len(cfgs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunCold times one controller run at a budget no earlier run
+// on its engine used, so every run simulates its slate: the traffic of
+// a planner's budget sweep. Profiles are warm.
+func BenchmarkRunCold(b *testing.B) {
+	cfgs := benchConfigs(b)
+	eng := evalpool.New(evalpool.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := cfgs[i%len(cfgs)]
+		// Golden-ratio steps never repeat a budget in the settable range.
+		cfg.Budget = units.Power(200 + 500*math.Mod(float64(i)*0.6180339887498949, 1))
+		cfg.Engine = eng
+		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
