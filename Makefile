@@ -58,11 +58,13 @@ chaossmoke:
 # the frozen testdata goldens (byte for byte), replay determinism (same
 # seed, same trace hash), the pinned trace hashes of representative
 # runs in both modes and the cross-mode property table (same arrivals,
-# same completion or starvation, pool conservation, fast replay), then
-# a seeded DES run through the pbc CLI with a replay check, and the pbc
+# same completion or starvation, pool conservation, fast replay), the
+# serial-vs-shared-engine contract of cluster.Schedule rounds (memoized
+# placements, same-named workload variants), then a seeded DES run through the pbc CLI with a replay check, and the pbc
 # faults cluster demo, which runs its queues through exact mode.
 dessmoke:
 	$(GO) test -race -run 'TestGoldenEquivalence|TestReplayDeterminism|TestTraceHashPinned|TestCrossModeProperties|TestOneJobEqualsSim' -count=1 ./internal/des
+	$(GO) test -race -run 'TestScheduleSerialParallelContract' -count=1 ./internal/cluster
 	$(GO) run -race ./cmd/pbc des -nodes 64 -horizon 600 -seed 7 \
 		-arrival-spec "rate=0.2,burst=2,units=2e12" \
 		-fault-spec "shock.mtbs=120,shock.frac=0.25,shock.len=20" -replay-check
@@ -70,10 +72,12 @@ dessmoke:
 
 # Hierarchical budget-tree gate under the race detector: conservation,
 # monotonicity, shed minimality, the metamorphic suite (sibling
-# permutation, rack splitting, demand scaling), and the serial-vs-
-# parallel golden byte identity of tree solves.
+# permutation, rack splitting, demand scaling), the serial-vs-
+# parallel golden byte identity of tree solves, the serial-vs-shared-
+# engine contract on the exact-mix tree shapes (memoized leaf curves),
+# and leaf curves classed by value, not by name.
 treesmoke:
-	$(GO) test -race -run 'TestSolve|TestMetamorphic|TestGolden|TestWaterFilling|TestRackCap|TestGreedy|TestResultString' -count=1 ./internal/powertree
+	$(GO) test -race -run 'TestSolve|TestSolveSerialParallelContract|TestCurveSetClassesByValue|TestMetamorphic|TestGolden|TestWaterFilling|TestRackCap|TestGreedy|TestResultString' -count=1 ./internal/powertree
 
 # Online re-coordination gate under the race detector: the controller's
 # never-worse-than-static guarantee across phased ML workloads on the

@@ -26,7 +26,7 @@ func main() {
 	outDir := flag.String("out", "", "directory to write per-artifact .txt and .csv files")
 	parallel := flag.Int("parallel", 0, "artifact regenerations to run concurrently (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "evaluation workers per engine (0 = GOMAXPROCS)")
-	cacheSize := flag.Int("cache-size", 0, "memo cache bound in entries (0 = default, negative disables)")
+	cacheSize := flag.Int("cache-size", 0, "memo bound in simulated points (0 = default, negative disables)")
 	engineStats := flag.Bool("engine-stats", false, "print evaluation-engine statistics to stderr when done")
 	telem := flag.Bool("telemetry", false, "instrument the run and print a metrics snapshot to stderr when done")
 	flag.Parse()

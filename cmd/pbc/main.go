@@ -157,8 +157,8 @@ metrics snapshot after the run.
 
 sweep, curve, and coord accept evaluation-engine knobs:
   -workers N      parallel evaluation workers (0 = GOMAXPROCS)
-  -cache-size N   memo cache bound in entries (0 = default, negative disables)
-  -stats          print engine statistics (workers, cache hits/misses) after the run
+  -cache-size N   memo bound in simulated points (0 = default, negative disables)
+  -stats          print engine statistics (workers, memo hits/misses) after the run
 `)
 }
 
@@ -168,7 +168,7 @@ sweep, curve, and coord accept evaluation-engine knobs:
 // by default so command output stays byte-stable for golden comparisons.
 func engineFlags(fs *flag.FlagSet) func() bool {
 	workers := fs.Int("workers", 0, "evaluation workers (0 = GOMAXPROCS)")
-	cacheSize := fs.Int("cache-size", 0, "memo cache bound in entries (0 = default 65536, negative disables)")
+	cacheSize := fs.Int("cache-size", 0, "memo bound in simulated points (0 = default 65536, negative disables)")
 	stats := fs.Bool("stats", false, "print evaluation-engine statistics after the run")
 	return func() bool {
 		evalpool.Configure(evalpool.Options{Workers: *workers, CacheSize: *cacheSize})
@@ -176,7 +176,7 @@ func engineFlags(fs *flag.FlagSet) func() bool {
 	}
 }
 
-// printEngineStats reports the shared engine's counters (workers, cache
+// printEngineStats reports the shared engine's counters (workers, memo
 // hits/misses, evictions) so sweep cost is observable.
 func printEngineStats() {
 	fmt.Printf("\nengine: %s\n", evalpool.Default().Stats())

@@ -15,10 +15,10 @@
 //
 //   - a bounded worker pool: at most Workers requests compute at once
 //     (the heavy lifting inside — profiling and simulation — already
-//     fans out through the shared evalpool engine and its memo cache);
+//     fans out through the shared evalpool engine and its memo);
 //   - request coalescing: identical in-flight requests, keyed on a
 //     content fingerprint of (route, platform, workload, budget, ...)
-//     — the same content-key discipline as the evalpool memo cache —
+//     — the same content-key discipline as the evalpool memo —
 //     share one computation and one rendered response body, so a
 //     thundering herd of identical queries costs one evaluation.
 //     Nothing is kept once the computation completes: the next
@@ -32,8 +32,8 @@
 //
 // Every computation builds what it needs per request: a /v1/schedule
 // round constructs its cluster.Scheduler in place, and the job
-// profiles the round consumes are memoized on the shared evaluation
-// engine, which makes successive rounds cheap.
+// profiles and placements the round consumes are memoized on the shared
+// evaluation engine, which makes successive rounds cheap.
 package allocsvc
 
 import (

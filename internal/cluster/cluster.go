@@ -24,7 +24,6 @@ import (
 	"repro/internal/evalpool"
 	"repro/internal/hw"
 	"repro/internal/profile"
-	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -80,7 +79,8 @@ type Outcome struct {
 // mutable state. Job profiles come from the profile package, which
 // memoizes each one on the shared evaluation engine by the content of
 // the (platform, workload) pair, so a pair is profiled once however
-// many jobs, rounds or schedulers ask for it.
+// many jobs, rounds or schedulers ask for it; placements are memoized
+// the same way (see place).
 type Scheduler struct {
 	// Budget is the total cluster power bound.
 	Budget units.Power
@@ -149,73 +149,102 @@ func (s *Scheduler) envelope(node Node, w workload.Workload) (threshold, maxTota
 	}
 }
 
-// split divides a grant across the node's components with COORD and
-// reports any surplus to return to the pool. ok is false when the grant
-// is below the job's productive threshold.
-func (s *Scheduler) split(node Node, w workload.Workload, grant units.Power) (alloc core.Allocation, surplus units.Power, ok bool, err error) {
+// placement is one job placed on a node at a grant: the split of the
+// grant, the surplus to return to the pool, and what the callers read
+// of the job's simulated run under the split. ok is false when the
+// grant is below the job's productive threshold; nothing is simulated
+// then.
+type placement struct {
+	alloc   core.Allocation
+	surplus units.Power
+	ok      bool
+	perf    float64
+	power   units.Power
+	rate    units.Rate
+}
+
+// placeKinds names each split policy's placements in the memo.
+var placeKinds = [...]string{PolicyCoord: "cluster.place.coord", PolicyEvenSplit: "cluster.place.even"}
+
+// place splits grant across the node's components by policy — COORD,
+// or the even split on CPU nodes — and simulates the job under the
+// split. A placement is a pure function of the node's platform, the
+// workload, the grant and the policy, so it is memoized whole on the
+// shared evaluation engine: rounds, admissions and demand-response
+// starts that place a pair at a grant it was placed at before read it
+// back. Queue runs place through here too, fault-injected ones
+// included: node outages and budget shocks change when and where a job
+// runs, never what a placement answers, so the memo stays exact.
+func (s *Scheduler) place(node Node, w workload.Workload, grant units.Power, policy SplitPolicy) (placement, error) {
+	switch {
+	case policy != PolicyCoord && policy != PolicyEvenSplit:
+		return placement{}, fmt.Errorf("cluster: unknown split policy %v", policy)
+	case policy == PolicyEvenSplit && node.Platform.Kind != hw.KindCPU:
+		return placement{}, fmt.Errorf("cluster: even-split policy supports CPU nodes only")
+	}
+	b := evalpool.Default().Bind(evalpool.Problem{Platform: node.Platform, Workload: w})
+	return evalpool.Derive(b, placeKinds[policy], grant.Watts(), func() (placement, error) {
+		pl, req, err := s.split(node, w, grant, policy)
+		if err != nil || !pl.ok {
+			return placement{}, err
+		}
+		res, err := b.Evaluate(req)
+		if err != nil {
+			return placement{}, err
+		}
+		pl.perf, pl.power, pl.rate = res.Perf, res.TotalPower, res.UnitRate
+		return pl, nil
+	})
+}
+
+// split divides a grant across the node's components by policy and
+// returns the split, its surplus and the simulator request that runs
+// the job under it. ok is false when the grant is below the job's
+// productive threshold.
+func (s *Scheduler) split(node Node, w workload.Workload, grant units.Power, policy SplitPolicy) (placement, evalpool.Request, error) {
+	var d coord.Decision
 	switch node.Platform.Kind {
 	case hw.KindCPU:
 		prof, err := profile.ProfileCPU(node.Platform, w)
 		if err != nil {
-			return core.Allocation{}, 0, false, err
+			return placement{}, evalpool.Request{}, err
 		}
-		d := coord.CPU(prof, grant)
-		if d.Status == coord.StatusTooSmall {
-			return core.Allocation{}, 0, false, nil
+		if policy == PolicyEvenSplit {
+			d = coord.EvenSplit(prof, grant)
+		} else {
+			d = coord.CPU(prof, grant)
 		}
-		if d.Status == coord.StatusSurplus {
-			surplus = d.Surplus
-		}
-		return d.Alloc, surplus, true, nil
 	case hw.KindGPU:
 		if grant < node.Platform.GPU.MinCap {
-			return core.Allocation{}, 0, false, nil
+			return placement{}, evalpool.Request{}, nil
 		}
 		prof, err := profile.ProfileGPU(node.Platform, w)
 		if err != nil {
-			return core.Allocation{}, 0, false, err
+			return placement{}, evalpool.Request{}, err
 		}
-		d := coord.GPU(prof, grant, coord.DefaultGamma)
-		if d.Status == coord.StatusTooSmall {
-			// Algorithm 2 rejects budgets at or below the memory power
-			// floor; surface that as a non-productive grant instead of
-			// returning a zero allocation as if it were admitted.
-			return core.Allocation{}, 0, false, nil
-		}
-		if d.Status == coord.StatusSurplus {
-			surplus = d.Surplus
-		}
-		return d.Alloc, surplus, true, nil
+		d = coord.GPU(prof, grant, coord.DefaultGamma)
 	default:
-		return core.Allocation{}, 0, false, fmt.Errorf("cluster: node %q: unknown kind", node.ID)
+		return placement{}, evalpool.Request{}, fmt.Errorf("cluster: node %q: unknown kind", node.ID)
 	}
-}
-
-// simulate runs the job under its allocation on the node. Planning goes
-// through the shared evaluation engine: re-planning rounds and repeated
-// job mixes re-simulate nothing the cache already holds. Queue runs
-// admit through here too, fault-injected ones included: node outages
-// and budget shocks change when and where a job runs, never what the
-// simulator answers for a given allocation, so the memo stays exact.
-func (s *Scheduler) simulate(node Node, w *workload.Workload, alloc core.Allocation) (sim.Result, error) {
-	pr := evalpool.Problem{Platform: node.Platform, Workload: *w}
-	switch node.Platform.Kind {
-	case hw.KindCPU:
-		return evalpool.Default().Evaluate(pr, evalpool.Request{
-			Op: evalpool.OpCPU, Proc: alloc.Proc, Mem: alloc.Mem})
-	case hw.KindGPU:
+	if d.Status == coord.StatusTooSmall {
+		// A split rejects budgets below the job's productive threshold
+		// (Algorithm 2: at or below the memory power floor); surface
+		// that as a non-productive grant instead of returning a zero
+		// allocation as if it were admitted.
+		return placement{}, evalpool.Request{}, nil
+	}
+	pl := placement{alloc: d.Alloc, ok: true}
+	if d.Status == coord.StatusSurplus {
+		pl.surplus = d.Surplus
+	}
+	req := evalpool.Request{Op: evalpool.OpCPU, Proc: d.Alloc.Proc, Mem: d.Alloc.Mem}
+	if node.Platform.Kind == hw.KindGPU {
 		// The card cannot be capped below its floor: a job whose demand
 		// sits under MinCap still runs with the cap register at MinCap
 		// and simply draws less.
-		cap := alloc.Total()
-		if cap < node.Platform.GPU.MinCap {
-			cap = node.Platform.GPU.MinCap
-		}
-		return evalpool.Default().Evaluate(pr, evalpool.Request{
-			Op: evalpool.OpGPUMemPower, Proc: cap, Mem: alloc.Mem})
-	default:
-		return sim.Result{}, fmt.Errorf("cluster: node %q: unknown kind", node.ID)
+		req = evalpool.Request{Op: evalpool.OpGPUMemPower, Proc: max(d.Alloc.Total(), node.Platform.GPU.MinCap), Mem: d.Alloc.Mem}
 	}
+	return pl, req, nil
 }
 
 // Schedule runs one scheduling round over the queued jobs. Jobs are
@@ -294,32 +323,27 @@ func (s *Scheduler) Schedule(jobs []Job) (Outcome, error) {
 		out.PoolLeft -= boost
 	}
 
-	// Split each grant with COORD, reclaim surplus, and simulate.
+	// Place each grant with COORD and reclaim surplus.
 	for _, a := range adm {
 		pl := &out.Placements[a.idx]
-		w := jobWorkload(jobs, pl.JobID)
-		alloc, surplus, ok, err := s.split(a.node, *w, pl.Budget)
+		p, err := s.place(a.node, *jobWorkload(jobs, pl.JobID), pl.Budget, PolicyCoord)
 		if err != nil {
 			return Outcome{}, err
 		}
-		if !ok {
+		if !p.ok {
 			// Cannot happen given the admission check, but keep the
 			// invariant explicit.
 			return Outcome{}, fmt.Errorf("cluster: job %q: COORD rejected admitted budget %v",
 				pl.JobID, pl.Budget)
 		}
-		if surplus > 0 {
-			out.PoolLeft += surplus
-			pl.Budget -= surplus
+		if p.surplus > 0 {
+			out.PoolLeft += p.surplus
+			pl.Budget -= p.surplus
 		}
-		pl.Alloc = alloc
-		res, err := s.simulate(a.node, w, alloc)
-		if err != nil {
-			return Outcome{}, err
-		}
-		pl.ExpectedPerf = res.Perf
-		pl.ExpectedPower = res.TotalPower
-		out.TotalExpectedPower += res.TotalPower
+		pl.Alloc = p.alloc
+		pl.ExpectedPerf = p.perf
+		pl.ExpectedPower = p.power
+		out.TotalExpectedPower += p.power
 	}
 	return out, nil
 }

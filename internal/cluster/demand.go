@@ -95,27 +95,19 @@ func (s *Scheduler) RunDemandResponse(jobs []TimedJob, phases []BudgetPhase) (De
 			if grant > maxTotal {
 				grant = maxTotal
 			}
-			alloc, surplus, ok, err := s.split(tk.node, tk.job.Workload, grant)
+			p, err := s.place(tk.node, tk.job.Workload, grant, PolicyCoord)
 			if err != nil {
 				return err
 			}
-			if !ok {
+			if !p.ok {
 				return errTooSmall
 			}
-			if surplus > 0 {
-				grant -= surplus
-			}
-			w := tk.job.Workload
-			simRes, err := s.simulate(tk.node, &w, alloc)
-			if err != nil {
-				return err
-			}
-			if simRes.UnitRate <= 0 {
+			if p.rate <= 0 {
 				return fmt.Errorf("cluster: job %q makes no progress", tk.job.ID)
 			}
-			tk.rate = simRes.UnitRate.OpsPerSecond()
-			tk.power = simRes.TotalPower
-			tk.budget = grant
+			tk.rate = p.rate.OpsPerSecond()
+			tk.power = p.power
+			tk.budget = grant - p.surplus
 			tk.started = now
 			tk.haveGrant = true
 		}

@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/coord"
-	"repro/internal/core"
-	"repro/internal/hw"
-	"repro/internal/profile"
 	"repro/internal/units"
 )
 
@@ -198,41 +194,13 @@ func (s *Scheduler) Admit(node Node, j Job, pool units.Power, policy SplitPolicy
 	if grant > maxTotal {
 		grant = maxTotal
 	}
-	var alloc core.Allocation
-	var surplus units.Power
-	switch policy {
-	case PolicyCoord:
-		alloc, surplus, ok, err = s.split(node, j.Workload, grant)
-		if err != nil || !ok {
-			return Admission{}, sat, false, err
-		}
-	case PolicyEvenSplit:
-		if node.Platform.Kind != hw.KindCPU {
-			return Admission{}, sat, false, fmt.Errorf("cluster: even-split policy supports CPU nodes only")
-		}
-		prof, err := profile.ProfileCPU(node.Platform, j.Workload)
-		if err != nil {
-			return Admission{}, sat, false, err
-		}
-		d := coord.EvenSplit(prof, grant)
-		if d.Status == coord.StatusTooSmall {
-			return Admission{}, sat, false, nil
-		}
-		alloc = d.Alloc
-	default:
-		return Admission{}, sat, false, fmt.Errorf("cluster: unknown split policy %v", policy)
-	}
-	if surplus > 0 {
-		grant -= surplus
-	}
-	w := j.Workload
-	simRes, err := s.simulate(node, &w, alloc)
-	if err != nil {
+	p, err := s.place(node, j.Workload, grant, policy)
+	if err != nil || !p.ok {
 		return Admission{}, sat, false, err
 	}
-	rate := simRes.UnitRate.OpsPerSecond()
+	rate := p.rate.OpsPerSecond()
 	if rate <= 0 {
-		return Admission{}, sat, false, fmt.Errorf("cluster: workload %q makes no progress on node %q", w.Name, node.ID)
+		return Admission{}, sat, false, fmt.Errorf("cluster: workload %q makes no progress on node %q", j.Workload.Name, node.ID)
 	}
-	return Admission{Budget: grant, Power: simRes.TotalPower, Rate: rate}, sat, true, nil
+	return Admission{Budget: grant - p.surplus, Power: p.power, Rate: rate}, sat, true, nil
 }

@@ -74,8 +74,7 @@ type Problem struct {
 	// cap-not-respected scenarios V and VI, as the paper's Figure 3 does.
 	ProcMin, MemMin units.Power
 	// Engine evaluates the problem's simulator calls. Nil selects the
-	// process-wide shared engine (evalpool.Default), whose memo cache
-	// lets independent sweeps reuse each other's points.
+	// process-wide shared engine (evalpool.Default).
 	Engine *evalpool.Engine
 }
 
@@ -314,9 +313,7 @@ func Curve(p hw.Platform, w workload.Workload, budgets []units.Power) ([]CurvePo
 }
 
 // CurveOn is Curve with an explicit evaluation engine (nil selects the
-// shared default). One engine across every budget means the per-budget
-// sweeps share a memo cache — and across figures, curves over the same
-// (platform, workload) re-simulate nothing.
+// shared default), whose workers each budget's sweep fans out over.
 func CurveOn(e *evalpool.Engine, p hw.Platform, w workload.Workload, budgets []units.Power) ([]CurvePoint, error) {
 	var pts []CurvePoint
 	for _, b := range budgets {
@@ -381,9 +378,8 @@ func slope(a, b CurvePoint) float64 {
 
 // MaxDemand returns the actual component powers when the workload runs
 // with no caps — the workload's maximum power demand, above which extra
-// budget is pure waste (the paper's scenario I discussion). The uncapped
-// run goes through the shared engine: profiling and several figures need
-// the same point, so it is usually already memoized.
+// budget is pure waste (the paper's scenario I discussion). It is one
+// simulator call on the shared engine.
 func MaxDemand(p hw.Platform, w workload.Workload) (Allocation, error) {
 	pr := evalpool.Problem{Platform: p, Workload: w}
 	var req evalpool.Request

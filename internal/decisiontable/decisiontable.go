@@ -507,9 +507,9 @@ type WarmStats struct {
 
 // Warm builds every catalog pair's tables synchronously, so a service
 // started with -tables answers its first request from warm tables.
-// Building samples the exact path, which also populates the shared
-// evalpool memo cache — the same warm-up the schedule route benefits
-// from.
+// Building samples the exact path, which also memoizes every pair's
+// profile on the shared evalpool engine — the same warm-up the
+// schedule route benefits from.
 func (s *Set) Warm() WarmStats {
 	var st WarmStats
 	for _, m := range s.coord {

@@ -26,7 +26,7 @@ import (
 // is missing — exactly the conditions under which PlanCPUOrDegrade
 // degrades. Degraded pairs must not be table-served: the degraded path
 // bypasses precomputed state the same way fault-mode execution bypasses
-// the evalpool cache.
+// the evalpool engine.
 func PlanTableInputs(p hw.Platform, w workload.Workload) (breaks []units.Power, healthy bool, err error) {
 	if p.Kind != hw.KindCPU {
 		return nil, false, fmt.Errorf("dyncoord: platform %q is not a CPU platform", p.Name)

@@ -1,43 +1,48 @@
 package evalpool
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// derivedKey addresses one result derived from a whole problem rather
+// memoKey addresses one result derived from a whole problem rather
 // than from one point of it: the problem's content fingerprint, the
 // kind of derivation, and one numeric parameter of it (e.g. a
-// profiler's demand margin).
-type derivedKey struct {
+// profiler's demand margin, a placement's grant).
+type memoKey struct {
 	fp    uint64
 	kind  string
 	param float64
 }
 
-// derivedEntry is one stored derivation and its weight in points.
-type derivedEntry struct {
+// memoEntry is one stored derivation and its weight in points.
+type memoEntry struct {
 	v      any
 	weight int
 }
 
-// derivedCache memoizes per-problem derived results next to the point
-// memo. It holds a handful of entries per problem against the points'
-// hundreds, so one lock suffices. Its bound is a weight in points,
-// the unit of the point memo's bound: an entry counts as many points
-// as it holds, so whatever mix of profiles and slates it stores, it
-// never holds more points than the point memo may. Eviction is
-// arbitrary-victim, like the point memo's.
-type derivedCache struct {
+// memo is the engine's one memo: derived results keyed by problem
+// content, kind and parameter. Its bound is a weight in simulated
+// points: an entry counts as many points as it holds, so whatever mix
+// of profiles, curves, placements and slates it stores, it never holds
+// more than max points' worth. Eviction is arbitrary-victim: which
+// entry goes is irrelevant for correctness, only later hit rates
+// differ.
+type memo struct {
 	mu     sync.Mutex
 	max    int
 	weight int // sum of the stored entries' weights, ≤ max
-	m      map[derivedKey]derivedEntry
+	m      map[memoKey]memoEntry
+
+	hits, misses, evictions atomic.Uint64
 }
 
-func newDerivedCache(max int) *derivedCache {
-	return &derivedCache{max: max, m: make(map[derivedKey]derivedEntry)}
+func newMemo(max int) *memo {
+	return &memo{max: max, m: make(map[memoKey]memoEntry)}
 }
 
 // Derive is DeriveWeighted with weight 1: for derivations, such as a
-// profile, that weigh about one simulated point.
+// profile or a placement, that weigh about one simulated point.
 func Derive[T any](b *Bound, kind string, param float64, fn func() (T, error)) (T, error) {
 	return DeriveWeighted(b, kind, param, 1, fn)
 }
@@ -52,20 +57,22 @@ func Derive[T any](b *Bound, kind string, param float64, fn func() (T, error)) (
 // weight is what the value counts against the memo's CacheSize bound,
 // in simulated points; a value heavier than the whole bound is
 // returned but not stored. Errors are returned, never stored. An
-// engine without a cache (CacheSize < 0) runs fn on every call.
+// engine without a memo (CacheSize < 0) runs fn on every call.
 // Concurrent first calls may each run fn; they store equal values.
 func DeriveWeighted[T any](b *Bound, kind string, param float64, weight int, fn func() (T, error)) (T, error) {
-	d := b.e.derived
+	d := b.e.memo
 	if d == nil {
 		return fn()
 	}
-	k := derivedKey{fp: b.fp, kind: kind, param: param}
+	k := memoKey{fp: b.fp, kind: kind, param: param}
 	d.mu.Lock()
 	e, ok := d.m[k]
 	d.mu.Unlock()
 	if ok {
+		d.hits.Add(1)
 		return e.v.(T), nil
 	}
+	d.misses.Add(1)
 	res, err := fn()
 	if err != nil {
 		return res, err
@@ -85,15 +92,16 @@ func DeriveWeighted[T any](b *Bound, kind string, param float64, weight int, fn 
 		}
 		d.weight -= v.weight
 		delete(d.m, victim)
+		d.evictions.Add(1)
 	}
-	d.m[k] = derivedEntry{v: res, weight: weight}
+	d.m[k] = memoEntry{v: res, weight: weight}
 	d.weight += weight
 	d.mu.Unlock()
 	return res, nil
 }
 
 // load returns the stored weight.
-func (d *derivedCache) load() int {
+func (d *memo) load() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.weight

@@ -70,7 +70,7 @@ func TestDeriveSkipsErrorsAndDisabledCache(t *testing.T) {
 	}
 }
 
-// TestDeriveBoundedByCacheSize: the derived memo holds at most
+// TestDeriveBoundedByCacheSize: the memo holds at most
 // CacheSize points of weight, evicting lighter and heavier entries
 // alike to make room, and never stores a value heavier than the whole
 // bound.
@@ -86,8 +86,8 @@ func TestDeriveBoundedByCacheSize(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if w := e.Stats().Derived; w > 4 {
-			t.Fatalf("derived memo weighs %d points with CacheSize 4", w)
+		if w := e.Stats().Entries; w > 4 {
+			t.Fatalf("memo weighs %d points with CacheSize 4", w)
 		}
 	}
 	for i := 0; i < 5; i++ {

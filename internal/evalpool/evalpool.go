@@ -5,17 +5,17 @@
 //
 // The engine has two layers:
 //
-//  1. a bounded worker pool (EvaluateAll) that fans simulator calls
-//     across up to GOMAXPROCS goroutines with index-addressed result
-//     slots, so the output order — and therefore every downstream table,
-//     chart, and figure — is byte-identical to the serial path;
-//  2. a sharded, keyed memo cache mapping (platform, workload, call
-//     kind, caps/clocks) to the simulated result, with hit/miss/eviction
-//     counters and a size bound, shared across a whole experiment run so
-//     different artifacts stop re-simulating identical points. Next
-//     to it, a derived memo (Derive, DeriveWeighted) stores results
-//     built from a whole problem, such as profiles and recoord's
-//     operating-point slates, bounded by the points they hold.
+//  1. a bounded worker pool (EvaluateAll, Each) that fans simulator
+//     calls across up to GOMAXPROCS goroutines with index-addressed
+//     result slots, so the output order — and therefore every
+//     downstream table, chart, and figure — is byte-identical to the
+//     serial path; a single point (Evaluate) is a plain simulator call;
+//  2. one memo (Derive, DeriveWeighted) of whole results derived from
+//     a problem — profiles, powertree leaf curves, cluster placements,
+//     recoord's operating-point slates — keyed by the problem's content
+//     fingerprint, with hit/miss/eviction counters and a bound in
+//     simulated points, shared across a whole experiment run so
+//     different artifacts stop re-deriving identical results.
 //
 // Both layers rely on the simulator being a pure function of its
 // arguments. That holds for every entry point the engine dispatches
@@ -67,9 +67,9 @@ type Request struct {
 }
 
 // Problem names the fixed half of an evaluation: the machine and the
-// workload. The engine fingerprints both by content, so two problems
+// workload. The memo fingerprints both by content, so two problems
 // with equal names but different parameters (e.g. a calibrated workload
-// variant) never share cache entries.
+// variant) never share memo entries.
 type Problem struct {
 	Platform hw.Platform
 	Workload workload.Workload
@@ -209,7 +209,7 @@ func (h *hasher) str(s string) {
 }
 
 // sum returns the state after MurmurHash3's fmix64 avalanche, so every
-// input bit reaches the low bits the memo masks into a shard index.
+// input bit reaches every output bit.
 func (h hasher) sum() uint64 {
 	x := uint64(h)
 	x ^= x >> 33
@@ -236,25 +236,24 @@ type Options struct {
 	// Workers bounds the evaluation goroutines; 0 or negative means
 	// GOMAXPROCS.
 	Workers int
-	// CacheSize bounds the point memo in entries and the derived memo
-	// in points of weight. 0 means DefaultCacheSize; negative disables
-	// caching entirely.
+	// CacheSize bounds the memo in points of weight (see
+	// DeriveWeighted). 0 means DefaultCacheSize; negative disables
+	// memoization entirely.
 	CacheSize int
 }
 
-// DefaultCacheSize is the memo cache bound when Options.CacheSize is 0.
-// At roughly one small struct per allocation point, 64k entries cover
-// every figure of the paper many times over.
+// DefaultCacheSize is the memo bound when Options.CacheSize is 0: 64k
+// points hold every pair's profile, curve and placements many times
+// over.
 const DefaultCacheSize = 1 << 16
 
-// Engine evaluates allocation-space points in parallel with memoization.
-// The zero value is not usable; construct with New.
+// Engine evaluates allocation-space points in parallel and memoizes
+// results derived from whole problems. The zero value is not usable;
+// construct with New.
 type Engine struct {
-	workers  int
-	cache    *cache
-	derived  *derivedCache // nil exactly when cache is nil
-	requests atomic.Uint64 // points asked for
-	simRuns  atomic.Uint64 // simulator calls actually executed
+	workers int
+	memo    *memo         // nil when memoization is disabled
+	simRuns atomic.Uint64 // simulator calls executed
 }
 
 // New returns an engine with the given options.
@@ -269,13 +268,12 @@ func New(o Options) *Engine {
 		if size == 0 {
 			size = DefaultCacheSize
 		}
-		e.cache = newCache(size)
-		e.derived = newDerivedCache(size)
+		e.memo = newMemo(size)
 	}
 	return e
 }
 
-// Serial returns the reference engine: one worker, no cache. Its output
+// Serial returns the reference engine: one worker, no memo. Its output
 // defines correctness for every other configuration.
 func Serial() *Engine { return New(Options{Workers: 1, CacheSize: -1}) }
 
@@ -289,7 +287,8 @@ var (
 
 // Default returns the process-wide shared engine, creating it with
 // default options on first use. Sharing one engine across an experiment
-// run is what lets independent artifacts reuse each other's points.
+// run is what lets independent artifacts reuse each other's profiles,
+// curves and placements.
 func Default() *Engine {
 	defaultMu.Lock()
 	defer defaultMu.Unlock()
@@ -319,8 +318,8 @@ func SetDefault(e *Engine) *Engine {
 }
 
 // Bound is a problem bound to an engine with its fingerprint computed
-// once, for call sites that evaluate many points of the same problem
-// one at a time (profiling binary searches, scheduler planning).
+// once, the handle Derive and DeriveWeighted memoize under; its
+// Evaluate serves the derivation's simulator calls.
 type Bound struct {
 	e  *Engine
 	pr Problem
@@ -332,24 +331,14 @@ func (e *Engine) Bind(pr Problem) *Bound {
 	return &Bound{e: e, pr: pr, fp: pr.fingerprint()}
 }
 
-// Evaluate evaluates one point of the bound problem.
+// Evaluate simulates one point of the bound problem.
 func (b *Bound) Evaluate(req Request) (sim.Result, error) {
-	return b.e.evaluate(&b.pr, b.fp, req)
-}
-
-// Simulate evaluates one point of the bound problem without consulting
-// or filling the point memo, for callers that memoize a whole batch of
-// points themselves (see DeriveWeighted) and would otherwise fill the
-// memo with points no later call asks for. It counts toward Requests
-// and SimRuns like Evaluate.
-func (b *Bound) Simulate(req Request) (sim.Result, error) {
-	b.e.requests.Add(1)
 	return b.e.run(&b.pr, req)
 }
 
-// Evaluate evaluates a single point, consulting the cache.
+// Evaluate simulates a single point.
 func (e *Engine) Evaluate(pr Problem, req Request) (sim.Result, error) {
-	return e.evaluate(&pr, pr.fingerprint(), req)
+	return e.run(&pr, req)
 }
 
 // EvaluateAll evaluates every request and returns results in request
@@ -359,10 +348,9 @@ func (e *Engine) Evaluate(pr Problem, req Request) (sim.Result, error) {
 func (e *Engine) EvaluateAll(ctx context.Context, pr Problem, reqs []Request) ([]sim.Result, error) {
 	out := make([]sim.Result, len(reqs))
 	errs := make([]error, len(reqs))
-	fp := pr.fingerprint()
 	e.Each(len(reqs), func(i int) {
 		if errs[i] = ctx.Err(); errs[i] == nil {
-			out[i], errs[i] = e.evaluate(&pr, fp, reqs[i])
+			out[i], errs[i] = e.run(&pr, reqs[i])
 		}
 	})
 	for _, err := range errs {
@@ -399,25 +387,6 @@ func (e *Engine) Each(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// evaluate resolves one point through the cache or the simulator.
-func (e *Engine) evaluate(pr *Problem, fp uint64, req Request) (sim.Result, error) {
-	e.requests.Add(1)
-	k := req.key(fp)
-	if e.cache != nil {
-		if res, ok := e.cache.get(k); ok {
-			return res, nil
-		}
-	}
-	res, err := e.run(pr, req)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	if e.cache != nil {
-		e.cache.put(k, res)
-	}
-	return res, nil
-}
-
 // run dispatches to the simulator entry point the request names.
 func (e *Engine) run(pr *Problem, req Request) (sim.Result, error) {
 	e.simRuns.Add(1)
@@ -440,19 +409,16 @@ func (e *Engine) run(pr *Problem, req Request) (sim.Result, error) {
 type Stats struct {
 	// Workers is the engine's worker bound.
 	Workers int
-	// Requests counts evaluation requests; SimRuns counts the simulator
-	// calls actually executed (Requests - SimRuns were served memoized,
-	// up to concurrent duplicate computation of a not-yet-cached key).
+	// Requests counts the points evaluated and SimRuns the simulator
+	// calls executed. Every point is a simulator call, so the two are
+	// equal; points a memoized derivation already holds are neither.
 	Requests, SimRuns uint64
-	// Hits, Misses, and Evictions are memo cache counters; Entries and
-	// Capacity describe its current occupancy. All four are zero when
-	// caching is disabled.
+	// Hits, Misses and Evictions count memo lookups and evicted
+	// entries; Entries is the memo's weight in points and Capacity its
+	// bound (see DeriveWeighted). All five are zero when memoization
+	// is disabled.
 	Hits, Misses, Evictions uint64
 	Entries, Capacity       int
-	// Derived is the derived memo's occupancy in points (see
-	// DeriveWeighted); it never exceeds the CacheSize option, and is
-	// zero when caching is disabled.
-	Derived int
 }
 
 // HitRate returns hits over lookups, or 0 when nothing was looked up.
@@ -465,28 +431,24 @@ func (s Stats) HitRate() float64 {
 }
 
 // String renders a one-line summary, e.g.
-// "workers=8 requests=1520 sim-runs=420 cache-hits=1100 (72.4%) entries=420/65536 evictions=0".
+// "workers=8 requests=420 sim-runs=420 memo-hits=1100 (72.4%) memo-points=420/65536 evictions=0".
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"workers=%d requests=%d sim-runs=%d cache-hits=%d (%.1f%%) entries=%d/%d evictions=%d",
+		"workers=%d requests=%d sim-runs=%d memo-hits=%d (%.1f%%) memo-points=%d/%d evictions=%d",
 		s.Workers, s.Requests, s.SimRuns, s.Hits, 100*s.HitRate(),
 		s.Entries, s.Capacity, s.Evictions)
 }
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
-	s := Stats{
-		Workers:  e.workers,
-		Requests: e.requests.Load(),
-		SimRuns:  e.simRuns.Load(),
-	}
-	if e.cache != nil {
-		s.Hits = e.cache.hits.Load()
-		s.Misses = e.cache.misses.Load()
-		s.Evictions = e.cache.evictions.Load()
-		s.Entries = e.cache.len()
-		s.Capacity = e.cache.capacity()
-		s.Derived = e.derived.load()
+	runs := e.simRuns.Load()
+	s := Stats{Workers: e.workers, Requests: runs, SimRuns: runs}
+	if m := e.memo; m != nil {
+		s.Hits = m.hits.Load()
+		s.Misses = m.misses.Load()
+		s.Evictions = m.evictions.Load()
+		s.Entries = m.load()
+		s.Capacity = m.max
 	}
 	return s
 }

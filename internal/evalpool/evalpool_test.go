@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -35,8 +36,9 @@ func cpuRequests(budget, step units.Power) []Request {
 }
 
 // TestParallelMatchesSerial is the engine-level determinism guarantee:
-// any worker count, with or without cache, cold or warm, produces
-// results deeply equal to the serial reference in the same order.
+// any worker count and memo bound, on a first pass and a second one,
+// produces results deeply equal to the serial reference in the same
+// order.
 func TestParallelMatchesSerial(t *testing.T) {
 	cases := []struct {
 		name string
@@ -62,12 +64,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, opts := range []Options{
-				{Workers: 4, CacheSize: -1}, // parallel, no cache
-				{Workers: 4},                // parallel + cache
+				{Workers: 4, CacheSize: -1},
+				{Workers: 4},
 				{Workers: 16, CacheSize: 64},
 			} {
 				e := New(opts)
-				for pass := 0; pass < 2; pass++ { // cold then warm cache
+				for pass := 0; pass < 2; pass++ {
 					got, err := e.EvaluateAll(context.Background(), tc.pr, tc.reqs)
 					if err != nil {
 						t.Fatal(err)
@@ -82,9 +84,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestCacheKeyCollisions verifies that problems differing only in
-// platform or only in workload never share entries even at identical
-// caps, and that distinct ops with coincidentally equal knob values
-// yield distinct keys.
+// platform or only in workload never share memo entries even under
+// one kind and parameter, and that distinct kinds or parameters on one
+// problem never alias.
 func TestCacheKeyCollisions(t *testing.T) {
 	ivyStream := cpuProblem(t, "ivybridge", "stream")
 	hasStream := cpuProblem(t, "haswell", "stream")
@@ -93,7 +95,6 @@ func TestCacheKeyCollisions(t *testing.T) {
 
 	fps := map[uint64]string{}
 	for _, pr := range []Problem{ivyStream, hasStream, ivyDgemm} {
-		pr := pr
 		fp := pr.fingerprint()
 		if prev, dup := fps[fp]; dup {
 			t.Fatalf("fingerprint collision: %s/%s vs %s", pr.Platform.Name, pr.Workload.Name, prev)
@@ -101,50 +102,47 @@ func TestCacheKeyCollisions(t *testing.T) {
 		fps[fp] = pr.Platform.Name + "/" + pr.Workload.Name
 	}
 
-	// With one shared cache, each pair must still get its own result.
+	// With one shared memo, each pair must still get its own result.
 	e := New(Options{Workers: 1})
-	serial := Serial()
 	for _, pr := range []Problem{ivyStream, hasStream, ivyDgemm} {
-		got, err := e.Evaluate(pr, req)
+		b := e.Bind(pr)
+		got, err := Derive(b, "point", 120, func() (sim.Result, error) { return b.Evaluate(req) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := serial.Evaluate(pr, req)
+		want, err := Serial().Evaluate(pr, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s/%s: cached result differs from direct simulation",
+			t.Fatalf("%s/%s: memoized result differs from direct simulation",
 				pr.Platform.Name, pr.Workload.Name)
 		}
 	}
-	if s := e.Stats(); s.Hits != 0 {
-		t.Fatalf("distinct problems with equal caps produced %d cache hits", s.Hits)
+	if s := e.Stats(); s.Hits != 0 || s.Misses != 3 {
+		t.Fatalf("distinct problems under one kind and param: %d hits, %d misses; want 0 and 3", s.Hits, s.Misses)
 	}
 
-	// Same fingerprint, same numbers, different op → different key.
-	fp := ivyStream.fingerprint()
-	a := Request{Op: OpGPUClock, Proc: 140, Clock: 40}.key(fp)
-	b := Request{Op: OpGPUMemPower, Proc: 140, Mem: 40}.key(fp)
-	if a == b {
-		t.Fatal("OpGPUClock and OpGPUMemPower with equal numeric knobs alias to one key")
-	}
-	// Same op, swapped knobs → different key.
-	c := Request{Op: OpCPU, Proc: 88, Mem: 120}.key(fp)
-	d := Request{Op: OpCPU, Proc: 120, Mem: 88}.key(fp)
-	if c == d {
-		t.Fatal("swapped proc/mem caps alias to one key")
+	// Same problem, different kind or param → different entries.
+	b := e.Bind(ivyStream)
+	for i, k := range []struct {
+		kind  string
+		param float64
+	}{{"a", 40}, {"b", 40}, {"a", 41}} {
+		if got, fresh := deriveInt(t, b, k.kind, k.param, 1, i); !fresh || got != i {
+			t.Fatalf("%+v aliased an earlier entry: got %d, fresh %v", k, got, fresh)
+		}
 	}
 }
 
-// TestRaceStress hammers one engine — with a cache small enough that
-// every shard constantly evicts — from many goroutines evaluating an
-// overlapping key set, and deriving weighted values that overflow the
-// derived memo's bound, while other goroutines snapshot stats. Run
+// TestRaceStress hammers one engine — with a memo small enough that
+// weighted derivations constantly evict — from many goroutines
+// evaluating an overlapping point set and deriving values over an
+// overlapping key set, while other goroutines snapshot stats. Run
 // under -race (make check does), this is the engine's concurrency gate.
 func TestRaceStress(t *testing.T) {
 	pr := cpuProblem(t, "ivybridge", "mg")
-	e := New(Options{Workers: 8, CacheSize: 8}) // 8 entries → per-shard bound 1
+	e := New(Options{Workers: 8, CacheSize: 8})
 	b := e.Bind(pr)
 	want, err := Serial().Evaluate(pr, Request{Op: OpCPU, Proc: 120, Mem: 88})
 	if err != nil {
@@ -160,8 +158,6 @@ func TestRaceStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				// Rotate over a small overlapping key set so gets, puts,
-				// and evictions interleave on the same shards.
 				proc := units.Power(100 + 4*((g+i)%6))
 				res, err := e.Evaluate(pr, Request{Op: OpCPU, Proc: proc, Mem: 208 - proc})
 				if err != nil {
@@ -188,22 +184,27 @@ func TestRaceStress(t *testing.T) {
 	}
 	s := e.Stats()
 	if s.Entries > s.Capacity {
-		t.Fatalf("cache holds %d entries over capacity %d", s.Entries, s.Capacity)
+		t.Fatalf("memo weighs %d points over capacity %d", s.Entries, s.Capacity)
 	}
-	if s.Derived > 8 {
-		t.Fatalf("derived memo weighs %d points over CacheSize 8", s.Derived)
+	if s.Hits+s.Misses != goroutines*iters {
+		t.Fatalf("%d memo lookups, want %d", s.Hits+s.Misses, goroutines*iters)
 	}
 	if s.Requests != goroutines*iters {
 		t.Fatalf("requests %d, want %d", s.Requests, goroutines*iters)
 	}
 }
 
+// TestEvictionBound: 80 distinct derivations, each simulating one
+// point, through a 16-point memo keep its weight within the bound,
+// evict, and simulate every point once.
 func TestEvictionBound(t *testing.T) {
-	pr := cpuProblem(t, "ivybridge", "stream")
 	e := New(Options{Workers: 1, CacheSize: 16})
+	b := e.Bind(cpuProblem(t, "ivybridge", "stream"))
 	for i := 0; i < 80; i++ {
 		proc := units.Power(40 + i)
-		if _, err := e.Evaluate(pr, Request{Op: OpCPU, Proc: proc, Mem: 240 - proc}); err != nil {
+		if _, err := Derive(b, "point", proc.Watts(), func() (sim.Result, error) {
+			return b.Evaluate(Request{Op: OpCPU, Proc: proc, Mem: 240 - proc})
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,71 +213,72 @@ func TestEvictionBound(t *testing.T) {
 		t.Fatalf("entries %d exceed capacity %d", s.Entries, s.Capacity)
 	}
 	if s.Evictions == 0 {
-		t.Fatal("80 distinct points through a 16-entry cache evicted nothing")
+		t.Fatal("80 distinct derivations through a 16-point memo evicted nothing")
 	}
 	if s.SimRuns != 80 {
 		t.Fatalf("sim runs %d, want 80 (all distinct)", s.SimRuns)
 	}
 }
 
+// TestCacheHitSkipsSimulation: a second derivation of one key reads
+// the stored result back without simulating.
 func TestCacheHitSkipsSimulation(t *testing.T) {
-	pr := cpuProblem(t, "ivybridge", "stream")
 	e := New(Options{Workers: 1})
-	req := Request{Op: OpCPU, Proc: 120, Mem: 88}
-	first, err := e.Evaluate(pr, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := e.Evaluate(pr, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("cache hit returned a different result")
-	}
-	s := e.Stats()
-	if s.SimRuns != 1 || s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("stats %+v: want 1 sim run, 1 hit, 1 miss", s)
-	}
-	// The handed-out result must be isolated from the cached copy.
-	if len(first.Phases) > 0 {
-		first.Phases[0].Rate++
-		third, err := e.Evaluate(pr, req)
+	b := e.Bind(cpuProblem(t, "ivybridge", "stream"))
+	derive := func() sim.Result {
+		t.Helper()
+		res, err := Derive(b, "point", 120, func() (sim.Result, error) {
+			return b.Evaluate(Request{Op: OpCPU, Proc: 120, Mem: 88})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(third, second) {
-			t.Fatal("mutating a returned result corrupted the cache")
-		}
+		return res
+	}
+	first, second := derive(), derive()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("memo hit returned a different result")
+	}
+	if s := e.Stats(); s.SimRuns != 1 || s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("stats %+v: want 1 sim run, 1 hit, 1 miss", s)
 	}
 }
 
-// TestSimulateBypassesMemo: Bound.Simulate returns what Evaluate
-// does, counts as a request and a simulator run, and neither reads
-// nor fills the point memo.
+// TestSimulateBypassesMemo: evaluation never stores. Evaluate,
+// Bound.Evaluate and EvaluateAll each simulate every point they are
+// asked for, count it as a request and a simulator run, make no memo
+// lookup and store nothing, and answer what the serial engine does.
 func TestSimulateBypassesMemo(t *testing.T) {
-	e := New(Options{Workers: 1})
-	b := e.Bind(cpuProblem(t, "ivybridge", "stream"))
+	e := New(Options{Workers: 2})
+	pr := cpuProblem(t, "ivybridge", "stream")
+	b := e.Bind(pr)
 	req := Request{Op: OpCPU, Proc: 120, Mem: 88}
+	want, err := Serial().Evaluate(pr, req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
-		if _, err := b.Simulate(req); err != nil {
+		got, err := e.Evaluate(pr, req)
+		if err != nil {
 			t.Fatal(err)
+		}
+		bound, err := b.Evaluate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := e.EvaluateAll(context.Background(), pr, []Request{req, req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range append(all, got, bound) {
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("evaluated %+v, serial %+v", res, want)
+			}
 		}
 	}
 	s := e.Stats()
-	if s.Requests != 2 || s.SimRuns != 2 || s.Hits+s.Misses != 0 || s.Entries != 0 {
-		t.Fatalf("stats %+v: want 2 requests and 2 sim runs, no lookups, no entries", s)
-	}
-	got, err := b.Simulate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Serial().Evaluate(b.pr, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Simulate %+v, Evaluate %+v", got, want)
+	if s.Requests != 8 || s.SimRuns != 8 || s.Hits+s.Misses != 0 || s.Entries != 0 {
+		t.Fatalf("stats %+v: want 8 requests and 8 sim runs, no lookups, no entries", s)
 	}
 }
 
@@ -321,8 +323,8 @@ func TestStatsString(t *testing.T) {
 	if got := s.HitRate(); got != 0.6 {
 		t.Fatalf("hit rate %v, want 0.6", got)
 	}
-	if str := s.String(); str == "" {
-		t.Fatal("empty stats string")
+	if got, want := s.String(), "workers=8 requests=10 sim-runs=4 memo-hits=6 (60.0%) memo-points=4/64 evictions=0"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 	if (Stats{}).HitRate() != 0 {
 		t.Fatal("zero stats hit rate not 0")

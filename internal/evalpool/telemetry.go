@@ -8,9 +8,9 @@ import "repro/internal/telemetry"
 // hot evaluation path is untouched. A nil registry is a no-op.
 //
 // These series are NOT deterministic across worker counts: concurrent
-// requests for a not-yet-cached key may each run the simulator, so hit
-// and sim-run counts can differ run to run under workers > 1 even when
-// the evaluation results are byte-identical. Keep them out of golden
+// first derivations of one key may each run, so hit, miss and sim-run
+// counts can differ run to run under workers > 1 even when the
+// evaluation results are byte-identical. Keep them out of golden
 // snapshots; the wire package registers them separately for this reason.
 func RegisterDefaultMetrics(r *telemetry.Registry) {
 	if r == nil {
@@ -20,25 +20,25 @@ func RegisterDefaultMetrics(r *telemetry.Registry) {
 		return func() float64 { return f(Default().Stats()) }
 	}
 	r.CounterFunc("evalpool_requests_total",
-		"Evaluation requests against the shared engine.",
+		"Points evaluated by the shared engine.",
 		stat(func(s Stats) float64 { return float64(s.Requests) }))
 	r.CounterFunc("evalpool_sim_runs_total",
-		"Simulator calls actually executed (non-memoized).",
+		"Simulator calls executed.",
 		stat(func(s Stats) float64 { return float64(s.SimRuns) }))
 	r.CounterFunc("evalpool_cache_hits_total",
-		"Memo cache hits.",
+		"Memo lookups answered from a stored derivation.",
 		stat(func(s Stats) float64 { return float64(s.Hits) }))
 	r.CounterFunc("evalpool_cache_misses_total",
-		"Memo cache misses.",
+		"Memo lookups that derived afresh.",
 		stat(func(s Stats) float64 { return float64(s.Misses) }))
 	r.CounterFunc("evalpool_cache_evictions_total",
-		"Memo cache LRU evictions.",
+		"Memo entries evicted (arbitrary victim) to respect the bound.",
 		stat(func(s Stats) float64 { return float64(s.Evictions) }))
 	r.GaugeFunc("evalpool_cache_entries",
-		"Memo cache current occupancy.",
+		"Memo occupancy in simulated points of weight.",
 		stat(func(s Stats) float64 { return float64(s.Entries) }))
 	r.GaugeFunc("evalpool_cache_capacity",
-		"Memo cache capacity (0 = caching disabled).",
+		"Memo bound in points (0 = memoization disabled).",
 		stat(func(s Stats) float64 { return float64(s.Capacity) }))
 	r.GaugeFunc("evalpool_workers",
 		"Worker bound of the shared engine.",

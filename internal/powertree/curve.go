@@ -3,6 +3,7 @@ package powertree
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/coord"
@@ -62,10 +63,20 @@ func (c *curve) perfAt(q int64) float64 {
 	return perf
 }
 
-// CurveSet holds the built leaf curves of a tree, keyed by
-// platform/workload (two leaves running the same pair share a curve).
+// CurveSet holds the built leaf curves of a tree, one per leaf class:
+// leaves whose platform and workload are equal by value share a curve,
+// and a same-named variant (a workload with other phase parameters, a
+// platform with other specs) is a class of its own. The zero value is
+// an empty set.
 type CurveSet struct {
-	curves map[pair]*curve
+	curves map[pair][]classCurve // classes by platform/workload name
+}
+
+// classCurve is one leaf class and its curve.
+type classCurve struct {
+	platform hw.Platform
+	workload workload.Workload
+	c        *curve
 }
 
 // pair names a (platform, workload) pair.
@@ -77,48 +88,104 @@ func pairKey(p hw.Platform, w workload.Workload) pair {
 
 func (k pair) String() string { return k.platform + "/" + k.workload }
 
-// BuildCurves profiles every distinct (platform, workload) pair of the
-// spec and samples its performance curve through the current default
-// evaluation engine: COORD splits each sampled budget across the
-// node's components and the shared evalpool engine simulates the
-// result, exactly the pipeline the cluster scheduler admits jobs with.
-// Curve construction is deterministic for a fixed engine configuration,
-// and serial and parallel engines produce byte-identical curves (the
+// add files c as the curve of the (p, w) class.
+func (cs *CurveSet) add(p hw.Platform, w workload.Workload, c *curve) {
+	if cs.curves == nil {
+		cs.curves = map[pair][]classCurve{}
+	}
+	k := pairKey(p, w)
+	cs.curves[k] = append(cs.curves[k], classCurve{platform: p, workload: w, c: c})
+}
+
+// lookup returns the curve of the (p, w) class, or nil.
+func (cs *CurveSet) lookup(p hw.Platform, w workload.Workload) *curve {
+	for _, cc := range cs.curves[pairKey(p, w)] {
+		if samePlatform(cc.platform, p) && sameWorkload(cc.workload, w) {
+			return cc.c
+		}
+	}
+	return nil
+}
+
+// samePlatform reports whether p and q are equal by value, their
+// component specs compared by content rather than by pointer: every
+// catalog lookup returns fresh spec pointers.
+func samePlatform(p, q hw.Platform) bool {
+	if !sameSpec(p.CPU, q.CPU) || !sameSpec(p.DRAM, q.DRAM) || !sameSpec(p.GPU, q.GPU) {
+		return false
+	}
+	p.CPU, p.DRAM, p.GPU = nil, nil, nil
+	q.CPU, q.DRAM, q.GPU = nil, nil, nil
+	return p == q
+}
+
+func sameSpec[T comparable](a, b *T) bool {
+	return a == b || a != nil && b != nil && *a == *b
+}
+
+// sameWorkload reports whether w and v are equal by value, field by
+// field (reflect.DeepEqual costs microseconds a leaf on 4096-leaf
+// trees); TestSameWorkloadCoversEveryField keeps the list complete.
+func sameWorkload(w, v workload.Workload) bool {
+	return w.Name == v.Name && w.Suite == v.Suite && w.Desc == v.Desc &&
+		w.Kind == v.Kind && w.PerfUnit == v.PerfUnit &&
+		w.PerfPerUnitRate == v.PerfPerUnitRate && slices.Equal(w.Phases, v.Phases)
+}
+
+// BuildCurves profiles every leaf class of the spec and samples its
+// performance curve through the current default evaluation engine:
+// COORD splits each sampled budget across the node's components and
+// the engine simulates the result, exactly the pipeline the cluster
+// scheduler admits jobs with. The engine memoizes each curve whole, so
+// a class any earlier tree had is not sampled again. Curve
+// construction is deterministic for a fixed engine configuration, and
+// serial and parallel engines produce byte-identical curves (the
 // engine-identity guarantee the golden tests pin).
 func BuildCurves(spec Spec) (*CurveSet, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cs := &CurveSet{curves: map[pair]*curve{}}
+	cs := &CurveSet{}
 	for ri := range spec.Racks {
 		for ni := range spec.Racks[ri].Nodes {
 			n := &spec.Racks[ri].Nodes[ni]
-			key := pairKey(n.Platform, n.Workload)
-			if cs.curves[key] != nil {
+			if cs.lookup(n.Platform, n.Workload) != nil {
 				continue
 			}
 			c, err := buildLeafCurve(n.Platform, n.Workload)
 			if err != nil {
-				return nil, fmt.Errorf("powertree: curve for %s: %w", key, err)
+				return nil, fmt.Errorf("powertree: curve for %s: %w", pairKey(n.Platform, n.Workload), err)
 			}
-			cs.curves[key] = c
+			cs.add(n.Platform, n.Workload, c)
 		}
 	}
 	return cs, nil
 }
 
-// curveFor returns the curve for a node's pair.
+// curveFor returns the curve of a node's class.
 func (cs *CurveSet) curveFor(n *Node) (*curve, error) {
-	c := cs.curves[pairKey(n.Platform, n.Workload)]
+	c := cs.lookup(n.Platform, n.Workload)
 	if c == nil {
 		return nil, fmt.Errorf("powertree: no curve built for %s/%s", n.Platform.Name, n.Workload.Name)
 	}
 	return c, nil
 }
 
-// buildLeafCurve samples one (platform, workload) performance curve
-// over its productive envelope and takes the concave upper envelope.
+// buildLeafCurve returns the (platform, workload) performance curve,
+// memoized on the default engine by the pair's content and charged
+// curvePoints, the most samples a curve takes. Callers share the
+// returned curve and never mutate it.
 func buildLeafCurve(p hw.Platform, w workload.Workload) (*curve, error) {
+	eng := evalpool.Default()
+	b := eng.Bind(evalpool.Problem{Platform: p, Workload: w})
+	return evalpool.DeriveWeighted(b, "powertree.curve", 0, curvePoints, func() (*curve, error) {
+		return sampleLeafCurve(eng, p, w)
+	})
+}
+
+// sampleLeafCurve samples one (platform, workload) performance curve
+// over its productive envelope and takes the concave upper envelope.
+func sampleLeafCurve(eng *evalpool.Engine, p hw.Platform, w workload.Workload) (*curve, error) {
 	c := &curve{kind: p.Kind}
 	var lo, hi units.Power
 	switch p.Kind {
@@ -157,7 +224,7 @@ func buildLeafCurve(p hw.Platform, w workload.Workload) (*curve, error) {
 	}
 
 	qs := sampleQuanta(c.floorQ, c.maxQ)
-	perfs, err := measurePerf(p, w, c, qs)
+	perfs, err := measurePerf(eng, p, w, c, qs)
 	if err != nil {
 		return nil, err
 	}
@@ -183,9 +250,9 @@ func sampleQuanta(floorQ, maxQ int64) []int64 {
 }
 
 // measurePerf evaluates the pair's simulated performance at each
-// sampled grant: COORD splits the grant, the shared engine simulates
-// the split — the same admission pipeline internal/cluster uses.
-func measurePerf(p hw.Platform, w workload.Workload, c *curve, qs []int64) ([]float64, error) {
+// sampled grant: COORD splits the grant, the engine simulates the
+// split — the same admission pipeline internal/cluster uses.
+func measurePerf(eng *evalpool.Engine, p hw.Platform, w workload.Workload, c *curve, qs []int64) ([]float64, error) {
 	reqs := make([]evalpool.Request, len(qs))
 	rejected := make([]bool, len(qs))
 	for i, q := range qs {
@@ -211,7 +278,7 @@ func measurePerf(p hw.Platform, w workload.Workload, c *curve, qs []int64) ([]fl
 			reqs[i] = evalpool.Request{Op: evalpool.OpGPUMemPower, Proc: cap, Mem: d.Alloc.Mem}
 		}
 	}
-	results, err := evalpool.Default().EvaluateAll(context.Background(),
+	results, err := eng.EvaluateAll(context.Background(),
 		evalpool.Problem{Platform: p, Workload: w}, reqs)
 	if err != nil {
 		return nil, err
@@ -293,11 +360,14 @@ func (cs *CurveSet) Demand(spec Spec) (floor, max units.Power, err error) {
 	return watts(floorQ), watts(maxQ), nil
 }
 
-// Pairs lists the built pair keys in sorted order (diagnostics).
+// Pairs lists the built classes' pair keys in sorted order
+// (diagnostics); a same-named variant is listed under its name again.
 func (cs *CurveSet) Pairs() []string {
-	keys := make([]string, 0, len(cs.curves))
-	for k := range cs.curves {
-		keys = append(keys, k.String())
+	var keys []string
+	for k, classes := range cs.curves {
+		for range classes {
+			keys = append(keys, k.String())
+		}
 	}
 	sort.Strings(keys)
 	return keys

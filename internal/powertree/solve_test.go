@@ -285,7 +285,7 @@ type synthBuilder struct {
 var synthPairs = []string{"stream", "dgemm", "bt", "sp", "lu", "ep", "is", "cg", "ft", "mg", "sra"}
 
 func newSynth(t *testing.T) *synthBuilder {
-	return &synthBuilder{t: t, cs: &CurveSet{curves: map[pair]*curve{}}}
+	return &synthBuilder{t: t, cs: &CurveSet{}}
 }
 
 func (b *synthBuilder) leaf(id string, prio int, c curve) Node {
@@ -307,7 +307,7 @@ func (b *synthBuilder) leaf(id string, prio int, c curve) Node {
 	for _, s := range c.segs {
 		c.maxQ += s.width
 	}
-	b.cs.curves[pairKey(p, w)] = &c
+	b.cs.add(p, w, &c)
 	return Node{ID: id, Platform: p, Workload: w, Priority: prio}
 }
 
@@ -819,7 +819,7 @@ func randomTree(t *testing.T, src *byteSource) (*CurveSet, Spec) {
 			pool = append(pool, Node{Platform: p, Workload: w})
 		}
 	}
-	cs := &CurveSet{curves: map[pair]*curve{}}
+	cs := &CurveSet{}
 	nCurves := 1 + src.n(6)
 	for i := 0; i < nCurves; i++ {
 		c := &curve{kind: hw.KindCPU, floorQ: int64(src.n(13)), base: 0.37 * float64(src.n(5))}
@@ -835,7 +835,7 @@ func randomTree(t *testing.T, src *byteSource) (*CurveSet, Spec) {
 		for _, s := range c.segs {
 			c.maxQ += s.width
 		}
-		cs.curves[pairKey(pool[i].Platform, pool[i].Workload)] = c
+		cs.add(pool[i].Platform, pool[i].Workload, c)
 	}
 
 	var spec Spec

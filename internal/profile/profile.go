@@ -74,9 +74,7 @@ func ProfileCPUWithMargin(p hw.Platform, w workload.Workload, margin float64) (C
 	// The profile is a pure function of the problem's content and the
 	// margin, so the shared evaluation engine memoizes it whole: every
 	// figure, request and scheduling round that profiles the same pair
-	// gets the stored profile instead of re-running the binary search
-	// against the point memo. The probing runs go through the engine
-	// too, so even a first profile reuses points others simulated.
+	// gets the stored profile instead of re-running the binary search.
 	bound := evalpool.Default().Bind(evalpool.Problem{Platform: p, Workload: w})
 	return evalpool.Derive(bound, "profile.cpu", margin, func() (CPUProfile, error) {
 		return runCPUPlan(p, w, margin, bound)
@@ -217,11 +215,17 @@ const computeIntensiveFrac = 0.95
 // with two runs: one uncapped (maximum settable cap, nominal clocks) and
 // one with the SM clock pinned at its minimum while memory stays nominal.
 func ProfileGPU(p hw.Platform, w workload.Workload) (GPUProfile, error) {
+	return ProfileGPUOn(evalpool.Default(), p, w)
+}
+
+// ProfileGPUOn is ProfileGPU on engine e: its runs and its memo entry
+// belong to e, so a Serial engine profiles afresh on every call.
+func ProfileGPUOn(e *evalpool.Engine, p hw.Platform, w workload.Workload) (GPUProfile, error) {
 	if p.Kind != hw.KindGPU {
 		return GPUProfile{}, fmt.Errorf("profile: platform %q is not a GPU platform", p.Name)
 	}
-	// Memoized whole on the shared engine, like ProfileCPU.
-	bound := evalpool.Default().Bind(evalpool.Problem{Platform: p, Workload: w})
+	// Memoized whole on the engine, like ProfileCPU.
+	bound := e.Bind(evalpool.Problem{Platform: p, Workload: w})
 	return evalpool.Derive(bound, "profile.gpu", 0, func() (GPUProfile, error) {
 		return runGPUPlan(p, w, bound)
 	})

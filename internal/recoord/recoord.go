@@ -23,8 +23,8 @@
 // re-coordination then reads that table. The table is memoized whole
 // on the engine, keyed by the aggregate (platform, workload) content
 // and the budget — the static candidate depends on the whole workload,
-// so no per-phase key would do — and its points bypass the engine's
-// point memo, since no other caller asks for them.
+// so no per-phase key would do. The aggregate profile comes from the
+// same engine, so a run on a Serial engine is fully uncached.
 //
 // Everything is driven in virtual time: the trace, the detector, and
 // the evaluations are pure functions of the configuration, so two runs
@@ -254,7 +254,7 @@ func Run(cfg Config) (Result, error) {
 // table, and registers the instruments.
 func (c *controller) prepare() error {
 	p, w := c.cfg.Platform, c.cfg.Workload
-	prof, err := profile.ProfileGPU(p, w)
+	prof, err := profile.ProfileGPUOn(c.cfg.Engine, p, w)
 	if err != nil {
 		return err
 	}
@@ -328,12 +328,11 @@ func (c *controller) at(i, j int) point { return c.table[i*c.width()+j] }
 
 // simulate builds the slate table: each cell one simulator call on the
 // single-phase problem, the batch spread over the engine's workers.
-// The cells skip the point memo; the table is memoized whole.
 func (c *controller) simulate() ([]point, error) {
 	p, w, eng := c.cfg.Platform, c.cfg.Workload, c.cfg.Engine
-	phases := make([]*evalpool.Bound, len(w.Phases))
+	phases := make([]evalpool.Problem, len(w.Phases))
 	for i := range phases {
-		phases[i] = eng.Bind(evalpool.Problem{Platform: p, Workload: singlePhase(w, i)})
+		phases[i] = evalpool.Problem{Platform: p, Workload: singlePhase(w, i)}
 	}
 	n := c.width()
 	table := make([]point, len(phases)*n)
@@ -344,7 +343,7 @@ func (c *controller) simulate() ([]point, error) {
 			s := c.candidates[j]
 			req = evalpool.Request{Op: evalpool.OpGPUMemPower, Proc: s.Proc, Mem: s.Mem}
 		}
-		res, err := phases[k/n].Simulate(req)
+		res, err := eng.Evaluate(phases[k/n], req)
 		if err != nil {
 			errs[k] = err
 			return

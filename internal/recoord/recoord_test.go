@@ -256,24 +256,26 @@ func TestGainZeroOnEmptyResult(t *testing.T) {
 }
 
 // TestRunEvaluatesOncePerVisitAndSetting pins the slate table: with
-// the profile already warm, a cold run at a budget simulates every
-// phase at every candidate and at the governor's point exactly once,
-// and asks the point memo for nothing; a repeat run at the same budget
-// reads the memoized table and simulates nothing.
+// the profile already warm on the run's engine, a cold run at a budget
+// simulates every phase at every candidate and at the governor's point
+// exactly once, reading the profile from the memo and missing only the
+// slate; a repeat run at the same budget reads both back and simulates
+// nothing. The run's engine is not the default one: the profile and
+// the slate both come from the engine in its Config.
 func TestRunEvaluatesOncePerVisitAndSetting(t *testing.T) {
 	eng := evalpool.New(evalpool.Options{})
-	defer evalpool.SetDefault(evalpool.SetDefault(eng))
 	p, w := mustPlatform(t, "h100"), mustWorkload(t, "llmbatch")
-	if _, err := profile.ProfileGPU(p, w); err != nil {
+	if _, err := profile.ProfileGPUOn(eng, p, w); err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Platform: p, Workload: w, Budget: 300, Engine: eng}
 	candidates := len(p.GPU.Mem.Clocks()) + 1 // every memory clock, then static
 	want := uint64(len(w.Phases) * (candidates + 1))
 	for _, pass := range []struct {
-		name string
-		sims uint64
-	}{{"cold", want}, {"repeat", 0}} {
+		name         string
+		sims         uint64
+		hits, misses uint64
+	}{{"cold", want, 1, 1}, {"repeat", 0, 2, 0}} {
 		before := eng.Stats()
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
@@ -283,8 +285,9 @@ func TestRunEvaluatesOncePerVisitAndSetting(t *testing.T) {
 			t.Errorf("%s run: %d simulator calls over %d requests, want %d of each",
 				pass.name, sims, reqs, pass.sims)
 		}
-		if lookups := after.Hits + after.Misses - before.Hits - before.Misses; lookups != 0 {
-			t.Errorf("%s run made %d point-memo lookups, want 0", pass.name, lookups)
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != pass.hits || misses != pass.misses {
+			t.Errorf("%s run: %d memo hits and %d misses, want %d and %d",
+				pass.name, hits, misses, pass.hits, pass.misses)
 		}
 	}
 }
@@ -384,7 +387,7 @@ func TestSlateKeyedByAggregateContent(t *testing.T) {
 
 // TestSlateMemoBounded: the slate memo counts each table's points
 // against CacheSize. 200 runs at distinct budgets on an engine bounded
-// at 256 keep its derived memo at or under 256 points, and every run
+// at 256 keep its memo at or under 256 points, and every run
 // still equals its serial reference.
 func TestSlateMemoBounded(t *testing.T) {
 	const size = 256
@@ -404,8 +407,8 @@ func TestSlateMemoBounded(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("run at %v differs from serial:\n%+v\nvs\n%+v", cfg.Budget, got, want)
 		}
-		if d := eng.Stats().Derived; d > size {
-			t.Fatalf("after run %d the derived memo holds %d points, bound %d", k, d, size)
+		if d := eng.Stats().Entries; d > size {
+			t.Fatalf("after run %d the memo holds %d points, bound %d", k, d, size)
 		}
 	}
 }

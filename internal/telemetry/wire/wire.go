@@ -34,9 +34,9 @@ func Instrument(r *telemetry.Registry) {
 }
 
 // InstrumentEngine additionally exposes the shared evalpool engine's
-// cache and worker statistics on r. They are kept out of Instrument
-// because cache hit/miss/sim-run counts are racy under parallel workers
-// (concurrent duplicate computation), which would break byte-identical
+// memo and worker statistics on r. They are kept out of Instrument
+// because memo hit/miss/sim-run counts are racy under parallel workers
+// (concurrent duplicate derivation), which would break byte-identical
 // golden snapshots. Long-running servers want them; golden tests do not.
 func InstrumentEngine(r *telemetry.Registry) {
 	evalpool.RegisterDefaultMetrics(r)
