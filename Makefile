@@ -55,19 +55,30 @@ chaossmoke:
 	$(GO) test -race -run TestChaos -count=1 -v ./internal/allocclient
 
 # Cluster queue engine gate under the race detector: exact mode against
-# the frozen testdata goldens (byte for byte), replay determinism (same
-# seed, same trace hash), the pinned trace hashes of representative
-# runs in both modes and the cross-mode property table (same arrivals,
-# same completion or starvation, pool conservation, fast replay), the
+# the frozen testdata goldens (byte for byte), every golden case through
+# fast mode (bit-identical Result), replay determinism (same seed, same
+# trace hash), the pinned trace hashes of representative runs, one pin
+# per run checked in both modes, and the cross-mode property table
+# (bit-identical Results, pool conservation, fast replay), the
 # serial-vs-shared-engine contract of cluster.Schedule rounds (memoized
-# placements, same-named workload variants), then a seeded DES run through the pbc CLI with a replay check, and the pbc
-# faults cluster demo, which runs its queues through exact mode.
+# placements, same-named workload variants), then a seeded DES run
+# through the pbc CLI in both modes, each with a replay check, failing
+# unless both print the same trace hash, and the pbc faults cluster
+# demo, which runs its queues through exact mode.
+DESSMOKE_RUN = $(GO) run -race ./cmd/pbc des -nodes 64 -horizon 600 -seed 7 \
+	-arrival-spec "rate=0.2,burst=2,units=2e12" \
+	-fault-spec "shock.mtbs=120,shock.frac=0.25,shock.len=20" -replay-check
+
 dessmoke:
-	$(GO) test -race -run 'TestGoldenEquivalence|TestReplayDeterminism|TestTraceHashPinned|TestCrossModeProperties|TestOneJobEqualsSim' -count=1 ./internal/des
+	$(GO) test -race -run 'TestGoldenEquivalence|TestGoldenCasesFastMode|TestReplayDeterminism|TestTraceHashPinned|TestCrossModeProperties|TestOneJobEqualsSim' -count=1 ./internal/des
 	$(GO) test -race -run 'TestScheduleSerialParallelContract' -count=1 ./internal/cluster
-	$(GO) run -race ./cmd/pbc des -nodes 64 -horizon 600 -seed 7 \
-		-arrival-spec "rate=0.2,burst=2,units=2e12" \
-		-fault-spec "shock.mtbs=120,shock.frac=0.25,shock.len=20" -replay-check
+	@set -e; \
+	fast=$$($(DESSMOKE_RUN)); echo "$$fast"; \
+	exact=$$($(DESSMOKE_RUN) -mode exact); echo "$$exact"; \
+	a=$$(echo "$$fast" | awk '/^trace hash/ { print $$3 }'); \
+	b=$$(echo "$$exact" | awk '/^trace hash/ { print $$3 }'); \
+	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then echo "FAIL: pbc des trace hash differs across modes: fast '$$a', exact '$$b'"; exit 1; fi; \
+	echo "cross-mode trace hash: OK ($$a in both modes)"
 	$(GO) run ./cmd/pbc faults -log 0 >/dev/null
 
 # Hierarchical budget-tree gate under the race detector: conservation,
@@ -161,13 +172,14 @@ cover:
 
 # Short fuzz passes over the input parsers (fault specs, arrival specs,
 # tree specs, phase specs, power units), the tree solver against its
-# sort-based reference, the Prometheus exposition encoder, and the
-# binary wire codec (both a round-trip property fuzzer and a
-# malformed-frame decoder fuzzer).
+# sort-based reference, DES exact mode against fast mode, the
+# Prometheus exposition encoder, and the binary wire codec (both a
+# round-trip property fuzzer and a malformed-frame decoder fuzzer).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseSpec -fuzztime=10s ./internal/faults
 	$(GO) test -run=^$$ -fuzz=FuzzParsePhaseSpec -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzParseArrivalSpec -fuzztime=10s ./internal/des
+	$(GO) test -run=^$$ -fuzz=FuzzModesAgree -fuzztime=10s ./internal/des
 	$(GO) test -run=^$$ -fuzz=FuzzTreeSpec -fuzztime=10s ./internal/powertree
 	$(GO) test -run=^$$ -fuzz=FuzzSolveMatchesSortedGreedy -fuzztime=10s ./internal/powertree
 	$(GO) test -run=^$$ -fuzz=FuzzParsePower -fuzztime=10s ./internal/units

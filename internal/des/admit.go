@@ -11,8 +11,8 @@ import (
 	"repro/internal/workload"
 )
 
-// admitter is the admission state both modes share: nodes and their
-// free lists, workload classes, cached decisions and the admission log.
+// admitter is the admission state: nodes and their free lists,
+// workload classes, cached decisions and the admission log.
 type admitter struct {
 	nodes []nodeRec
 	kinds []kindList // per kind slot
@@ -143,29 +143,55 @@ func (a *admitter) wlOf(j int32) int32 {
 	return a.genWl
 }
 
-// enqueue puts job j in the mode's queue, at the head for a
-// re-admission.
-func (l *lifecycle) enqueue(m mode, j int32, head bool) {
+// enqueue queues job j: an arrival at the tail, a re-admission at the
+// head, in the slot a start freed before qHead if there is one.
+func (l *lifecycle) enqueue(j int32, head bool) {
 	c := &l.wls[l.wlOf(j)]
 	if c.queued++; c.queued == 1 {
 		l.queuedWl++
 	}
-	m.push(j, head)
+	switch {
+	case !head:
+		l.queue = append(l.queue, j)
+	case l.qHead > 0:
+		l.qHead--
+		l.queue[l.qHead] = j
+	default:
+		l.queue = slices.Insert(l.queue, 0, j)
+	}
 }
 
-// admit is the admission pass both modes run after every event. It
-// walks the queue in order and starts each job whose kind has a free
-// node and whose admission at that node and the current pool is
-// productive. A job takes the head free node of its kind, so until the
-// next admission a (head platform, workload) pair has one answer: a
-// job whose workload was already refused is skipped without asking
-// again. Under FIFO the pass ends at the first refusal; under backfill
+// queued counts the waiting jobs.
+func (l *lifecycle) queued() int { return len(l.queue) - l.qHead }
+
+// dequeue takes the job at queue position i out of the queue: the head
+// by advancing qHead (a FIFO start), any other in place (a backfill
+// start). Once the consumed prefix is half the slice it is compacted
+// away, so a long trace keeps the queue at most twice its length.
+func (l *lifecycle) dequeue(i int) {
+	if i == 0 {
+		l.qHead++
+	} else {
+		l.queue = slices.Delete(l.queue, l.qHead+i, l.qHead+i+1)
+	}
+	if 2*l.qHead >= len(l.queue) {
+		l.queue = l.queue[:copy(l.queue, l.queue[l.qHead:])]
+		l.qHead = 0
+	}
+}
+
+// admit is the admission pass run after every event. It walks the
+// queue in order and starts each job whose kind has a free node and
+// whose admission at that node and the current pool is productive. A
+// job takes the head free node of its kind, so until the next admission
+// a (head platform, workload) pair has one answer: a job whose workload
+// was already refused is skipped without asking again. Under FIFO the pass ends at the first refusal; under backfill
 // it ends once every queued workload has been refused.
-func (l *lifecycle) admit(m mode) error {
+func (l *lifecycle) admit() error {
 	started, refused := 0, 0
 	l.epoch++
-	for i := 0; i < m.queued(); {
-		j := m.queuedJob(i)
+	for i := 0; i < l.queued(); {
+		j := l.queue[l.qHead+i]
 		w := l.wlOf(j)
 		c := &l.wls[w]
 		if c.refused == l.epoch {
@@ -189,26 +215,32 @@ func (l *lifecycle) admit(m mode) error {
 			i++
 			continue
 		}
-		l.start(m, i, j, n, a)
+		l.start(i, j, n, a)
 		if c.queued--; c.queued == 0 {
 			l.queuedWl--
 		}
 		started, refused = started+1, 0
 		l.epoch++
 	}
-	cluster.ObserveAdmissionPass(started, m.queued(), l.active)
+	cluster.ObserveAdmissionPass(started, l.queued(), l.active)
 	return nil
 }
 
 // start puts the job at queue position i, j, into service on node n
-// under admission a.
-func (l *lifecycle) start(m mode, i int, j, n int32, a cluster.Admission) {
+// under admission a, and keys its completion at now plus the time its
+// work takes at the granted rate.
+func (l *lifecycle) start(i int, j, n int32, a cluster.Admission) {
+	l.dequeue(i)
 	r := &l.jobs[j]
 	r.Admission, r.node, r.started = a, n, l.now
 	if r.firstStart < 0 {
 		r.firstStart = l.now
 	}
+	r.doneT = l.now + r.units/r.Rate
+	l.seq++
+	l.heap.push(heapItem{t: r.doneT, seq: l.seq, job: j, gen: r.gen})
 	l.pool -= a.Budget
+	l.granted += a.Budget
 	l.removeFree(n)
 	l.nodes[n].job = j
 	l.active++
@@ -217,7 +249,6 @@ func (l *lifecycle) start(m mode, i int, j, n int32, a cluster.Admission) {
 		l.adm = slices.DeleteFunc(l.adm, func(e admEntry) bool { return !l.live(e) })
 	}
 	l.adm = append(l.adm, admEntry{job: j, gen: r.gen, started: l.now})
-	m.start(i)
 	l.event(evStart, j, n)
 }
 

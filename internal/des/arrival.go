@@ -5,17 +5,17 @@
 // internal/faults, and scales to tens of thousands of nodes and
 // millions of jobs with streaming statistics.
 //
-// One event loop (run) and one admission core (admit) drive both
-// modes. They own the fault cursors, the event order, the event bound
+// One engine runs every configuration: one event loop (run) over an
+// absolute clock, one completion heap, one queue and one admission core
+// (admit). It owns the fault cursors, the event order, the event bound
 // and starvation checks, node placement (a FIFO of free nodes per
 // hardware kind), the cached admission pass, shock eviction (latest
 // start, first admitted on ties), the pool-conservation audit, the
-// fault accounting, the trace hash and the statistics. A mode supplies
-// only its clock frame and its queue: exact mode (ModeExact) steps a
-// relative clock over a queue of job indices and reproduces the frozen
-// goldens in testdata byte for byte; fast mode (ModeFast) keys
-// completions by absolute time in a heap over an index-window queue.
-// Either replays its trace hash from the same seed, bit for bit.
+// fault accounting, the trace hash and the statistics. The mode only
+// switches the per-job records: exact mode (ModeExact) keeps the
+// per-job result and transition log and reproduces the frozen goldens
+// in testdata byte for byte; fast mode (ModeFast) keeps neither. Both
+// return the same Result bit for bit, and replay it from the same seed.
 package des
 
 import (

@@ -105,48 +105,6 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestCrossModeConsistency: the fast engine is not byte-identical to
-// the exact one (different float operation order), but on the same
-// traffic it must complete the same jobs with closely matching
-// aggregate behavior.
-func TestCrossModeConsistency(t *testing.T) {
-	mk := func(mode Mode) Config {
-		sched, w := testSched(t, 4)
-		arr, err := ParseArrivalSpec("rate=0.05,burst=2,units=1e12,spread=0.5")
-		if err != nil {
-			t.Fatalf("arrival spec: %v", err)
-		}
-		return Config{
-			Sched: sched, Workload: w,
-			Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill,
-			Arrivals: arr, Seed: 5, Horizon: 1500, Mode: mode,
-		}
-	}
-	exact, err := Run(mk(ModeExact))
-	if err != nil {
-		t.Fatalf("exact: %v", err)
-	}
-	fast, err := Run(mk(ModeFast))
-	if err != nil {
-		t.Fatalf("fast: %v", err)
-	}
-	if exact.Arrived != fast.Arrived || exact.Completed != fast.Completed {
-		t.Errorf("job counts diverge: exact %d/%d fast %d/%d",
-			exact.Completed, exact.Arrived, fast.Completed, fast.Arrived)
-	}
-	relClose := func(name string, a, b, tol float64) {
-		if a == 0 && b == 0 {
-			return
-		}
-		if d := math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b)); d > tol {
-			t.Errorf("%s diverges: exact %g fast %g (rel %g > %g)", name, a, b, d, tol)
-		}
-	}
-	relClose("makespan", exact.Makespan, fast.Makespan, 0.05)
-	relClose("energy", exact.Energy.Joules(), fast.Energy.Joules(), 0.05)
-	relClose("avg turnaround", exact.AvgTurnaround, fast.AvgTurnaround, 0.10)
-}
-
 // TestScaleSmokeFast drives a deliberately oversubscribed burst of
 // thousands of jobs through a few hundred nodes — small enough for CI,
 // shaped like the million-job bench — and checks the run drains fully
@@ -269,33 +227,6 @@ func TestGenerateArrivals(t *testing.T) {
 	}
 	if got := generateArrivals(sp, 9, 500, 10); len(got) != 10 {
 		t.Errorf("maxJobs cap generated %d jobs", len(got))
-	}
-}
-
-// TestFastModeRejectsMixedWorkloads: fast mode simulates every job as
-// Config.Workload, so a t=0 job with a workload of its own is an error
-// instead of silently running as the wrong one. Exact mode runs the
-// same config, and homogeneous jobs still run in fast mode.
-func TestFastModeRejectsMixedWorkloads(t *testing.T) {
-	sched, w := testSched(t, 2)
-	jobs := testJobs(w, 3, 1e12)
-	jobs[1].Workload = mustWorkload(t, "dgemm")
-	cfg := Config{
-		Sched: sched, Workload: w,
-		Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill,
-		Jobs: jobs, Mode: ModeFast,
-	}
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), `"job01"`) {
-		t.Fatalf("fast mode with a mixed-workload job: err %v, want one naming job01", err)
-	}
-	cfg.Mode = ModeExact
-	if res, err := Run(cfg); err != nil || res.Completed != len(jobs) {
-		t.Fatalf("exact mode: completed %d, err %v", res.Completed, err)
-	}
-	jobs[1].Workload = w
-	cfg.Mode = ModeFast
-	if res, err := Run(cfg); err != nil || res.Completed != len(jobs) {
-		t.Fatalf("fast mode, homogeneous jobs: completed %d, err %v", res.Completed, err)
 	}
 }
 

@@ -13,23 +13,19 @@ import (
 	"repro/internal/workload"
 )
 
-// Mode selects the simulation engine.
+// Mode selects what a run records beside its Result. Both modes run one
+// engine and return bit-identical Results apart from Mode and Queue.
 type Mode int
 
-// Engines.
+// Modes.
 const (
-	// ModeExact is the cluster queue engine: it rescans the running
-	// jobs at every event, keeps the full per-job result and records
+	// ModeExact records the per-job result (Result.Queue) and the
 	// transitions into Config.Log. A run whose jobs all arrive at t=0
 	// reproduces the frozen goldens in testdata byte for byte.
-	// O(active) per event.
 	ModeExact Mode = iota
-	// ModeFast runs exact mode's node choice, admission and eviction
-	// rules, but keys completions in a min-heap by absolute virtual time
-	// and queues jobs by index; built for 10k-node, million-job traces
-	// with streaming stats. Every job runs Config.Workload. Only the
-	// clock frame differs, so event times can differ from exact mode's
-	// in the last ulps: the trace hashes differ, the counts agree.
+	// ModeFast records neither, so memory stays flat in the number of
+	// events: built for 10k-node, million-job traces with streaming
+	// stats.
 	ModeFast
 )
 
@@ -57,8 +53,9 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// Default engine bounds. Exact mode caps its event loop at a million
-// events; fast mode gets headroom for million-job traces.
+// Default engine bounds. Exact mode's records grow with the events, so
+// it caps its event loop at a million; fast mode gets headroom for
+// million-job traces.
 const (
 	defaultMaxEventsExact = 1_000_000
 	defaultMaxEventsFast  = 1 << 25
@@ -69,15 +66,14 @@ const (
 type Config struct {
 	// Sched is the cluster under simulation (budget + nodes).
 	Sched *cluster.Scheduler
-	// Workload is the job workload; every generated job runs it. Fast
-	// mode requires every t=0 job to run it too.
+	// Workload is the workload every generated job runs.
 	Workload workload.Workload
 	// Policy and Discipline select the admission semantics.
 	Policy     cluster.SplitPolicy
 	Discipline cluster.Discipline
 
 	// Jobs arrive at t=0 ahead of any generated traffic, in queue
-	// order. Exact mode runs each with its own workload.
+	// order, each running its own workload.
 	Jobs []cluster.TimedJob
 	// Arrivals seeds the open-arrival process over [0, Horizon).
 	Arrivals ArrivalSpec
@@ -90,12 +86,13 @@ type Config struct {
 	// Injector, when non-nil, disturbs the run with node outages and
 	// budget shocks on its deterministic schedule (see internal/faults).
 	Injector *faults.Injector
-	// Log, when non-nil, receives exact mode's cluster transitions:
-	// node failures and recoveries, budget shocks and restores, and
-	// each eviction's reclaim and re-admission.
+	// Log, when non-nil, receives the cluster transitions of an
+	// exact-mode run: node failures and recoveries, budget shocks and
+	// restores, and each eviction's reclaim and re-admission. Fast mode
+	// records none.
 	Log *trace.EventLog
 
-	// Mode selects the engine; the zero value is ModeExact.
+	// Mode selects the records kept; the zero value is ModeExact.
 	Mode Mode
 	// MaxEvents bounds the event loop (0 = per-mode default). Exceeding
 	// it is an error, converting hostile configs into diagnostics
@@ -165,6 +162,9 @@ type FaultSummary struct {
 
 // Run executes the configured simulation.
 func Run(cfg Config) (Result, error) {
+	if cfg.Mode != ModeExact && cfg.Mode != ModeFast {
+		return Result{}, fmt.Errorf("des: unknown mode %v", cfg.Mode)
+	}
 	if cfg.Sched == nil {
 		return Result{}, fmt.Errorf("des: nil scheduler")
 	}
@@ -181,24 +181,17 @@ func Run(cfg Config) (Result, error) {
 		cfg.MaxJobs = defaultMaxJobs
 	}
 	if cfg.MaxEvents == 0 {
+		cfg.MaxEvents = defaultMaxEventsExact
 		if cfg.Mode == ModeFast {
 			cfg.MaxEvents = defaultMaxEventsFast
-		} else {
-			cfg.MaxEvents = defaultMaxEventsExact
 		}
 	}
 	arrivals := generateArrivals(cfg.Arrivals, cfg.Seed, cfg.Horizon, cfg.MaxJobs)
 	if err := checkJobs(cfg.Jobs, len(arrivals)); err != nil {
 		return Result{}, err
 	}
-	switch cfg.Mode {
-	case ModeExact:
-		return runExact(cfg, arrivals)
-	case ModeFast:
-		return runFast(cfg, arrivals)
-	default:
-		return Result{}, fmt.Errorf("des: unknown mode %v", cfg.Mode)
-	}
+	l := newLifecycle(cfg, arrivals)
+	return l.run()
 }
 
 // arrivalID names generated arrival i.
@@ -208,7 +201,7 @@ func arrivalID(i int) string {
 
 // checkJobs rejects t=0 jobs without work, and jobs whose IDs repeat
 // or repeat the name of one of the run's generated arrivals: exact mode
-// keys its per-job bookkeeping by ID, and both modes accept the same
+// keys its per-job records by ID, and both modes accept the same
 // configurations.
 func checkJobs(jobs []cluster.TimedJob, arrivals int) error {
 	seen := make(map[string]bool, len(jobs))
@@ -242,7 +235,7 @@ const (
 )
 
 // traceHash accumulates an FNV-1a fingerprint of the event stream. Jobs
-// and nodes are identified by dense indices so both engines hash without
+// and nodes are identified by dense indices so the engine hashes without
 // allocating; -1 marks "no job"/"no node".
 type traceHash struct {
 	h uint64
@@ -280,7 +273,7 @@ func (t *traceHash) event(at float64, kind byte, job, node int32) {
 	t.h = fnvBytes(h, uint64(uint32(node)), 4) * fnvPrime4
 }
 
-// agg holds the streaming per-completion statistics both engines share.
+// agg holds the streaming per-completion statistics.
 type agg struct {
 	completed        int
 	waitSum, turnSum float64

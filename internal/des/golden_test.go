@@ -140,14 +140,12 @@ func renderGolden(q *cluster.QueueResult, f FaultSummary, log *trace.EventLog, e
 	return b.String()
 }
 
-// checkGolden runs c through exact mode and compares the rendering with
-// testdata/<name>.golden; -update rewrites the file instead.
-func checkGolden(t *testing.T, c goldenCase) Result {
+// config is c's run in mode, recording transitions into log.
+func (c goldenCase) config(t *testing.T, mode Mode, log *trace.EventLog) Config {
 	t.Helper()
-	log := &trace.EventLog{}
 	cfg := Config{
 		Sched: c.sched, Policy: c.policy, Discipline: c.disc,
-		Jobs: c.jobs, Mode: ModeExact, Log: log,
+		Jobs: c.jobs, Mode: mode, Log: log,
 	}
 	if c.spec != "" {
 		sp, err := faults.ParseSpec(c.spec)
@@ -156,7 +154,15 @@ func checkGolden(t *testing.T, c goldenCase) Result {
 		}
 		cfg.Injector = faults.NewInjector(sp, c.seed)
 	}
-	res, err := Run(cfg)
+	return cfg
+}
+
+// checkGolden runs c through exact mode and compares the rendering with
+// testdata/<name>.golden; -update rewrites the file instead.
+func checkGolden(t *testing.T, c goldenCase) Result {
+	t.Helper()
+	log := &trace.EventLog{}
+	res, err := Run(c.config(t, ModeExact, log))
 	if err == nil && res.Queue == nil {
 		t.Fatal("exact mode returned no queue result")
 	}
@@ -190,12 +196,10 @@ func checkGolden(t *testing.T, c goldenCase) Result {
 	return res
 }
 
-// TestGoldenEquivalenceFaultFree pins exact mode to the frozen output
-// of the former fault-free round loop: same events, stats, makespan and
-// energy bits across policies, disciplines, CPU and GPU nodes, and the
-// starvation sentinel.
-func TestGoldenEquivalenceFaultFree(t *testing.T) {
-	cases := []goldenCase{
+// faultFreeCases are the fault-free golden cases: policies,
+// disciplines, CPU and GPU nodes, and a starved queue.
+func faultFreeCases(t *testing.T) []goldenCase {
+	return []goldenCase{
 		cpuMixCase(t, "coord-backfill", cluster.PolicyCoord, cluster.DisciplineBackfill),
 		cpuMixCase(t, "coord-fifo", cluster.PolicyCoord, cluster.DisciplineFIFO),
 		cpuMixCase(t, "evensplit-backfill", cluster.PolicyEvenSplit, cluster.DisciplineBackfill),
@@ -217,7 +221,14 @@ func TestGoldenEquivalenceFaultFree(t *testing.T) {
 			policy: cluster.PolicyCoord, disc: cluster.DisciplineBackfill,
 		},
 	}
-	for _, c := range cases {
+}
+
+// TestGoldenEquivalenceFaultFree pins exact mode to the frozen output
+// of the former fault-free round loop: same events, stats, makespan and
+// energy bits across policies, disciplines, CPU and GPU nodes, and the
+// starvation sentinel.
+func TestGoldenEquivalenceFaultFree(t *testing.T) {
+	for _, c := range faultFreeCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			res := checkGolden(t, c)
 			if c.name != "starved" && (res.Completed != len(c.jobs) || res.Arrived != len(c.jobs)) {
@@ -227,11 +238,14 @@ func TestGoldenEquivalenceFaultFree(t *testing.T) {
 	}
 }
 
+// faultySeeds seed the golden runs under goldenFaultSpec.
+var faultySeeds = []uint64{1, 7, 42}
+
 // TestGoldenEquivalenceFaulty pins exact mode under node outages and
 // budget shocks to the frozen output of the former fault-injected round
 // loop, fault accounting and transition log included.
 func TestGoldenEquivalenceFaulty(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42} {
+	for _, seed := range faultySeeds {
 		name := fmt.Sprintf("seed%d", seed)
 		t.Run(name, func(t *testing.T) {
 			res := checkGolden(t, streamCase(t, "faulty-"+name, goldenFaultSpec, seed))
@@ -249,42 +263,63 @@ func TestGoldenEquivalenceNilInjector(t *testing.T) {
 	checkGolden(t, streamCase(t, "nil-injector", "", 0))
 }
 
-// TestPhasedGPUJobs runs phased ML-inference jobs on an H100-class
-// cluster through both engines: exact mode must reproduce the frozen
-// round-loop output byte for byte, and each engine's trace hash must be
-// stable across repeat runs.
-func TestPhasedGPUJobs(t *testing.T) {
-	w := mustWorkload(t, "llmserve")
-	c := goldenCase{
+// phasedCase is a queue of phased ML-inference jobs on an H100-class
+// cluster.
+func phasedCase(t *testing.T) goldenCase {
+	return goldenCase{
 		name:   "phased-h100-llmserve",
 		sched:  mixSched(t, 1200, "h100", "h100", "h100"),
-		jobs:   testJobs(w, 7, 2e12),
+		jobs:   testJobs(mustWorkload(t, "llmserve"), 7, 2e12),
 		policy: cluster.PolicyCoord, disc: cluster.DisciplineBackfill,
 	}
+}
+
+// TestPhasedGPUJobs: exact mode must reproduce the frozen round-loop
+// output of phased ML-inference jobs byte for byte, and its trace hash
+// must be stable across repeat runs.
+func TestPhasedGPUJobs(t *testing.T) {
+	c := phasedCase(t)
 	exact := checkGolden(t, c)
 	if exact.Completed != len(c.jobs) {
 		t.Errorf("completed %d of %d phased jobs", exact.Completed, len(c.jobs))
 	}
+	again, err := Run(c.config(t, ModeExact, nil))
+	if err != nil || again.TraceHash != exact.TraceHash {
+		t.Errorf("repeat run: hash %016x, err %v; first run %016x", again.TraceHash, err, exact.TraceHash)
+	}
+}
 
-	run := func(mode Mode) Result {
-		got, err := Run(Config{
-			Sched: c.sched, Workload: w,
-			Policy: c.policy, Discipline: c.disc,
-			Jobs: c.jobs, Mode: mode,
+// TestGoldenCasesFastMode runs every golden case through fast mode:
+// mixed CPU and GPU workloads, both policies under FIFO and backfill,
+// faults, no injector, phased GPU jobs and a starved queue. Fast mode
+// must return exact mode's Result bit for bit with Queue nil and record
+// no transitions, or fail with exact mode's error.
+func TestGoldenCasesFastMode(t *testing.T) {
+	cases := faultFreeCases(t)
+	for _, seed := range faultySeeds {
+		cases = append(cases, streamCase(t, fmt.Sprintf("faulty-seed%d", seed), goldenFaultSpec, seed))
+	}
+	cases = append(cases, streamCase(t, "nil-injector", "", 0), phasedCase(t))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			exact, eerr := Run(c.config(t, ModeExact, &trace.EventLog{}))
+			log := &trace.EventLog{}
+			fast, ferr := Run(c.config(t, ModeFast, log))
+			if eerr != nil || ferr != nil {
+				if eerr == nil || ferr == nil || eerr.Error() != ferr.Error() {
+					t.Fatalf("errors differ: exact %v, fast %v", eerr, ferr)
+				}
+				return
+			}
+			if fast.Mode != ModeFast || fast.Queue != nil {
+				t.Errorf("fast run: mode %v, queue %v", fast.Mode, fast.Queue)
+			}
+			if d := modesDiffer(exact, fast); d != "" {
+				t.Errorf("modes differ:%s", d)
+			}
+			if n := log.Len(); n != 0 {
+				t.Errorf("fast mode recorded %d transitions", n)
+			}
 		})
-		if err != nil {
-			t.Fatalf("des.Run mode %v: %v", mode, err)
-		}
-		return got
-	}
-	if exact.TraceHash != run(ModeExact).TraceHash {
-		t.Error("exact-mode trace hash unstable across repeat runs")
-	}
-	fast := run(ModeFast)
-	if fast.Completed != len(c.jobs) || !(fast.Makespan > 0) {
-		t.Errorf("fast mode: completed %d, makespan %v", fast.Completed, fast.Makespan)
-	}
-	if fast.TraceHash != run(ModeFast).TraceHash {
-		t.Error("fast-mode trace hash unstable across repeat runs")
 	}
 }

@@ -10,15 +10,15 @@ import (
 	"repro/internal/units"
 )
 
-// lifecycle is the run state both modes share: the clock, the power
-// pool, every job's admission record, node health and the admission
-// core (admit.go), the fault cursors and accounting, the trace hash and
-// the streaming statistics. A mode embeds it and adds its clock frame
-// and its queue; run drives both through one event loop.
+// lifecycle is the run state of both modes: the absolute clock, the
+// power pool, every job's admission record, the queue and the
+// completion heap, node health and the admission core (admit.go), the
+// fault cursors and accounting, the trace hash and the streaming
+// statistics. run drives it through one event loop.
 type lifecycle struct {
 	cfg  Config
 	arrs []jobArrival
-	// Exact mode only: the per-job result, job IDs and transition log.
+	// ModeExact only: the per-job result, job IDs and transition log.
 	res *cluster.QueueResult
 	ids []string
 	log *trace.EventLog
@@ -26,8 +26,9 @@ type lifecycle struct {
 	outages *faults.OutageStream
 	shocks  *faults.ShockEdges
 
-	now  float64
-	pool units.Power
+	now     float64 // absolute virtual time; never moves back
+	pool    units.Power
+	granted units.Power // Σ grants of the running jobs
 	// shockHeld is the power withheld from the pool by active budget
 	// shocks. At every event boundary the loop audits the conservation
 	// identity pool + Σ(committed grants) + shockHeld == Budget;
@@ -36,10 +37,18 @@ type lifecycle struct {
 	nDown     int
 
 	// jobs holds every job by dense index: the t=0 jobs in order, then
-	// the generated trace. Dense indices name jobs in the trace hash
-	// and to the mode.
+	// the generated trace. Dense indices name jobs in the trace hash,
+	// the queue and the heap.
 	jobs   []jobRec
 	active int // running jobs
+	// queue[qHead:] holds the waiting jobs in admission order (admit.go).
+	queue []int32
+	qHead int
+	// heap keys the running jobs' completions by absolute time, seq in
+	// start order breaking ties; a job that leaves service early leaves
+	// a stale entry behind (its gen moved on).
+	heap doneHeap
+	seq  uint64
 	admitter
 
 	energy units.Energy
@@ -51,12 +60,12 @@ type lifecycle struct {
 // jobRec is one job's record, compact (no strings, no maps) so
 // million-job traces stay cache- and memory-friendly.
 type jobRec struct {
-	// units is the work left as of the job's last (re)admission; exact
-	// mode drains it as the job runs.
+	// units is the work left as of the job's last (re)admission: its
+	// full work until an eviction sets what is left.
 	units             float64
 	firstStart        float64 // -1 until the first admission
 	started           float64
-	doneT             float64 // fast mode: absolute completion time while running
+	doneT             float64 // absolute completion time while running
 	cluster.Admission         // while running
 	node              int32   // while running
 	gen               uint32  // bumped as the job leaves service: stale heap and log entries miss
@@ -89,7 +98,7 @@ func newLifecycle(cfg Config, arrs []jobArrival) lifecycle {
 	for i, n := range s.Nodes {
 		ids[i] = n.ID
 	}
-	return lifecycle{
+	l := lifecycle{
 		cfg: cfg, arrs: arrs,
 		outages:  cfg.Injector.OutageStream(ids, horizon),
 		shocks:   cfg.Injector.ShockEdges(horizon, s.Budget),
@@ -98,119 +107,126 @@ func newLifecycle(cfg Config, arrs []jobArrival) lifecycle {
 		admitter: newAdmitter(cfg),
 		hash:     newTraceHash(),
 	}
-}
-
-// mode is what an engine adds to the lifecycle: its clock frame and its
-// queue. Jobs are named by dense index.
-type mode interface {
-	// until converts an absolute time into the mode's clock frame.
-	// nextDone answers in that frame (+Inf while nothing runs), and
-	// advance takes a time in it.
-	until(at float64) float64
-	nextDone() float64
-	advance(t float64)
-
-	// push queues job j, at the head for a re-admission; queued and
-	// queuedJob read the queue in admission order.
-	push(j int32, head bool)
-	queued() int
-	queuedJob(i int) int32
-	// start moves the job at queue position i into service under the
-	// admission its record now holds. finish takes the job nextDone
-	// found out of service; evict takes running job j out, leaving its
-	// remaining work in its record.
-	start(i int)
-	finish() int32
-	evict(j int32)
-
-	committed() units.Power // the grants of the running jobs
+	if cfg.Mode == ModeExact {
+		l.res = &cluster.QueueResult{Stats: map[string]cluster.JobStat{}}
+		l.log = cfg.Log
+		l.ids = make([]string, 0, len(jobs))
+		for _, j := range cfg.Jobs {
+			l.ids = append(l.ids, j.ID)
+		}
+		for i := range arrs {
+			l.ids = append(l.ids, arrivalID(i))
+		}
+	}
+	return l
 }
 
 // run is the one event loop. It takes the next event — outage edge,
-// shock edge, arrival, completion, in that order on ties — applies it
-// and re-runs the mode's admission pass. A queue that can never start
-// fails with cluster.ErrStarved; Config.MaxEvents bounds the loop.
-func run(l *lifecycle, m mode) (Result, error) {
+// shock edge, arrival, completion, in that order on ties — moves the
+// clock to it, applies it and re-runs the admission pass. A queue that
+// can never start fails with cluster.ErrStarved; Config.MaxEvents
+// bounds the loop.
+func (l *lifecycle) run() (Result, error) {
 	out := Result{Mode: l.cfg.Mode}
 	for j := range l.cfg.Jobs {
-		l.enqueue(m, int32(j), false)
+		l.enqueue(int32(j), false)
 	}
-	if err := l.admit(m); err != nil {
+	if err := l.admit(); err != nil {
 		return out, err
 	}
-	l.conserve(m)
+	l.conserve()
 	// At t=0 every node is up and the budget is unshocked, so a queue
 	// that cannot start now can never start: faults only remove capacity.
-	if l.active == 0 && m.queued() > 0 {
+	if l.active == 0 && l.queued() > 0 {
 		return out, fmt.Errorf("cluster: no job can start (budget %v too small for every job): %w",
 			l.cfg.Sched.Budget, cluster.ErrStarved)
 	}
 
 	arrs, ai, steps := l.arrs, 0, 0
-	for ; ai < len(arrs) || l.active > 0 || m.queued() > 0; steps++ {
-		l.conserve(m)
+	for ; ai < len(arrs) || l.active > 0 || l.queued() > 0; steps++ {
+		l.conserve()
 		if steps >= l.cfg.MaxEvents {
-			return out, fmt.Errorf("des: %v engine exceeded %d events (spec too hostile?)", l.cfg.Mode, l.cfg.MaxEvents)
+			return out, fmt.Errorf("des: engine exceeded %d events (spec too hostile?)", l.cfg.MaxEvents)
 		}
-		nextDone := m.nextDone()
+		nextDone := l.nextDone()
 		nextOutage, nextShock, nextArr := math.Inf(1), math.Inf(1), math.Inf(1)
 		if ev, ok := l.outages.Peek(); ok {
-			nextOutage = m.until(ev.At)
+			nextOutage = ev.At
 		}
 		if ev, ok := l.shocks.Peek(); ok {
-			nextShock = m.until(ev.At)
+			nextShock = ev.At
 		}
 		if ai < len(arrs) {
-			nextArr = m.until(max(arrs[ai].at, l.now)) // an arrival already due fires now
+			nextArr = max(arrs[ai].at, l.now) // an arrival already due fires now
 		}
 		// Nothing running and no event left that could free a node or
 		// power: starved. (Rates are positive, so an idle cluster is the
 		// only way nextDone is infinite.)
 		if math.IsInf(nextDone, 1) && math.IsInf(nextOutage, 1) && math.IsInf(nextShock, 1) && math.IsInf(nextArr, 1) {
 			return out, fmt.Errorf("cluster: %d job(s) can never start (%d node(s) down, pool %v): %w",
-				m.queued(), l.nDown, l.pool, cluster.ErrStarved)
+				l.queued(), l.nDown, l.pool, cluster.ErrStarved)
 		}
 
 		switch {
 		case nextOutage <= nextDone && nextOutage <= nextShock && nextOutage <= nextArr:
 			ev := l.outages.Pop()
-			m.advance(nextOutage)
-			if !l.outage(m, ev) {
+			l.advance(nextOutage)
+			if !l.outage(ev) {
 				continue
 			}
 		case nextShock <= nextDone && nextShock <= nextArr:
 			ev := l.shocks.Pop()
-			m.advance(nextShock)
-			l.shock(m, ev.Delta)
+			l.advance(nextShock)
+			l.shock(ev.Delta)
 		case nextArr <= nextDone:
-			m.advance(nextArr)
+			l.advance(nextArr)
 			for at := arrs[ai].at; ai < len(arrs) && arrs[ai].at == at; ai++ {
 				j := int32(len(l.cfg.Jobs) + ai)
-				l.enqueue(m, j, false)
+				l.enqueue(j, false)
 				l.event(evArrive, j, -1)
 			}
 		default:
-			m.advance(nextDone)
-			l.finish(m.finish())
+			l.advance(nextDone)
+			l.finish(l.heap.pop().job)
 		}
-		if err := l.admit(m); err != nil {
+		if err := l.admit(); err != nil {
 			return out, err
 		}
 	}
-	l.conserve(m)
+	l.conserve()
 	l.sum.PoolLeft = l.pool + l.shockHeld
 
 	out.Arrived, out.EngineEvents = len(l.cfg.Jobs)+len(arrs), steps
 	out.Makespan, out.Energy = l.now, l.energy
 	out.Faults, out.TraceHash = l.sum, l.hash.h
 	l.stats.fill(&out)
+	if l.res != nil {
+		l.res.Makespan, l.res.Energy = l.now, l.energy
+		out.Queue = l.res
+	}
 	return out, nil
 }
 
+// nextDone drops stale heap entries and returns the next completion
+// time, +Inf while nothing runs.
+func (l *lifecycle) nextDone() float64 {
+	for len(l.heap) > 0 {
+		if top := l.heap[0]; l.jobs[top.job].gen == top.gen {
+			return top.t
+		}
+		l.heap.pop()
+	}
+	return math.Inf(1)
+}
+
+// advance moves the clock to at. An event already due fires at the
+// current time: the clock never moves back.
+func (l *lifecycle) advance(at float64) { l.now = max(l.now, at) }
+
 // conserve folds the current deviation from pool conservation into the
 // fault summary.
-func (l *lifecycle) conserve(m mode) {
-	dev := math.Abs((l.pool + m.committed() + l.shockHeld - l.cfg.Sched.Budget).Watts())
+func (l *lifecycle) conserve() {
+	dev := math.Abs((l.pool + l.granted + l.shockHeld - l.cfg.Sched.Budget).Watts())
 	l.sum.MaxConservationError = max(l.sum.MaxConservationError, units.Power(dev))
 }
 
@@ -238,11 +254,12 @@ var resultKinds = [256]string{
 }
 
 // leave takes running job j out of service: its draw stops, its grant
-// returns to the pool and its node is idle.
+// returns to the pool, its node is idle and its heap entry goes stale.
 func (l *lifecycle) leave(j int32) *jobRec {
 	r := &l.jobs[j]
 	l.energy += units.Energy(r.Power.Watts() * (l.now - r.started))
 	l.pool += r.Budget
+	l.granted -= r.Budget
 	l.nodes[r.node].job = -1
 	l.active--
 	r.gen++
@@ -267,7 +284,7 @@ func (l *lifecycle) finish(j int32) {
 // outage applies one node edge and reports whether it changed the
 // node's state. A failed node's job is evicted; the admission pass that
 // follows reconsiders it at once on the surviving nodes.
-func (l *lifecycle) outage(m mode, ev faults.OutageEdge) bool {
+func (l *lifecycle) outage(ev faults.OutageEdge) bool {
 	nr := &l.nodes[ev.Node]
 	if nr.down != ev.Up {
 		return false // recovery of an up node, or failure of a down one
@@ -289,7 +306,7 @@ func (l *lifecycle) outage(m mode, ev faults.OutageEdge) bool {
 	l.event(evNodeFail, -1, ev.Node)
 	l.log.Record(l.now, "node-fail", node, "node lost")
 	if nr.job >= 0 {
-		l.evict(m, nr.job, false)
+		l.evict(nr.job, false)
 	} else {
 		l.removeFree(ev.Node)
 	}
@@ -299,7 +316,7 @@ func (l *lifecycle) outage(m mode, ev faults.OutageEdge) bool {
 // shock applies one shock edge to the pool. A shock start evicts the
 // most recently started jobs until the committed grants fit the
 // shrunken budget again: the bound is never knowingly exceeded.
-func (l *lifecycle) shock(m mode, delta units.Power) {
+func (l *lifecycle) shock(delta units.Power) {
 	l.pool += delta
 	l.shockHeld -= delta
 	if delta >= 0 {
@@ -316,18 +333,19 @@ func (l *lifecycle) shock(m mode, delta units.Power) {
 		l.log.Recordf(l.now, "budget-shock", "facility", "pool reduced by %v", -delta)
 	}
 	for l.pool < 0 && l.active > 0 {
-		l.evict(m, l.latest(), true)
+		l.evict(l.latest(), true)
 	}
 }
 
 // evict kills running job j, reclaims its grant into the pool and
-// re-queues it at the head with its remaining work. keepNode frees the
-// node (budget-shock evictions: the node is healthy, only the power is
-// gone); a failed node stays out until its recovery edge.
-func (l *lifecycle) evict(m mode, j int32, keepNode bool) {
-	m.evict(j)
-	r := l.leave(j)
-	l.enqueue(m, j, true)
+// re-queues it at the head with the work it has left. keepNode frees
+// the node (budget-shock evictions: the node is healthy, only the power
+// is gone); a failed node stays out until its recovery edge.
+func (l *lifecycle) evict(j int32, keepNode bool) {
+	r := &l.jobs[j]
+	r.units = max(0, (r.doneT-l.now)*r.Rate)
+	l.leave(j)
+	l.enqueue(j, true)
 	l.sum.BudgetReclaimed += r.Budget
 	l.sum.Readmissions++
 	evictions, cause := mEvictNodeFail, "node failure"

@@ -55,13 +55,14 @@ func simConfig(tb testing.TB, mode Mode, n int, seed uint64, horizon float64, ar
 	return cfg
 }
 
-// TestTraceHashPinned pins the trace hash of representative runs in
-// both modes: the README's pbc des example, the dessmoke run, the
-// perfbench simulate configurations (BenchmarkRunFast10k and
-// BenchmarkRunExact256), small runs with node outages, and exact mode
-// under an oversubscribed queue (BenchmarkRunExactOversubscribed). Any change
-// to event order, admission decisions, float expressions, arrival or
-// fault schedules, or the hash itself moves one of these values.
+// TestTraceHashPinned pins the trace hash of representative runs, each
+// checked in both modes against one pin: the README's pbc des example,
+// the dessmoke run, the perfbench simulate configurations
+// (BenchmarkRunFast10k and BenchmarkRunExact256), small runs with node
+// outages, and an oversubscribed queue (BenchmarkRunExactOversubscribed).
+// Any change to event order, admission decisions, float expressions,
+// arrival or fault schedules, or the hash itself moves one of these
+// values.
 func TestTraceHashPinned(t *testing.T) {
 	const (
 		readme      = "rate=0.2,burst=2,diurnal=0.3,units=2e12"
@@ -81,36 +82,34 @@ func TestTraceHashPinned(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		cfg  func() Config
+		cfg  func(Mode) Config
 		want uint64
 	}{
-		{"readme/fast", func() Config { return simConfig(t, ModeFast, 100, 7, 3600, readme, shocks, 1) }, 0x4b9d18c9795e8850},
-		{"readme/exact", func() Config { return simConfig(t, ModeExact, 100, 7, 3600, readme, shocks, 1) }, 0x44675b609106d604},
-		{"dessmoke", func() Config {
-			return simConfig(t, ModeFast, 64, 7, 600, smoke, smokeShocks, 1)
-		}, 0xb5aff0eab7034cd3},
-		{"bench/fast10k", func() Config { return benchConfig(t, ModeFast, 10000, 800, benchFastArrivals) }, 0xd38684d715a659f6},
-		{"bench/exact256", func() Config { return benchConfig(t, ModeExact, 256, 1900, benchExactArrivals) }, 0xdd2b48bb4d308ea4},
-		{"outages/fast", func() Config { return simConfig(t, ModeFast, 32, 5, 1200, outages, repaired, 2) }, 0xfef5aa911547031d},
-		{"outages/exact", func() Config { return simConfig(t, ModeExact, 32, 5, 1200, outages, repaired, 2) }, 0x35f117796cb9d72e},
-		{"lost-nodes/fast", func() Config { return simConfig(t, ModeFast, 32, 5, 1200, outages, lost, 2) }, 0xbebb51d5c45cb18c},
-		{"lost-nodes/exact", func() Config { return simConfig(t, ModeExact, 32, 5, 1200, outages, lost, 2) }, 0x395f92d538499753},
-		{"tight/fast", func() Config { return tight(simConfig(t, ModeFast, 64, 7, 600, busy, smokeShocks, 1)) }, 0x70bdc36731f7ab1e},
-		{"tight/exact", func() Config { return tight(simConfig(t, ModeExact, 64, 7, 600, busy, smokeShocks, 1)) }, 0xb017477ff6f640ff},
-		{"oversubscribed/exact", func() Config { return oversubscribedConfig(t, ModeExact) }, 0xac00a4c43ee40578},
+		{"readme", func(m Mode) Config { return simConfig(t, m, 100, 7, 3600, readme, shocks, 1) }, 0x4b9d18c9795e8850},
+		{"dessmoke", func(m Mode) Config { return simConfig(t, m, 64, 7, 600, smoke, smokeShocks, 1) }, 0xb5aff0eab7034cd3},
+		{"bench/fast10k", func(m Mode) Config { return benchConfig(t, m, 10000, 800, benchFastArrivals) }, 0xd38684d715a659f6},
+		{"bench/exact256", func(m Mode) Config { return benchConfig(t, m, 256, 1900, benchExactArrivals) }, 0x4e69f93fe4cae50a},
+		{"outages", func(m Mode) Config { return simConfig(t, m, 32, 5, 1200, outages, repaired, 2) }, 0xfef5aa911547031d},
+		{"lost-nodes", func(m Mode) Config { return simConfig(t, m, 32, 5, 1200, outages, lost, 2) }, 0xbebb51d5c45cb18c},
+		{"tight", func(m Mode) Config { return tight(simConfig(t, m, 64, 7, 600, busy, smokeShocks, 1)) }, 0x70bdc36731f7ab1e},
+		{"oversubscribed", func(m Mode) Config { return oversubscribedConfig(t, m) }, 0xf14320918ec0eefd},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			res, err := Run(c.cfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Completed != res.Arrived {
-				t.Errorf("completed %d of %d jobs", res.Completed, res.Arrived)
-			}
-			if res.TraceHash != c.want {
-				t.Errorf("trace hash %016x, pinned %016x (events %d, failures %d, shocks %d)",
-					res.TraceHash, c.want, res.EngineEvents, res.Faults.NodeFailures, res.Faults.Shocks)
+			for _, mode := range []Mode{ModeExact, ModeFast} {
+				t.Run(mode.String(), func(t *testing.T) {
+					res, err := Run(c.cfg(mode))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Completed != res.Arrived {
+						t.Errorf("completed %d of %d jobs", res.Completed, res.Arrived)
+					}
+					if res.TraceHash != c.want {
+						t.Errorf("trace hash %016x, pinned %016x (events %d, failures %d, shocks %d)",
+							res.TraceHash, c.want, res.EngineEvents, res.Faults.NodeFailures, res.Faults.Shocks)
+					}
+				})
 			}
 		})
 	}
