@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt vet race check fuzz bench benchsmoke simbench loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc sim-alloc golden buildsmoke
+.PHONY: all build test fmt vet race check fuzz bench benchsmoke simbench layerbench loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc sim-alloc golden buildsmoke
 
 all: check
 
@@ -37,6 +37,13 @@ benchsmoke:
 # cannot rot.
 simbench:
 	$(GO) test -run=^$$ -bench='^Benchmark(Solve4096|RunExact256|RunExactOversubscribed|RunFast10k|Run|RunCold)$$' -benchtime=1x ./internal/powertree ./internal/des ./internal/recoord
+
+# One iteration of the serving-stack layer benches: the ten-pair
+# decision-table build from a cold engine and warm /v1/coord
+# computations, so the benchmarks cannot rot.
+layerbench:
+	$(GO) test -run=^$$ -bench='^BenchmarkBuildPairs$$' -benchtime=1x ./internal/decisiontable
+	$(GO) test -run=^$$ -bench='^BenchmarkComputeCoordWarm$$' -benchtime=1x ./internal/allocsvc
 
 # Concurrency smoke for the allocation service under the race
 # detector: many clients over all five API routes, in JSON and binary,
@@ -144,7 +151,7 @@ buildsmoke:
 golden:
 	$(GO) test -run TestArtifactsGolden -count=1 .
 
-check: fmt vet build race benchsmoke simbench loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc sim-alloc golden buildsmoke
+check: fmt vet build race benchsmoke simbench layerbench loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc sim-alloc golden buildsmoke
 
 # Coverage gates: internal/telemetry must keep at least 70% statement
 # coverage, and internal/powertree (the budget-tree solver) and
@@ -173,6 +180,7 @@ cover:
 # Short fuzz passes over the input parsers (fault specs, arrival specs,
 # tree specs, phase specs, power units), the tree solver against its
 # sort-based reference, DES exact mode against fast mode, the
+# simulator's fixed-point loops against their solve-every-pass twin, the
 # Prometheus exposition encoder, and the binary wire codec (both a
 # round-trip property fuzzer and a malformed-frame decoder fuzzer).
 fuzz:
@@ -180,6 +188,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParsePhaseSpec -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzParseArrivalSpec -fuzztime=10s ./internal/des
 	$(GO) test -run=^$$ -fuzz=FuzzModesAgree -fuzztime=10s ./internal/des
+	$(GO) test -run=^$$ -fuzz=FuzzFixedPointReuse -fuzztime=10s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzTreeSpec -fuzztime=10s ./internal/powertree
 	$(GO) test -run=^$$ -fuzz=FuzzSolveMatchesSortedGreedy -fuzztime=10s ./internal/powertree
 	$(GO) test -run=^$$ -fuzz=FuzzParsePower -fuzztime=10s ./internal/units

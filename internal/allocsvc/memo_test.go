@@ -32,3 +32,31 @@ func TestComputeCoordReusesMemoAcrossRequests(t *testing.T) {
 			delta, cold)
 	}
 }
+
+// BenchmarkComputeCoordWarm times warm /v1/coord computations: 16 CPU
+// (pair, budget) keys whose profiles are already memoized, taken in
+// turn, so each call costs the decision and its final simulated split.
+func BenchmarkComputeCoordWarm(b *testing.B) {
+	var reqs []CoordRequest
+	for _, p := range []string{"ivybridge", "haswell"} {
+		for _, w := range []string{"stream", "mg", "sp", "is"} {
+			for _, budget := range []float64{160, 208} {
+				reqs = append(reqs, CoordRequest{Platform: p, Workload: w, Budget: budget})
+			}
+		}
+	}
+	prev := evalpool.SetDefault(evalpool.New(evalpool.Options{}))
+	defer evalpool.SetDefault(prev)
+	for _, req := range reqs {
+		if _, err := ComputeCoord(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ComputeCoord(reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -180,7 +180,7 @@ func (s *Scheduler) place(node Node, w workload.Workload, grant units.Power, pol
 	case policy != PolicyCoord && policy != PolicyEvenSplit:
 		return placement{}, fmt.Errorf("cluster: unknown split policy %v", policy)
 	case policy == PolicyEvenSplit && node.Platform.Kind != hw.KindCPU:
-		return placement{}, fmt.Errorf("cluster: even-split policy supports CPU nodes only")
+		return placement{}, ErrEvenSplitGPU
 	}
 	b := evalpool.Default().Bind(evalpool.Problem{Platform: node.Platform, Workload: w})
 	return evalpool.Derive(b, placeKinds[policy], grant.Watts(), func() (placement, error) {

@@ -13,6 +13,10 @@ import (
 // restoration can unblock them). Match with errors.Is.
 var ErrStarved = errors.New("cluster: starved")
 
+// ErrEvenSplitGPU is the error of placing a job on a GPU node under
+// PolicyEvenSplit, which splits CPU nodes only. Match with errors.Is.
+var ErrEvenSplitGPU = errors.New("cluster: even-split policy supports CPU nodes only")
+
 // TimedJob is a job with a finite amount of work, for the event-driven
 // queue simulation.
 type TimedJob struct {

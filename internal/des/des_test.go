@@ -1,6 +1,7 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -275,6 +277,69 @@ func TestRunRejectsCollidingJobIDs(t *testing.T) {
 			cfg.Jobs, cfg.Arrivals = []cluster.TimedJob{job(w, "a000000")}, ArrivalSpec{}
 			if _, err := Run(cfg); err != nil {
 				t.Errorf("a000000 without arrivals: %v", err)
+			}
+		})
+	}
+}
+
+// TestRunRejectsEvenSplitOnGPUNodes: the even split places jobs on CPU
+// nodes only, so a run whose GPU workload (a t=0 job's, or the
+// arrivals') has a GPU node to run on fails before its first event in
+// both modes, with an error matching cluster.ErrEvenSplitGPU. The
+// dense shock schedule logs transitions from the first seconds on, so
+// a rejection left to the first GPU arrival's admission would show in
+// an exact-mode log. A GPU workload that no job runs is fine.
+func TestRunRejectsEvenSplitOnGPUNodes(t *testing.T) {
+	ivy, _ := hw.PlatformByName("ivybridge")
+	xp, _ := hw.PlatformByName("titanxp")
+	sched, err := cluster.NewScheduler(700, []cluster.Node{
+		{ID: "cpu0", Platform: ivy}, {ID: "cpu1", Platform: ivy}, {ID: "gpu0", Platform: xp},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, _ := workload.ByName("stream")
+	sgemm, _ := workload.ByName("sgemm")
+	arr, err := ParseArrivalSpec("rate=0.05,units=2e12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := faults.ParseSpec("shock.mtbs=2,shock.frac=0.1,shock.len=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpuJob := cluster.TimedJob{Job: cluster.Job{ID: "c0", Workload: stream}, Units: 2e12}
+	gpuJob := cluster.TimedJob{Job: cluster.Job{ID: "g0", Workload: sgemm}, Units: 2e12}
+	for _, mode := range []Mode{ModeExact, ModeFast} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := func(jobs []cluster.TimedJob, arrivals ArrivalSpec) Config {
+				return Config{
+					Sched: sched, Workload: sgemm, Jobs: jobs,
+					Policy: cluster.PolicyEvenSplit, Discipline: cluster.DisciplineBackfill,
+					Arrivals: arrivals, Seed: 1, Horizon: 600, Mode: mode,
+					Injector: faults.NewInjector(spec, 3), Log: &trace.EventLog{},
+				}
+			}
+			for _, c := range []struct {
+				name, want string
+				cfg        Config
+			}{
+				{"t0-job", `job "g0"`, cfg([]cluster.TimedJob{cpuJob, gpuJob}, ArrivalSpec{})},
+				{"arrivals", `arrivals run gpu workload "sgemm"`, cfg([]cluster.TimedJob{cpuJob}, arr)},
+			} {
+				res, err := Run(c.cfg)
+				if !errors.Is(err, cluster.ErrEvenSplitGPU) || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s: Run error = %v, want cluster.ErrEvenSplitGPU naming %s", c.name, err, c.want)
+				}
+				if res != (Result{}) || c.cfg.Log.Len() != 0 {
+					t.Errorf("%s: rejected after the run started: Result %+v, %d transitions logged",
+						c.name, res, c.cfg.Log.Len())
+				}
+			}
+			// Without arrivals the GPU Config.Workload runs nowhere.
+			res, err := Run(cfg([]cluster.TimedJob{cpuJob}, ArrivalSpec{}))
+			if err != nil || res.Completed != 1 {
+				t.Errorf("CPU job beside an unused GPU workload: completed %d, error %v", res.Completed, err)
 			}
 		})
 	}

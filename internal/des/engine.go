@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
+	"repro/internal/hw"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -186,6 +187,9 @@ func Run(cfg Config) (Result, error) {
 			cfg.MaxEvents = defaultMaxEventsFast
 		}
 	}
+	if err := checkPolicy(cfg); err != nil {
+		return Result{}, err
+	}
 	arrivals := generateArrivals(cfg.Arrivals, cfg.Seed, cfg.Horizon, cfg.MaxJobs)
 	if err := checkJobs(cfg.Jobs, len(arrivals)); err != nil {
 		return Result{}, err
@@ -197,6 +201,37 @@ func Run(cfg Config) (Result, error) {
 // arrivalID names generated arrival i.
 func arrivalID(i int) string {
 	return fmt.Sprintf("a%06d", i)
+}
+
+// checkPolicy rejects, before any event, a run whose admission pass
+// would fail on its first probe of a job on a node: under
+// PolicyEvenSplit, a non-CPU workload (a t=0 job's, or the generated
+// jobs' when arrivals are on) with a node of its kind to run on. The
+// error wraps cluster.ErrEvenSplitGPU.
+func checkPolicy(cfg Config) error {
+	if cfg.Policy != cluster.PolicyEvenSplit {
+		return nil
+	}
+	reachable := func(w workload.Workload) bool {
+		if w.Kind == hw.KindCPU {
+			return false
+		}
+		for _, n := range cfg.Sched.Nodes {
+			if n.Platform.Kind == w.Kind {
+				return true
+			}
+		}
+		return false
+	}
+	for _, j := range cfg.Jobs {
+		if reachable(j.Workload) {
+			return fmt.Errorf("des: job %q runs %v workload %q: %w", j.ID, j.Workload.Kind, j.Workload.Name, cluster.ErrEvenSplitGPU)
+		}
+	}
+	if !cfg.Arrivals.Zero() && reachable(cfg.Workload) {
+		return fmt.Errorf("des: arrivals run %v workload %q: %w", cfg.Workload.Kind, cfg.Workload.Name, cluster.ErrEvenSplitGPU)
+	}
+	return nil
 }
 
 // checkJobs rejects t=0 jobs without work, and jobs whose IDs repeat

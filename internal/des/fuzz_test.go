@@ -159,7 +159,7 @@ func FuzzModesAgree(f *testing.F) {
 			MaxJobs: 24, MaxEvents: 5000,
 		}
 		if next()%4 == 0 {
-			cfg.Policy = cluster.PolicyEvenSplit // fails once it probes a GPU node
+			cfg.Policy = cluster.PolicyEvenSplit // rejected up front when a GPU workload meets a GPU node
 		}
 		for i, n := 0, next()%6; i < n; i++ {
 			cfg.Jobs = append(cfg.Jobs, cluster.TimedJob{

@@ -141,11 +141,15 @@ func RunCPUOpts(p hw.Platform, w *workload.Workload, procCap, memCap units.Power
 // phase until the activity factor stops moving.
 func solveCPUPhase(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, opts Options) PhaseResult {
 	act := ph.Activity(0.5)
+	// state and op are the last package state and its operating point.
+	// A pass whose actuator returns an equal state reuses op instead of
+	// solving it again (see solveCPUPoint for why that is exact).
 	var state rapl.PackageState
 	var op perfmodel.OperatingPoint
 	for i := 0; i < maxIterations; i++ {
-		state = ctrl.ActuatePackage(act)
-		op = solveCPUPoint(ctrl, p, ph, state, opts)
+		if s := ctrl.ActuatePackage(act); i == 0 || s != state {
+			state, op = s, solveCPUPoint(ctrl, p, ph, s, opts)
+		}
 		next := ph.Activity(op.StallFrac)
 		if math.Abs(next-act) < convergeEps {
 			act = next
@@ -154,8 +158,9 @@ func solveCPUPhase(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, opt
 		act += damping * (next - act)
 	}
 	// Final consistent pass with the converged activity.
-	state = ctrl.ActuatePackage(act)
-	op = solveCPUPoint(ctrl, p, ph, state, opts)
+	if s := ctrl.ActuatePackage(act); s != state {
+		state, op = s, solveCPUPoint(ctrl, p, ph, s, opts)
+	}
 	act = ph.Activity(op.StallFrac)
 
 	return PhaseResult{
@@ -179,6 +184,12 @@ func solveCPUPhase(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, opt
 // solveCPUPoint computes the operating point for a given package state:
 // the compute capacity follows the P/T state, and the memory capacity is
 // the lower of the pattern limit and the throttling ceiling.
+//
+// Within one phase solve it is a pure function of state: the phase, the
+// platform and opts are loop-invariant, and so is the DRAM ceiling,
+// because ActuatePackage only reads the package limit register and no
+// register is written while a run solves its phases. solveCPUPhase
+// relies on this to skip the solve when the state repeats.
 func solveCPUPoint(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, state rapl.PackageState, opts Options) perfmodel.OperatingPoint {
 	computeCap := units.Rate(p.CPU.PeakComputeRate(state.Freq, state.Duty).OpsPerSecond() * ph.ComputeEff)
 	// Memory requests are issued by instructions: clock throttling gates
@@ -273,11 +284,15 @@ func RunGPUMemPower(p hw.Platform, w *workload.Workload, totalCap, memBudget uni
 
 func solveGPUPhase(gov *nvgov.Governor, p hw.Platform, ph *workload.Phase) PhaseResult {
 	act := ph.Activity(0.5)
+	// As in solveCPUPhase, an equal board state reuses the last op:
+	// solveGPUPoint reads nothing but the loop-invariant platform and
+	// phase besides the state.
 	var state nvgov.State
 	var op perfmodel.OperatingPoint
 	for i := 0; i < maxIterations; i++ {
-		state = gov.Actuate(act)
-		op = solveGPUPoint(p, ph, state)
+		if s := gov.Actuate(act); i == 0 || s != state {
+			state, op = s, solveGPUPoint(p, ph, s)
+		}
 		next := ph.Activity(op.StallFrac)
 		if math.Abs(next-act) < convergeEps {
 			act = next
@@ -285,8 +300,9 @@ func solveGPUPhase(gov *nvgov.Governor, p hw.Platform, ph *workload.Phase) Phase
 		}
 		act += damping * (next - act)
 	}
-	state = gov.Actuate(act)
-	op = solveGPUPoint(p, ph, state)
+	if s := gov.Actuate(act); s != state {
+		state, op = s, solveGPUPoint(p, ph, s)
+	}
 	act = ph.Activity(op.StallFrac)
 
 	memPower := p.GPU.Mem.Power(state.MemClock)
