@@ -39,11 +39,13 @@ simbench:
 	$(GO) test -run=^$$ -bench='^Benchmark(Solve4096|RunExact256|RunExactOversubscribed|RunFast10k|Run|RunCold)$$' -benchtime=1x ./internal/powertree ./internal/des ./internal/recoord
 
 # One iteration of the serving-stack layer benches: the ten-pair
-# decision-table build from a cold engine and warm /v1/coord
-# computations, so the benchmarks cannot rot.
+# decision-table build from a cold engine, warm /v1/coord computations
+# and the CPU and GPU simulator runs beneath both, so the benchmarks
+# cannot rot.
 layerbench:
 	$(GO) test -run=^$$ -bench='^BenchmarkBuildPairs$$' -benchtime=1x ./internal/decisiontable
 	$(GO) test -run=^$$ -bench='^BenchmarkComputeCoordWarm$$' -benchtime=1x ./internal/allocsvc
+	$(GO) test -run=^$$ -bench='^BenchmarkSimRun(CPU|GPU)$$' -benchtime=1x .
 
 # Concurrency smoke for the allocation service under the race
 # detector: many clients over all five API routes, in JSON and binary,
@@ -181,6 +183,7 @@ cover:
 # tree specs, phase specs, power units), the tree solver against its
 # sort-based reference, DES exact mode against fast mode, the
 # simulator's fixed-point loops against their solve-every-pass twin, the
+# warm-started RAPL and GPU-governor searches against a cold search, the
 # Prometheus exposition encoder, and the binary wire codec (both a
 # round-trip property fuzzer and a malformed-frame decoder fuzzer).
 fuzz:
@@ -189,6 +192,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseArrivalSpec -fuzztime=10s ./internal/des
 	$(GO) test -run=^$$ -fuzz=FuzzModesAgree -fuzztime=10s ./internal/des
 	$(GO) test -run=^$$ -fuzz=FuzzFixedPointReuse -fuzztime=10s ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzActuatorHint -fuzztime=10s ./internal/rapl
+	$(GO) test -run=^$$ -fuzz=FuzzActuatorHint -fuzztime=10s ./internal/nvgov
 	$(GO) test -run=^$$ -fuzz=FuzzTreeSpec -fuzztime=10s ./internal/powertree
 	$(GO) test -run=^$$ -fuzz=FuzzSolveMatchesSortedGreedy -fuzztime=10s ./internal/powertree
 	$(GO) test -run=^$$ -fuzz=FuzzParsePower -fuzztime=10s ./internal/units

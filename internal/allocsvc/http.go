@@ -290,60 +290,104 @@ func checkBudget(v float64) error {
 // exact computation the service runs behind POST /v1/coord, exported
 // so allocclient's degraded mode can serve coordination answers
 // locally when every shard is unreachable — a degraded answer is
-// content-identical to a served one.
+// content-identical to a served one. It checks the budget, binds the
+// pair and computes at the budget.
 func ComputeCoord(req CoordRequest) (CoordResponse, error) {
-	defaultStrategy(&req)
 	if err := checkBudget(req.Budget); err != nil {
 		return CoordResponse{}, err
 	}
-	p, wl, err := resolvePair(req.Platform, req.Workload)
+	pair, err := BindCoord(req.Platform, req.Workload)
 	if err != nil {
 		return CoordResponse{}, err
 	}
-	budget := units.Power(req.Budget)
-	if p.Kind == hw.KindGPU && budget < p.GPU.MinCap {
+	return pair.Coord(req.Strategy, req.Budget)
+}
+
+// CoordPair is one (platform, workload) pair bound for /v1/coord
+// decisions: resolved against the catalog and profiled once, so
+// computing it at many budgets (a decision-table build) pays for the
+// name lookups, the fingerprint and the profile memo lookup once. It
+// is read-only after BindCoord and safe for concurrent use.
+type CoordPair struct {
+	p  hw.Platform
+	wl workload.Workload
+	// cpu or gpu is the pair's profile, by its kind; profErr is the
+	// profiler's error, reported by Coord after the cap-floor check,
+	// where ComputeCoord has always reported it.
+	cpu     profile.CPUProfile
+	gpu     profile.GPUProfile
+	profErr error
+}
+
+// BindCoord resolves a (platform, workload) pair and profiles it. It
+// fails only on an unknown name or a kind mismatch, with the service's
+// 400 errors. The pair is returned by value, so a request that binds
+// and computes once allocates nothing for it.
+func BindCoord(platform, wl string) (CoordPair, error) {
+	p, w, err := resolvePair(platform, wl)
+	if err != nil {
+		return CoordPair{}, err
+	}
+	pair := CoordPair{p: p, wl: w}
+	switch p.Kind {
+	case hw.KindCPU:
+		pair.cpu, pair.profErr = profile.ProfileCPU(p, w)
+	case hw.KindGPU:
+		pair.gpu, pair.profErr = profile.ProfileGPU(p, w)
+	}
+	return pair, nil
+}
+
+// Coord computes the pair's /v1/coord decision under strategy (empty
+// means "coord") at budget: byte for byte what ComputeCoord answers for
+// the same request, errors included.
+func (pair *CoordPair) Coord(strategy string, budget float64) (CoordResponse, error) {
+	if strategy == "" {
+		strategy = "coord"
+	}
+	if err := checkBudget(budget); err != nil {
+		return CoordResponse{}, err
+	}
+	p, wl := &pair.p, &pair.wl
+	b := units.Power(budget)
+	if p.Kind == hw.KindGPU && b < p.GPU.MinCap {
 		// No settable power cap fits under this budget: the board floor
 		// exceeds it. Surface the card's typed rejection instead of
 		// silently evaluating at a clamped cap the budget cannot fund
 		// (reachable on H100-class cards, whose floor is 200 W).
-		capErr := nvgov.CheckCap(p.GPU, budget)
+		capErr := nvgov.CheckCap(p.GPU, b)
 		return CoordResponse{}, &badRequestError{
 			msg: fmt.Sprintf("budget %v is below the card's settable cap floor: %v",
-				budget, capErr),
+				b, capErr),
 			cause: capErr,
 		}
 	}
+	if pair.profErr != nil {
+		return CoordResponse{}, pair.profErr
+	}
 	resp := CoordResponse{
 		Platform: p.Name, Workload: wl.Name, Kind: p.Kind.String(),
-		Strategy: req.Strategy, Budget: req.Budget,
+		Strategy: strategy, Budget: budget,
 	}
 
 	var d coord.Decision
 	var evalReq evalpool.Request
 	switch p.Kind {
 	case hw.KindCPU:
-		prof, err := profile.ProfileCPU(p, wl)
-		if err != nil {
-			return CoordResponse{}, err
-		}
-		st, ok := cpuStrategy(req.Strategy)
+		st, ok := cpuStrategy(strategy)
 		if !ok {
 			return CoordResponse{}, badRequestf("unknown CPU strategy %q (supported: %s)",
-				req.Strategy, strategyNames(hw.KindCPU))
+				strategy, strategyNames(hw.KindCPU))
 		}
-		d = st(prof, budget)
+		d = st(pair.cpu, b)
 		evalReq = evalpool.Request{Op: evalpool.OpCPU, Proc: d.Alloc.Proc, Mem: d.Alloc.Mem}
 	case hw.KindGPU:
-		prof, err := profile.ProfileGPU(p, wl)
-		if err != nil {
-			return CoordResponse{}, err
-		}
-		st, ok := gpuStrategy(req.Strategy)
+		st, ok := gpuStrategy(strategy)
 		if !ok {
 			return CoordResponse{}, badRequestf("unknown GPU strategy %q (supported: %s)",
-				req.Strategy, strategyNames(hw.KindGPU))
+				strategy, strategyNames(hw.KindGPU))
 		}
-		d = st(prof, budget)
+		d = st(pair.gpu, b)
 		// The card cannot be capped below its floor (same rule the
 		// cluster scheduler applies when it simulates a placement).
 		cap := d.Alloc.Total()
@@ -359,7 +403,7 @@ func ComputeCoord(req CoordRequest) (CoordResponse, error) {
 	}
 	resp.Alloc = &AllocJSON{ProcWatts: d.Alloc.Proc.Watts(), MemWatts: d.Alloc.Mem.Watts()}
 	resp.SurplusWatts = d.Surplus.Watts()
-	res, err := evalpool.Default().Evaluate(evalpool.Problem{Platform: p, Workload: wl}, evalReq)
+	res, err := evalpool.Default().Evaluate(evalpool.Problem{Platform: pair.p, Workload: pair.wl}, evalReq)
 	if err != nil {
 		return CoordResponse{}, err
 	}
@@ -404,26 +448,60 @@ func strategyNames(kind hw.Kind) string {
 
 // ComputePlan computes one /v1/plan decision in-process — the exact
 // computation behind POST /v1/plan, exported for allocclient's
-// degraded mode.
+// degraded mode. Like ComputeCoord it checks the budget, binds the
+// pair and computes at the budget.
 func ComputePlan(req PlanRequest) (PlanResponse, error) {
 	if err := checkBudget(req.Budget); err != nil {
 		return PlanResponse{}, err
 	}
-	p, wl, err := resolvePair(req.Platform, req.Workload)
+	pair, err := BindPlan(req.Platform, req.Workload)
 	if err != nil {
 		return PlanResponse{}, err
 	}
+	return pair.Plan(req.Budget)
+}
+
+// PlanPair is one CPU (platform, workload) pair bound for /v1/plan
+// decisions: resolved against the catalog once, with the phase and
+// whole-workload profiles dyncoord plans from. It is read-only after
+// BindPlan and safe for concurrent use.
+type PlanPair struct {
+	p      hw.Platform
+	wl     workload.Workload
+	phases []dyncoord.PhaseProfile
+	static *profile.CPUProfile
+}
+
+// BindPlan resolves a (platform, workload) pair, rejects GPU platforms
+// with the service's actionable 400, and profiles every phase (a phase
+// whose profiling fails is marked missing, as PlanCPUOrDegrade does).
+// Like BindCoord it returns the pair by value.
+func BindPlan(platform, wl string) (PlanPair, error) {
+	p, w, err := resolvePair(platform, wl)
+	if err != nil {
+		return PlanPair{}, err
+	}
 	if p.Kind != hw.KindCPU {
-		return PlanResponse{}, badRequestf(
+		return PlanPair{}, badRequestf(
 			"plan supports CPU platforms only; %q is a GPU platform (supported: %s)",
 			p.Name, platformNames(hw.KindCPU, false))
 	}
-	plan, err := dyncoord.PlanCPUOrDegrade(p, wl, units.Power(req.Budget))
+	phases, static := dyncoord.Profiles(p, w)
+	return PlanPair{p: p, wl: w, phases: phases, static: static}, nil
+}
+
+// Plan computes the pair's /v1/plan decision at budget: byte for byte
+// what ComputePlan answers for the same request, errors included.
+func (pair *PlanPair) Plan(budget float64) (PlanResponse, error) {
+	if err := checkBudget(budget); err != nil {
+		return PlanResponse{}, err
+	}
+	plan, err := dyncoord.PlanCPUDegraded(pair.p, pair.wl, units.Power(budget), pair.phases, pair.static)
 	if err != nil {
 		return PlanResponse{}, err
 	}
 	resp := PlanResponse{
-		Platform: p.Name, Workload: wl.Name, Budget: req.Budget,
+		Platform: pair.p.Name, Workload: pair.wl.Name, Budget: budget,
 		Rejected: plan.Rejected(),
 	}
 	for _, st := range plan.Steps {

@@ -94,23 +94,17 @@ func BenchmarkBinaryFastPath(b *testing.B) {
 }
 
 // BenchmarkBuildPairs builds the coord (and, on CPU platforms, plan)
-// tables of ten catalog pairs — CPU and GPU, paper and H100-class —
+// tables of the ten pinPairs — CPU and GPU, paper and H100-class —
 // on a fresh Set and a fresh, cold default engine per iteration: the
 // whole cost of warming tables from nothing, profiles included.
 func BenchmarkBuildPairs(b *testing.B) {
-	pairs := [][2]string{
-		{"ivybridge", "stream"}, {"h100", "llmchat"}, {"haswell", "sp"},
-		{"titanxp", "gpustream"}, {"ivybridge", "is"}, {"h100", "hpcg"},
-		{"haswell", "cg"}, {"titanv", "llmserve"}, {"titanxp", "hpcg"},
-		{"titanxp", "llmchat"},
-	}
 	prev := evalpool.Default()
 	defer evalpool.SetDefault(prev)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		evalpool.SetDefault(evalpool.New(evalpool.Options{}))
 		s := New(Config{})
-		for _, pr := range pairs {
+		for _, pr := range pinPairs {
 			if coordBuilt, _ := s.Build(pr[0], pr[1]); !coordBuilt {
 				b.Fatalf("no coord table for %v", pr)
 			}

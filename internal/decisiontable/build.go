@@ -72,9 +72,9 @@ func gridBounds(lo, hi float64, breaks []float64, n int) []float64 {
 // by build(i), on the shared engine's workers (the -workers knob), and
 // returns them concatenated in interval order. Each interval's build is
 // independent — it reads the table's fixed fields and samples the
-// exact path, which is safe for concurrent use — and lands in its own
-// slot, so the table is identical to a serial build's whatever the
-// scheduling.
+// build's bound exact path, which is read-only and safe for concurrent
+// use — and lands in its own slot, so the table is identical to a
+// serial build's whatever the scheduling.
 func buildIntervals[S any](n int, build func(i int) []S) []S {
 	parts := make([][]S, n)
 	evalpool.Default().Each(n, func(i int) { parts[i] = build(i) })
@@ -85,23 +85,22 @@ func buildIntervals[S any](n int, build func(i int) []S) []S {
 	return out
 }
 
-// exactCoord samples the exact path at budget b.
-func (s *Set) exactCoord(platform, wl string, b float64) (wire.CoordResponse, error) {
-	return s.computeCoord(wire.CoordRequest{
-		Platform: platform, Workload: wl, Budget: b, Strategy: "coord",
-	})
-}
-
 // buildCoordTable constructs the coord table for one catalog pair, or
 // nil when the pair cannot be tabulated (degraded profile, exact path
 // erroring, statuses out of shape). nil is cached as a permanent
-// negative: those pairs keep taking the exact path.
+// negative: those pairs keep taking the exact path. The pair's exact
+// path is bound once and every sample of the build goes through it;
+// the binding is dropped with the build.
 func (s *Set) buildCoordTable(pname, wname string) *coordTable {
 	p, err := hw.PlatformByName(pname)
 	if err != nil {
 		return nil
 	}
 	wl, err := workload.ByName(wname)
+	if err != nil {
+		return nil
+	}
+	exact, err := s.bindCoord(pname, wname)
 	if err != nil {
 		return nil
 	}
@@ -167,12 +166,12 @@ func (s *Set) buildCoordTable(pname, wname string) *coordTable {
 	// below the range edge.
 	if t.errBelow {
 		for _, b := range []float64{t.lo / 2, math.Nextafter(t.lo, math.Inf(-1))} {
-			if _, err := s.exactCoord(pname, wname, b); err == nil {
+			if _, err := exact(b); err == nil {
 				return nil
 			}
 		}
 	} else {
-		below, err := s.exactCoord(pname, wname, t.lo/2)
+		below, err := exact(t.lo / 2)
 		if err != nil || below.Status != t.tooSmallStatus || below.Alloc != nil {
 			return nil
 		}
@@ -185,7 +184,7 @@ func (s *Set) buildCoordTable(pname, wname string) *coordTable {
 	if satB < t.lo {
 		satB = t.lo
 	}
-	sat, err := s.exactCoord(pname, wname, satB)
+	sat, err := exact(satB)
 	if err != nil || sat.Status != t.surplusStatus || sat.Alloc == nil || sat.SurplusWatts != satB-t.hi {
 		return nil
 	}
@@ -199,7 +198,7 @@ func (s *Set) buildCoordTable(pname, wname string) *coordTable {
 		// enforceable budget from the saturation row and misses below
 		// the floor. Confirm the row is budget-independent at a second
 		// point before trusting it everywhere.
-		again, err := s.exactCoord(pname, wname, t.lo*1.5)
+		again, err := exact(t.lo * 1.5)
 		if err != nil || again.Status != t.surplusStatus || again.Alloc == nil ||
 			*again.Alloc != *sat.Alloc || again.SurplusWatts != t.lo*1.5-t.hi ||
 			again.ExpectedPerf != sat.ExpectedPerf || again.ExpectedPower != sat.ExpectedPower {
@@ -210,7 +209,7 @@ func (s *Set) buildCoordTable(pname, wname string) *coordTable {
 
 	bounds := gridBounds(t.lo, t.hi, breaks, DefaultGridPoints)
 	t.segs = buildIntervals(len(bounds)-1, func(i int) []coordSeg {
-		return s.buildCoordSegs(t, bounds[i], bounds[i+1], 0)
+		return buildCoordSegs(t, exact, bounds[i], bounds[i+1], 0)
 	})
 	if len(t.segs) == 0 {
 		return nil
@@ -223,7 +222,7 @@ func (s *Set) buildCoordTable(pname, wname string) *coordTable {
 // subdividing when validation probes find the interpolation out of
 // contract, and degrading to a single exact-only segment at maximum
 // depth (the sliver around a simulator discontinuity).
-func (s *Set) buildCoordSegs(t *coordTable, start, end float64, depth int) []coordSeg {
+func buildCoordSegs(t *coordTable, exact coordPath, start, end float64, depth int) []coordSeg {
 	bad := []coordSeg{{start: start, end: end, exactOnly: true}}
 	w := end - start
 	if w <= 0 {
@@ -234,16 +233,16 @@ func (s *Set) buildCoordSegs(t *coordTable, start, end float64, depth int) []coo
 			return bad
 		}
 		mid := start + w/2
-		return append(s.buildCoordSegs(t, start, mid, depth+1),
-			s.buildCoordSegs(t, mid, end, depth+1)...)
+		return append(buildCoordSegs(t, exact, start, mid, depth+1),
+			buildCoordSegs(t, exact, mid, end, depth+1)...)
 	}
 
 	t1, t2 := start+0.25*w, start+0.75*w
 	if t2-t1 <= 0 {
 		return bad
 	}
-	r1, err1 := s.exactCoord(t.platform, t.workload, t1)
-	r2, err2 := s.exactCoord(t.platform, t.workload, t2)
+	r1, err1 := exact(t1)
+	r2, err2 := exact(t2)
 	if err1 != nil || err2 != nil {
 		return bad
 	}
@@ -261,12 +260,12 @@ func (s *Set) buildCoordSegs(t *coordTable, start, end float64, depth int) []coo
 		power:   lineThrough(t1, r1.ExpectedPower, t2, r2.ExpectedPower),
 	}
 	for _, f := range probeFracs {
-		if !s.checkCoordProbe(t, &seg, start+f*w) {
+		if !checkCoordProbe(t, exact, &seg, start+f*w) {
 			return split()
 		}
 	}
 	for _, pb := range edgeProbes(start, end) {
-		if !s.checkCoordProbe(t, &seg, pb) {
+		if !checkCoordProbe(t, exact, &seg, pb) {
 			return split()
 		}
 	}
@@ -290,9 +289,9 @@ func edgeProbes(start, end float64) [2]float64 {
 // checkCoordProbe verifies the segment's interpolated answer at budget
 // b against the exact path: status and zero surplus exactly, the
 // allocation within AllocEps, perf and power within DefaultEps.
-func (s *Set) checkCoordProbe(t *coordTable, seg *coordSeg, b float64) bool {
-	exact, err := s.exactCoord(t.platform, t.workload, b)
-	if err != nil || exact.Status != t.okStatus || exact.Alloc == nil || exact.SurplusWatts != 0 {
+func checkCoordProbe(t *coordTable, exact coordPath, seg *coordSeg, b float64) bool {
+	want, err := exact(b)
+	if err != nil || want.Status != t.okStatus || want.Alloc == nil || want.SurplusWatts != 0 {
 		return false
 	}
 	y := seg.primary.at(b)
@@ -300,10 +299,10 @@ func (s *Set) checkCoordProbe(t *coordTable, seg *coordSeg, b float64) bool {
 	if t.memPrimary {
 		mem, proc = y, b-y
 	}
-	return within(proc, exact.Alloc.ProcWatts, AllocEps) &&
-		within(mem, exact.Alloc.MemWatts, AllocEps) &&
-		within(seg.perf.at(b), exact.ExpectedPerf, DefaultEps*probeMargin) &&
-		within(seg.power.at(b), exact.ExpectedPower, DefaultEps*probeMargin)
+	return within(proc, want.Alloc.ProcWatts, AllocEps) &&
+		within(mem, want.Alloc.MemWatts, AllocEps) &&
+		within(seg.perf.at(b), want.ExpectedPerf, DefaultEps*probeMargin) &&
+		within(seg.power.at(b), want.ExpectedPower, DefaultEps*probeMargin)
 }
 
 // index builds the uniform acceleration index over the segments.
@@ -337,15 +336,11 @@ func (t *planTable) index() {
 	}
 }
 
-// exactPlan samples the exact plan path at budget b.
-func (s *Set) exactPlan(platform, wl string, b float64) (wire.PlanResponse, error) {
-	return s.computePlan(wire.PlanRequest{Platform: platform, Workload: wl, Budget: b})
-}
-
 // buildPlanTable constructs the plan table for one CPU pair, or nil
 // when the pair is degraded (missing phase or whole-workload profiles
 // — exactly the condition under which dyncoord falls back, so degraded
-// pairs always take the exact, fallback-aware path).
+// pairs always take the exact, fallback-aware path). Like
+// buildCoordTable it binds the pair's exact path once per build.
 func (s *Set) buildPlanTable(pname, wname string) *planTable {
 	p, err := hw.PlatformByName(pname)
 	if err != nil {
@@ -370,8 +365,12 @@ func (s *Set) buildPlanTable(pname, wname string) *planTable {
 		return nil
 	}
 
+	exact, err := s.bindPlan(pname, wname)
+	if err != nil {
+		return nil
+	}
 	t := &planTable{platform: pname, workload: wname, lo: lo, hi: hi}
-	ref, err := s.exactPlan(pname, wname, hi)
+	ref, err := exact(hi)
 	if err != nil || len(ref.Steps) == 0 {
 		return nil
 	}
@@ -383,12 +382,12 @@ func (s *Set) buildPlanTable(pname, wname string) *planTable {
 	// Constant rows for the unsegmented regions: below lo every step is
 	// rejected, at and above hi every step is saturated. Each row is
 	// kept only if a second sample reproduces it exactly.
-	t.below = s.constPlanRow(t, lo/2, lo/4)
-	t.top = s.constPlanRow(t, hi, hi*1.5+1)
+	t.below = constPlanRow(t, exact, lo/2, lo/4)
+	t.top = constPlanRow(t, exact, hi, hi*1.5+1)
 
 	bounds := gridBounds(lo, hi, breaks, DefaultGridPoints)
 	t.segs = buildIntervals(len(bounds)-1, func(i int) []planSeg {
-		return s.buildPlanSegs(t, bounds[i], bounds[i+1], 0)
+		return buildPlanSegs(t, exact, bounds[i], bounds[i+1], 0)
 	})
 	if len(t.segs) == 0 {
 		return nil
@@ -400,9 +399,9 @@ func (s *Set) buildPlanTable(pname, wname string) *planTable {
 // constPlanRow samples the plan at b1 and confirms at b2 that every
 // step is budget-independent there (rejected or saturated). It returns
 // nil when any step still varies with the budget.
-func (s *Set) constPlanRow(t *planTable, b1, b2 float64) *planRow {
-	r1, err1 := s.exactPlan(t.platform, t.workload, b1)
-	r2, err2 := s.exactPlan(t.platform, t.workload, b2)
+func constPlanRow(t *planTable, exact planPath, b1, b2 float64) *planRow {
+	r1, err1 := exact(b1)
+	r2, err2 := exact(b2)
 	if err1 != nil || err2 != nil ||
 		len(r1.Steps) != len(t.phases) || len(r2.Steps) != len(t.phases) {
 		return nil
@@ -436,7 +435,7 @@ func (s *Set) constPlanRow(t *planTable, b1, b2 float64) *planRow {
 
 // buildPlanSegs builds the plan segment(s) covering [start, end) with
 // the same subdivide-or-degrade discipline as buildCoordSegs.
-func (s *Set) buildPlanSegs(t *planTable, start, end float64, depth int) []planSeg {
+func buildPlanSegs(t *planTable, exact planPath, start, end float64, depth int) []planSeg {
 	bad := []planSeg{{start: start, end: end, exactOnly: true}}
 	w := end - start
 	if w <= 0 {
@@ -447,16 +446,16 @@ func (s *Set) buildPlanSegs(t *planTable, start, end float64, depth int) []planS
 			return bad
 		}
 		mid := start + w/2
-		return append(s.buildPlanSegs(t, start, mid, depth+1),
-			s.buildPlanSegs(t, mid, end, depth+1)...)
+		return append(buildPlanSegs(t, exact, start, mid, depth+1),
+			buildPlanSegs(t, exact, mid, end, depth+1)...)
 	}
 
 	t1, t2 := start+0.25*w, start+0.75*w
 	if t2-t1 <= 0 {
 		return bad
 	}
-	r1, err1 := s.exactPlan(t.platform, t.workload, t1)
-	r2, err2 := s.exactPlan(t.platform, t.workload, t2)
+	r1, err1 := exact(t1)
+	r2, err2 := exact(t2)
 	if err1 != nil || err2 != nil ||
 		len(r1.Steps) != len(t.phases) || len(r2.Steps) != len(t.phases) {
 		return bad
@@ -493,12 +492,12 @@ func (s *Set) buildPlanSegs(t *planTable, start, end float64, depth int) []planS
 		seg.steps = append(seg.steps, st)
 	}
 	for _, f := range probeFracs {
-		if !s.checkPlanProbe(t, &seg, start+f*w) {
+		if !checkPlanProbe(t, exact, &seg, start+f*w) {
 			return split()
 		}
 	}
 	for _, pb := range edgeProbes(start, end) {
-		if !s.checkPlanProbe(t, &seg, pb) {
+		if !checkPlanProbe(t, exact, &seg, pb) {
 			return split()
 		}
 	}
@@ -507,15 +506,15 @@ func (s *Set) buildPlanSegs(t *planTable, start, end float64, depth int) []planS
 
 // checkPlanProbe verifies the segment's emitted plan at budget b
 // against the exact path.
-func (s *Set) checkPlanProbe(t *planTable, seg *planSeg, b float64) bool {
-	exact, err := s.exactPlan(t.platform, t.workload, b)
-	if err != nil || len(exact.Steps) != len(seg.steps) || exact.Rejected != seg.rejected {
+func checkPlanProbe(t *planTable, exact planPath, seg *planSeg, b float64) bool {
+	want, err := exact(b)
+	if err != nil || len(want.Steps) != len(seg.steps) || want.Rejected != seg.rejected {
 		return false
 	}
 	var got wire.PlanResponse
 	t.emit(b, seg.steps, seg.rejected, &got)
-	for i := range exact.Steps {
-		e, g := &exact.Steps[i], &got.Steps[i]
+	for i := range want.Steps {
+		e, g := &want.Steps[i], &got.Steps[i]
 		if e.Status != g.Status || e.FellBack != g.FellBack ||
 			e.Phase != g.Phase || e.Weight != g.Weight ||
 			!within(g.Alloc.ProcWatts, e.Alloc.ProcWatts, AllocEps) ||

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/allocsvc"
 	"repro/internal/evalpool"
 	"repro/internal/wire"
 )
@@ -89,26 +88,36 @@ func TestParallelBuildDeterministic(t *testing.T) {
 
 // TestConcurrentMissesBuildOnce: eight goroutines missing on one
 // unbuilt pair at once, half through Build and half through the Coord
-// lookup, share one table build: the exact path is sampled exactly as
-// often as by one serial Build.
+// lookup, share one table build: the pair is bound once and its exact
+// path sampled exactly as often as by one serial Build.
 func TestConcurrentMissesBuildOnce(t *testing.T) {
 	const platform, wl = "titanxp", "minife"
-	counted := func() (*Set, *atomic.Int64) {
+	counted := func() (*Set, *atomic.Int64, *atomic.Int64) {
 		s := New(Config{})
-		calls := new(atomic.Int64)
-		s.computeCoord = func(req wire.CoordRequest) (wire.CoordResponse, error) {
-			calls.Add(1)
-			return allocsvc.ComputeCoord(req)
+		binds, calls := new(atomic.Int64), new(atomic.Int64)
+		s.bindCoord = func(platform, wl string) (coordPath, error) {
+			binds.Add(1)
+			exact, err := bindExactCoord(platform, wl)
+			if err != nil {
+				return nil, err
+			}
+			return func(b float64) (wire.CoordResponse, error) {
+				calls.Add(1)
+				return exact(b)
+			}, nil
 		}
-		return s, calls
+		return s, binds, calls
 	}
-	serial, serialCalls := counted()
+	serial, serialBinds, serialCalls := counted()
 	if ok, _ := serial.Build(platform, wl); !ok {
 		t.Fatalf("coord table for %s/%s did not build", platform, wl)
 	}
+	if n := serialBinds.Load(); n != 1 {
+		t.Fatalf("a serial build bound its pair %d times, want 1", n)
+	}
 	k := serialCalls.Load()
 
-	s, calls := counted()
+	s, binds, calls := counted()
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -133,5 +142,8 @@ func TestConcurrentMissesBuildOnce(t *testing.T) {
 	}
 	if got := calls.Load(); got != k {
 		t.Errorf("concurrent misses sampled the exact path %d times, a serial build %d", got, k)
+	}
+	if n := binds.Load(); n != 1 {
+		t.Errorf("concurrent misses bound the pair %d times, want 1", n)
 	}
 }

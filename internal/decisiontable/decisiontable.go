@@ -84,12 +84,13 @@ type Config struct{}
 // pair and implements allocsvc.Tables. Construct with New; safe for
 // concurrent use. Lookups on built pairs are allocation-free.
 type Set struct {
-	// computeCoord/computePlan are the exact decision paths the tables
-	// are built from and validated against. Production Sets point them
-	// at allocsvc.ComputeCoord/ComputePlan; tests inject fakes to
+	// bindCoord/bindPlan bind one pair's exact decision path, which its
+	// tables are built from and validated against: a build binds once
+	// and samples every budget through the result. Production Sets bind
+	// through allocsvc.BindCoord/BindPlan; tests inject fakes to
 	// exercise fault paths.
-	computeCoord func(wire.CoordRequest) (wire.CoordResponse, error)
-	computePlan  func(wire.PlanRequest) (wire.PlanResponse, error)
+	bindCoord func(platform, wl string) (coordPath, error)
+	bindPlan  func(platform, wl string) (planPath, error)
 
 	// coord/plan are seeded at construction with one slot per valid
 	// catalog pair and never mutated afterwards, so lookups need no
@@ -97,6 +98,32 @@ type Set struct {
 	// never have a table.
 	coord map[string]map[string]*slot[coordTable]
 	plan  map[string]map[string]*slot[planTable]
+}
+
+// coordPath is one bound pair's exact coord decision, under the
+// strategy the tables serve, at a budget; planPath its plan decision.
+type (
+	coordPath func(budget float64) (wire.CoordResponse, error)
+	planPath  func(budget float64) (wire.PlanResponse, error)
+)
+
+// bindExactCoord binds a pair's exact coord path (allocsvc.BindCoord)
+// under the "coord" strategy, the one the tables serve.
+func bindExactCoord(platform, wl string) (coordPath, error) {
+	pair, err := allocsvc.BindCoord(platform, wl)
+	if err != nil {
+		return nil, err
+	}
+	return func(b float64) (wire.CoordResponse, error) { return pair.Coord("coord", b) }, nil
+}
+
+// bindExactPlan binds a pair's exact plan path (allocsvc.BindPlan).
+func bindExactPlan(platform, wl string) (planPath, error) {
+	pair, err := allocsvc.BindPlan(platform, wl)
+	if err != nil {
+		return nil, err
+	}
+	return pair.Plan, nil
 }
 
 // slot is the build-once cell for one pair's table. table stays nil
@@ -125,10 +152,10 @@ func (sl *slot[T]) ensure(build func(platform, wl string) *T) *T {
 // front.
 func New(Config) *Set {
 	s := &Set{
-		computeCoord: allocsvc.ComputeCoord,
-		computePlan:  allocsvc.ComputePlan,
-		coord:        map[string]map[string]*slot[coordTable]{},
-		plan:         map[string]map[string]*slot[planTable]{},
+		bindCoord: bindExactCoord,
+		bindPlan:  bindExactPlan,
+		coord:     map[string]map[string]*slot[coordTable]{},
+		plan:      map[string]map[string]*slot[planTable]{},
 	}
 	for _, p := range hw.AllPlatforms() {
 		cm := map[string]*slot[coordTable]{}

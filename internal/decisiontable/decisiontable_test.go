@@ -535,11 +535,11 @@ func TestUncoveredRequestsMiss(t *testing.T) {
 func TestDegradedPairBypassesTables(t *testing.T) {
 	s := New(Config{})
 	fault := errors.New("sensor fault")
-	s.computeCoord = func(req wire.CoordRequest) (wire.CoordResponse, error) {
-		return wire.CoordResponse{}, fault
+	s.bindCoord = func(platform, wl string) (coordPath, error) {
+		return func(float64) (wire.CoordResponse, error) { return wire.CoordResponse{}, fault }, nil
 	}
-	s.computePlan = func(req wire.PlanRequest) (wire.PlanResponse, error) {
-		return wire.PlanResponse{}, fault
+	s.bindPlan = func(platform, wl string) (planPath, error) {
+		return func(float64) (wire.PlanResponse, error) { return wire.PlanResponse{}, fault }, nil
 	}
 	if tab := s.coord["ivybridge"]["stream"].ensure(s.buildCoordTable); tab != nil {
 		t.Fatal("coord table built from a faulting exact path")

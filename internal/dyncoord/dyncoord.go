@@ -187,9 +187,11 @@ func PlanCPUDegraded(p hw.Platform, w workload.Workload, budget units.Power, pha
 	if len(phases) != len(w.Phases) {
 		return Plan{}, fmt.Errorf("dyncoord: %d phase profiles for %d phases", len(phases), len(w.Phases))
 	}
-	fallbackProf := conservativeProfile(p)
+	var fallbackProf profile.CPUProfile
 	if static != nil {
 		fallbackProf = *static
+	} else {
+		fallbackProf = conservativeProfile(p)
 	}
 	fallback := coord.MemoryFirst(fallbackProf, budget)
 
@@ -222,7 +224,17 @@ func PlanCPUOrDegrade(p hw.Platform, w workload.Workload, budget units.Power) (P
 	if p.Kind != hw.KindCPU {
 		return Plan{}, fmt.Errorf("dyncoord: platform %q is not a CPU platform", p.Name)
 	}
-	phases := make([]PhaseProfile, len(w.Phases))
+	phases, static := Profiles(p, w)
+	return PlanCPUDegraded(p, w, budget, phases, static)
+}
+
+// Profiles takes the profiles PlanCPUOrDegrade plans from, for a CPU
+// platform: every phase's own profile, a phase whose profiling failed
+// marked missing, and the whole-workload profile, nil when its
+// profiling failed. A caller planning one pair at many budgets profiles
+// once and passes the result to PlanCPUDegraded at each.
+func Profiles(p hw.Platform, w workload.Workload) (phases []PhaseProfile, static *profile.CPUProfile) {
+	phases = make([]PhaseProfile, len(w.Phases))
 	for i := range w.Phases {
 		pw := phaseWorkload(&w, i)
 		prof, err := profile.ProfileCPU(p, pw)
@@ -232,11 +244,10 @@ func PlanCPUOrDegrade(p hw.Platform, w workload.Workload, budget units.Power) (P
 		}
 		phases[i] = PhaseProfile{Prof: prof, Health: ProfileGood}
 	}
-	var static *profile.CPUProfile
 	if prof, err := profile.ProfileCPU(p, w); err == nil {
 		static = &prof
 	}
-	return PlanCPUDegraded(p, w, budget, phases, static)
+	return phases, static
 }
 
 // Fallbacks counts the steps that could not use phase-aware COORD.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/hw"
-	"repro/internal/profile"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -31,18 +30,17 @@ func PlanTableInputs(p hw.Platform, w workload.Workload) (breaks []units.Power, 
 	if p.Kind != hw.KindCPU {
 		return nil, false, fmt.Errorf("dyncoord: platform %q is not a CPU platform", p.Name)
 	}
-	profs, err := PhaseProfiles(p, w)
-	if err != nil {
+	phases, static := Profiles(p, w)
+	if static == nil {
 		return nil, false, nil
 	}
-	static, err := profile.ProfileCPU(p, w)
-	if err != nil {
-		return nil, false, nil
+	for _, ph := range phases {
+		if ph.Health != ProfileGood {
+			return nil, false, nil
+		}
+		breaks = append(breaks, coord.CPUBreakpoints(ph.Prof)...)
 	}
-	for _, prof := range profs {
-		breaks = append(breaks, coord.CPUBreakpoints(prof)...)
-	}
-	breaks = append(breaks, coord.CPUBreakpoints(static)...)
-	breaks = append(breaks, coord.MemoryFirstBreakpoints(static)...)
+	breaks = append(breaks, coord.CPUBreakpoints(*static)...)
+	breaks = append(breaks, coord.MemoryFirstBreakpoints(*static)...)
 	return breaks, true, nil
 }

@@ -92,3 +92,27 @@ func TestRegressCapRangeEdgesOneUlp(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckCapRejectsNaN: a NaN cap is outside every settable range,
+// typed like any other out-of-range cap, and SetPowerCap leaves the
+// settings alone.
+func TestCheckCapRejectsNaN(t *testing.T) {
+	for _, p := range hw.AllPlatforms() {
+		if p.Kind != hw.KindGPU {
+			continue
+		}
+		nan := units.Power(math.NaN())
+		err := CheckCap(p.GPU, nan)
+		var cre *CapRangeError
+		if !errors.Is(err, ErrCapOutOfRange) || !errors.As(err, &cre) {
+			t.Fatalf("%s: CheckCap(NaN) = %v, want a *CapRangeError", p.Name, err)
+		}
+		g := New(p.GPU)
+		if err := g.SetPowerCap(nan); !errors.Is(err, ErrCapOutOfRange) {
+			t.Fatalf("%s: SetPowerCap(NaN) = %v", p.Name, err)
+		}
+		if got := g.Settings().PowerCap; got != p.GPU.TDP {
+			t.Fatalf("%s: rejected NaN cap set PowerCap to %v", p.Name, got)
+		}
+	}
+}

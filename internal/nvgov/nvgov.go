@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/hw"
 	"repro/internal/units"
@@ -48,10 +49,11 @@ func (e *CapRangeError) Error() string {
 func (e *CapRangeError) Unwrap() error { return ErrCapOutOfRange }
 
 // CheckCap reports whether the card can enforce cap, returning a
-// *CapRangeError (wrapping ErrCapOutOfRange) if not. Callers that plan
-// caps without instantiating a governor use this for early rejection.
+// *CapRangeError (wrapping ErrCapOutOfRange) if not; a NaN cap is
+// outside every range. Callers that plan caps without instantiating a
+// governor use this for early rejection.
 func CheckCap(gpu *hw.GPUSpec, cap units.Power) error {
-	if cap < gpu.MinCap || cap > gpu.MaxCap {
+	if !(cap >= gpu.MinCap && cap <= gpu.MaxCap) {
 		return &CapRangeError{Cap: cap, Min: gpu.MinCap, Max: gpu.MaxCap}
 	}
 	return nil
@@ -86,6 +88,11 @@ type State struct {
 type Governor struct {
 	gpu      *hw.GPUSpec
 	settings Settings
+	// fit is the number of SM bins the last actuation found under the
+	// cap: the next search checks it first (see Actuate). Atomic, so
+	// concurrent Actuate calls stay race-free; any value is only a
+	// guess.
+	fit atomic.Int32
 }
 
 // New returns a governor for the card with default settings: TDP cap,
@@ -160,19 +167,30 @@ func (g *Governor) smMaxClock() units.Frequency {
 // arithmetic preserves order), so the bins that fit form a prefix of
 // the grid. Both predicates are written as the scan wrote them, so NaN
 // settings and activities select the same state too.
+//
+// The search is warm-started as rapl's package actuator is: since the
+// fitting bins form a prefix of the bins at or below maxSM, the fit
+// count is the one h with bin h−1 fitting (or h = 0) and bin h not (or
+// h = below). The last actuation's count is checked first, with at most
+// two BoardPower evaluations instead of ⌈log₂(below+1)⌉, and the full
+// search runs only when the check fails: the activity moved the
+// boundary, or the settings moved below under it.
 func (g *Governor) Actuate(act float64) State {
 	mem := g.MemClock()
 	maxSM := g.smMaxClock()
 	cap := g.settings.PowerCap
 	gpu := g.gpu
+	fits := func(i int) bool { return gpu.BoardPower(gpu.SMClockAt(i), mem, act) <= cap }
 
 	// below: the bins at or below maxSM; fit: those of them that fit.
 	below := sort.Search(gpu.NumSMClocks(), func(i int) bool {
 		return gpu.SMClockAt(i) > maxSM
 	})
-	fit := sort.Search(below, func(i int) bool {
-		return !(gpu.BoardPower(gpu.SMClockAt(i), mem, act) <= cap)
-	})
+	fit := int(g.fit.Load())
+	if !(0 <= fit && fit <= below && (fit == 0 || fits(fit-1)) && (fit == below || !fits(fit))) {
+		fit = sort.Search(below, func(i int) bool { return !fits(i) })
+		g.fit.Store(int32(fit))
+	}
 	if fit == 0 {
 		return State{SMClock: gpu.SMClockMin, MemClock: mem, PowerLimited: true, AtFloor: true}
 	}

@@ -1,8 +1,10 @@
 package rapl
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/hw"
@@ -51,6 +53,11 @@ type Controller struct {
 	cpu  *hw.CPUSpec
 	dram *hw.DRAMSpec
 	msrs *RegisterFile
+	// fit is the number of P-states the last package actuation found
+	// under the cap: the next search checks it first (see
+	// actuateUnder). Atomic, so actuating one controller from several
+	// goroutines stays race-free; any value is only a guess.
+	fit atomic.Int32
 }
 
 // NewController returns a controller for the given CPU-node component
@@ -69,7 +76,40 @@ func (c *Controller) SetLimit(d Domain, cap units.Power) error {
 	return c.SetLimitWindow(d, cap, time.Second)
 }
 
+// MaxLimit bounds the caps a power-limit register holds: its power
+// field counts up to 0x7FFF units of PowerUnit and a cap truncates to
+// whole units, so every cap below MaxLimit (4096 W) fits.
+const MaxLimit units.Power = (powerMask + 1) * PowerUnit
+
+// ErrLimitOutOfRange is the sentinel for caps the power-limit register
+// cannot hold. Match with errors.Is; the concrete error is a
+// *LimitRangeError.
+var ErrLimitOutOfRange = errors.New("power limit outside the register's range")
+
+// LimitRangeError reports a cap SetLimitWindow refused: NaN, +Inf, or
+// at or above MaxLimit. EncodeLimit would wrap such a cap into the
+// power field, mostly as a 0 W enabled limit, and the domain would run
+// at its floor instead of being capped as asked.
+type LimitRangeError struct {
+	// Domain is the domain the cap was meant for.
+	Domain Domain
+	// Cap is the refused cap.
+	Cap units.Power
+}
+
+// Error names the domain, the cap and the register's range.
+func (e *LimitRangeError) Error() string {
+	return fmt.Sprintf("rapl: %v power limit %g W outside the register's range (below %g W; zero or negative disables the limit)",
+		e.Domain, e.Cap.Watts(), MaxLimit.Watts())
+}
+
+// Unwrap makes errors.Is(err, ErrLimitOutOfRange) work.
+func (e *LimitRangeError) Unwrap() error { return ErrLimitOutOfRange }
+
 // SetLimitWindow programs a power cap with an explicit averaging window.
+// A zero or negative cap (−Inf included) disables the limit; a cap the
+// register cannot hold (NaN, +Inf, at or above MaxLimit) is refused
+// with a *LimitRangeError and leaves the register unchanged.
 func (c *Controller) SetLimitWindow(d Domain, cap units.Power, window time.Duration) error {
 	addr := MSRPkgPowerLimit
 	if d == DomainDRAM {
@@ -77,6 +117,9 @@ func (c *Controller) SetLimitWindow(d Domain, cap units.Power, window time.Durat
 	}
 	if cap <= 0 {
 		return c.msrs.Write(addr, 0) // disabled
+	}
+	if !(cap < MaxLimit) {
+		return &LimitRangeError{Domain: d, Cap: cap}
 	}
 	return c.msrs.Write(addr, EncodeLimit(cap.Watts(), window.Seconds()))
 }
@@ -120,12 +163,26 @@ func (c *Controller) ActuatePackage(act float64) PackageState {
 }
 
 // actuateUnder is ActuatePackage for an enabled package cap.
+//
+// Because the fitting P-states form a prefix, the number that fit is
+// the one h with P-state h−1 fitting (or h = 0) and P-state h not (or h
+// = NumPStates). The search checks the last actuation's count first:
+// at most two power-model evaluations instead of the binary search's
+// ⌈log₂(NumPStates+1)⌉, and the answer is exact whenever the check
+// passes, since the boundary is unique. Between the passes of one
+// fixed-point solve the activity moves little and the count rarely
+// does; when it moved, the full search runs. A NaN activity fits no
+// P-state either way.
 func (c *Controller) actuateUnder(cap units.Power, act float64) PackageState {
 	cpu := c.cpu
+	fits := func(i int) bool { return cpu.Power(cpu.PStateAt(i), 1, act) <= cap }
 	// Highest P-state under the cap, no throttling.
-	fit := sort.Search(cpu.NumPStates(), func(i int) bool {
-		return !(cpu.Power(cpu.PStateAt(i), 1, act) <= cap)
-	})
+	n := cpu.NumPStates()
+	fit := int(c.fit.Load())
+	if !(0 <= fit && fit <= n && (fit == 0 || fits(fit-1)) && (fit == n || !fits(fit))) {
+		fit = sort.Search(n, func(i int) bool { return !fits(i) })
+		c.fit.Store(int32(fit))
+	}
 	if fit > 0 {
 		return PackageState{Freq: cpu.PStateAt(fit - 1), Duty: 1}
 	}

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/nvgov"
+	"repro/internal/rapl"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -432,5 +435,53 @@ func TestRunCPUOptsAblationSwitches(t *testing.T) {
 	bad.CPU = nil
 	if _, err := RunCPUOpts(bad, w, 0, 0, Options{}); err == nil {
 		t.Error("invalid platform accepted")
+	}
+}
+
+// TestUnrepresentableCapsRejected: a CPU run refuses a package or DRAM
+// cap the limit register cannot hold (NaN, +Inf, at or above
+// rapl.MaxLimit) with the controller's typed error instead of running
+// at the floor, while caps at or below zero, −Inf included, still run
+// uncapped; every GPU entry point refuses a NaN board cap with the
+// governor's typed range error.
+func TestUnrepresentableCapsRejected(t *testing.T) {
+	cpu := hw.IvyBridge()
+	w := mustWorkload(t, "stream")
+	for _, bad := range []units.Power{units.Power(math.NaN()), units.Power(math.Inf(1)), 1e300, rapl.MaxLimit} {
+		for _, d := range []rapl.Domain{rapl.DomainPackage, rapl.DomainDRAM} {
+			proc, mem := units.Power(150), units.Power(50)
+			if d == rapl.DomainPackage {
+				proc = bad
+			} else {
+				mem = bad
+			}
+			_, err := RunCPU(cpu, w, proc, mem)
+			var lre *rapl.LimitRangeError
+			if !errors.Is(err, rapl.ErrLimitOutOfRange) || !errors.As(err, &lre) || lre.Domain != d {
+				t.Fatalf("RunCPU(%v, %v): error %v, want a %v *rapl.LimitRangeError", proc, mem, err, d)
+			}
+		}
+	}
+	uncapped := runCPU(t, "ivybridge", "stream", 0, 0)
+	for _, off := range []units.Power{units.Power(math.Inf(-1)), -5} {
+		if got := runCPU(t, "ivybridge", "stream", off, off); got.Perf != uncapped.Perf || got.AtFloor {
+			t.Fatalf("caps %v: perf %v (at floor %v), uncapped %v", off, got.Perf, got.AtFloor, uncapped.Perf)
+		}
+	}
+
+	gpu := hw.TitanXP()
+	gw := mustWorkload(t, "gpustream")
+	nan := units.Power(math.NaN())
+	runs := map[string]func() (Result, error){
+		"RunGPU":         func() (Result, error) { return RunGPU(gpu, gw, nan, gpu.GPU.Mem.ClockNom) },
+		"RunGPUMemPower": func() (Result, error) { return RunGPUMemPower(gpu, gw, nan, 40) },
+		"RunGPUOffsets":  func() (Result, error) { return RunGPUOffsets(gpu, gw, nan, 0, 0) },
+	}
+	for name, run := range runs {
+		_, err := run()
+		var cre *nvgov.CapRangeError
+		if !errors.Is(err, nvgov.ErrCapOutOfRange) || !errors.As(err, &cre) {
+			t.Fatalf("%s at a NaN cap: error %v, want a *nvgov.CapRangeError", name, err)
+		}
 	}
 }
