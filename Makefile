@@ -70,7 +70,9 @@ chaossmoke:
 # per run checked in both modes, and the cross-mode property table
 # (bit-identical Results, pool conservation, fast replay), the
 # serial-vs-shared-engine contract of cluster.Schedule rounds (memoized
-# placements, same-named workload variants), then a seeded DES run
+# placements, same-named workload variants), the demand-response tests
+# (budget schedules replayed as shock edges, a steady schedule equal to
+# no schedule field for field), then a seeded DES run
 # through the pbc CLI in both modes, each with a replay check, failing
 # unless both print the same trace hash, and the pbc faults cluster
 # demo, which runs its queues through exact mode.
@@ -80,7 +82,7 @@ DESSMOKE_RUN = $(GO) run -race ./cmd/pbc des -nodes 64 -horizon 600 -seed 7 \
 
 dessmoke:
 	$(GO) test -race -run 'TestGoldenEquivalence|TestGoldenCasesFastMode|TestReplayDeterminism|TestTraceHashPinned|TestCrossModeProperties|TestOneJobEqualsSim' -count=1 ./internal/des
-	$(GO) test -race -run 'TestScheduleSerialParallelContract' -count=1 ./internal/cluster
+	$(GO) test -race -run 'TestScheduleSerialParallelContract|TestDemandResponse' -count=1 ./internal/cluster
 	@set -e; \
 	fast=$$($(DESSMOKE_RUN)); echo "$$fast"; \
 	exact=$$($(DESSMOKE_RUN) -mode exact); echo "$$exact"; \

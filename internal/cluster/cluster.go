@@ -73,9 +73,9 @@ type Outcome struct {
 }
 
 // Scheduler owns a cluster power budget and a set of nodes. Its
-// scheduling entry points (Schedule, Admit, Prewarm,
-// RunDemandResponse) are safe for concurrent use, and so are concurrent
-// internal/des queue runs on one scheduler: the scheduler holds no
+// scheduling entry points (Schedule, Admit, Prewarm) are safe for
+// concurrent use, and so are concurrent internal/des queue runs on one
+// scheduler, demand-response ones included: the scheduler holds no
 // mutable state. Job profiles come from the profile package, which
 // memoizes each one on the shared evaluation engine by the content of
 // the (platform, workload) pair, so a pair is profiled once however
@@ -170,11 +170,11 @@ var placeKinds = [...]string{PolicyCoord: "cluster.place.coord", PolicyEvenSplit
 // or the even split on CPU nodes — and simulates the job under the
 // split. A placement is a pure function of the node's platform, the
 // workload, the grant and the policy, so it is memoized whole on the
-// shared evaluation engine: rounds, admissions and demand-response
-// starts that place a pair at a grant it was placed at before read it
-// back. Queue runs place through here too, fault-injected ones
-// included: node outages and budget shocks change when and where a job
-// runs, never what a placement answers, so the memo stays exact.
+// shared evaluation engine: rounds and admissions that place a pair at
+// a grant it was placed at before read it back. Queue runs admit
+// through here too, fault-injected and budget-scheduled ones included:
+// outages, shocks and budget steps change when and where a job runs,
+// never what a placement answers, so the memo stays exact.
 func (s *Scheduler) place(node Node, w workload.Workload, grant units.Power, policy SplitPolicy) (placement, error) {
 	switch {
 	case policy != PolicyCoord && policy != PolicyEvenSplit:

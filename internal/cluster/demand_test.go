@@ -1,13 +1,40 @@
-package cluster
+package cluster_test
+
+// Demand response, a cluster budget the facility lowers and raises on a
+// schedule, runs in internal/des: each step of the schedule is a
+// budget-shock edge, so a drop evicts the latest-started jobs and
+// re-queues them at the head, and Admit re-admits them from the pool of
+// that moment.
 
 import (
-	"math"
+	"errors"
+	"reflect"
 	"testing"
+
+	. "repro/internal/cluster"
+	"repro/internal/des"
 )
 
-func timedJob(t *testing.T, id, wl string, work float64) TimedJob {
+// demandRun runs t=0 jobs through des under a budget schedule, with
+// COORD and backfill.
+func demandRun(s *Scheduler, jobs []TimedJob, phases []des.BudgetPhase, mode des.Mode) (des.Result, error) {
+	return des.Run(des.Config{
+		Sched: s, Jobs: jobs, Policy: PolicyCoord, Discipline: DisciplineBackfill,
+		BudgetPhases: phases, Mode: mode,
+	})
+}
+
+// checkDrained requires every job done and the pool conserved: no
+// event boundary strays from the budget by more than 1e-9 of it, and
+// the drained pool is the whole budget again.
+func checkDrained(t *testing.T, s *Scheduler, res des.Result, jobs int) {
 	t.Helper()
-	return TimedJob{Job: job(t, id, wl), Units: work}
+	if res.Completed != jobs || len(res.Queue.Stats) != jobs {
+		t.Fatalf("completed %d (%d stats) of %d", res.Completed, len(res.Queue.Stats), jobs)
+	}
+	if f := res.Faults; f.MaxConservationError > 1e-9*s.Budget || f.PoolLeft != s.Budget {
+		t.Errorf("pool not conserved: max error %v, pool left %v of %v", f.MaxConservationError, f.PoolLeft, s.Budget)
+	}
 }
 
 func TestDemandResponseShedsOnBudgetDrop(t *testing.T) {
@@ -20,42 +47,52 @@ func TestDemandResponseShedsOnBudgetDrop(t *testing.T) {
 		timedJob(t, "long2", "stream", 2e13),
 	}
 	// Budget drops to 240 W after 100 s, recovers at 400 s.
-	phases := []BudgetPhase{
+	phases := []des.BudgetPhase{
 		{Until: 100, Budget: 500},
 		{Until: 400, Budget: 240},
 		{Until: 1e12, Budget: 500},
 	}
-	res, err := s.RunDemandResponse(jobs, phases)
+	res, err := demandRun(s, jobs, phases, des.ModeExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stats) != 2 {
-		t.Fatalf("completed %d of 2", len(res.Stats))
+	checkDrained(t, s, res, 2)
+	if res.Faults.Shocks != 1 {
+		t.Errorf("%d budget drops counted, want 1", res.Faults.Shocks)
 	}
-	if res.Suspensions == 0 {
+	if res.Faults.Readmissions == 0 {
 		t.Error("the budget drop should suspend a job")
 	}
-	if res.Violations != 0 {
-		t.Errorf("shedding left %d violations", res.Violations)
-	}
-	// A suspend event exists between 100 and 400 seconds.
-	sawSuspend := false
-	for _, e := range res.Events {
+	// Only the drop sheds, so every suspension happens at its instant.
+	suspends := 0
+	for _, e := range res.Queue.Events {
 		if e.Kind == "suspend" {
-			sawSuspend = true
-			if e.Time < 99.99 || e.Time > 400.01 {
-				t.Errorf("suspend at %.1f, expected inside the low-budget window", e.Time)
+			suspends++
+			if e.Time != 100 {
+				t.Errorf("suspend at %.1f, expected at the drop (100 s)", e.Time)
 			}
 		}
 	}
-	if !sawSuspend {
-		t.Error("no suspend event logged")
+	if suspends != res.Faults.Readmissions {
+		t.Errorf("%d suspend events for %d re-admissions", suspends, res.Faults.Readmissions)
+	}
+	// The evicted job keeps no grant: once long2 finishes it is
+	// re-admitted inside the low window, at a grant recomputed from
+	// that window's pool.
+	var restarts []float64
+	for _, e := range res.Queue.Events {
+		if e.Kind == "start" && e.JobID == "long1" && e.Time > 0 {
+			restarts = append(restarts, e.Time)
+		}
+	}
+	if st := res.Queue.Stats["long1"]; len(restarts) != 1 || restarts[0] >= 400 || st.Budget > 240 {
+		t.Errorf("long1 restarted at %v under a %v grant; want one restart before 400 s within 240 W", restarts, st.Budget)
 	}
 }
 
 func TestDemandResponseSuspendedWorkResumes(t *testing.T) {
-	// A job suspended by the drop must finish after the budget recovers,
-	// and its total executed work is conserved (it completes).
+	// A job suspended by the drop is re-queued with its remaining work
+	// and finishes exactly once.
 	s, err := NewScheduler(460, nodes(t, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -64,21 +101,22 @@ func TestDemandResponseSuspendedWorkResumes(t *testing.T) {
 		timedJob(t, "a", "dgemm", 1e14),
 		timedJob(t, "b", "mg", 1e13),
 	}
-	phases := []BudgetPhase{
+	phases := []des.BudgetPhase{
 		{Until: 50, Budget: 460},
 		{Until: 200, Budget: 230},
 		{Until: 1e12, Budget: 460},
 	}
-	res, err := s.RunDemandResponse(jobs, phases)
+	res, err := demandRun(s, jobs, phases, des.ModeExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stats) != 2 {
-		t.Fatalf("completed %d of 2", len(res.Stats))
+	checkDrained(t, s, res, 2)
+	if res.Faults.Readmissions == 0 {
+		t.Fatal("the budget drop suspended no job")
 	}
 	// Events for a suspended job: start, suspend, start, finish.
 	counts := map[string]int{}
-	for _, e := range res.Events {
+	for _, e := range res.Queue.Events {
 		counts[e.JobID+"/"+e.Kind]++
 	}
 	for _, id := range []string{"a", "b"} {
@@ -89,6 +127,9 @@ func TestDemandResponseSuspendedWorkResumes(t *testing.T) {
 			t.Errorf("job %s: %d starts vs %d suspends", id,
 				counts[id+"/start"], counts[id+"/suspend"])
 		}
+		if st := res.Queue.Stats[id]; counts[id+"/suspend"] > 0 && st.End <= 200 {
+			t.Errorf("suspended job %s finished at %.1f, before the budget recovered", id, st.End)
+		}
 	}
 }
 
@@ -98,21 +139,27 @@ func TestDemandResponseValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := []TimedJob{timedJob(t, "j", "stream", 1e12)}
-	if _, err := s.RunDemandResponse(j, nil); err == nil {
-		t.Error("empty phases accepted")
+	// No schedule is the scheduler's budget throughout.
+	steady, err := demandRun(s, j, []des.BudgetPhase{{Until: 1e12, Budget: 400}}, des.ModeExact)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := []BudgetPhase{{Until: 100, Budget: 400}, {Until: 50, Budget: 300}}
-	if _, err := s.RunDemandResponse(j, bad); err == nil {
-		t.Error("unordered phases accepted")
+	for _, phases := range [][]des.BudgetPhase{nil, {}} {
+		if res, err := demandRun(s, j, phases, des.ModeExact); err != nil || !reflect.DeepEqual(res, steady) {
+			t.Errorf("schedule %#v: %+v, %v; want the steady run %+v", phases, res, err, steady)
+		}
 	}
-	if _, err := s.RunDemandResponse(
-		[]TimedJob{timedJob(t, "z", "stream", -1)},
-		[]BudgetPhase{{Until: 1e12, Budget: 400}}); err == nil {
+	bad := []des.BudgetPhase{{Until: 100, Budget: 400}, {Until: 50, Budget: 300}}
+	if _, err := demandRun(s, j, bad, des.ModeExact); !errors.Is(err, des.ErrBudgetPhase) {
+		t.Errorf("unordered phases: %v, want des.ErrBudgetPhase", err)
+	}
+	if _, err := demandRun(s, []TimedJob{timedJob(t, "z", "stream", -1)},
+		[]des.BudgetPhase{{Until: 1e12, Budget: 400}}, des.ModeExact); err == nil {
 		t.Error("negative work accepted")
 	}
-	// A final budget below every threshold deadlocks and must error.
-	if _, err := s.RunDemandResponse(j, []BudgetPhase{{Until: 1e12, Budget: 100}}); err == nil {
-		t.Error("impossible final budget accepted")
+	// A final budget below every threshold starves and must error.
+	if _, err := demandRun(s, j, []des.BudgetPhase{{Until: 1e12, Budget: 100}}, des.ModeExact); !errors.Is(err, ErrStarved) {
+		t.Errorf("impossible final budget: %v, want ErrStarved", err)
 	}
 }
 
@@ -122,13 +169,48 @@ func TestDemandResponseEnergyAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := []TimedJob{timedJob(t, "j", "stream", 5e12)}
-	res, err := s.RunDemandResponse(jobs, []BudgetPhase{{Until: 1e12, Budget: 500}})
+	res, err := demandRun(s, jobs, []des.BudgetPhase{{Until: 1e12, Budget: 500}}, des.ModeExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Stats["j"]
-	wantEnergy := st.Power.Watts() * (st.End - st.Start)
-	if math.Abs(res.Energy.Joules()-wantEnergy) > wantEnergy*0.01 {
-		t.Errorf("energy %v, want %v", res.Energy.Joules(), wantEnergy)
+	checkDrained(t, s, res, 1)
+	st := res.Queue.Stats["j"]
+	if want := st.Power.Watts() * (st.End - st.Start); res.Energy.Joules() != want {
+		t.Errorf("energy %v, want %v", res.Energy.Joules(), want)
+	}
+}
+
+func TestDemandResponseSteadyBudgetMatchesQueue(t *testing.T) {
+	// A schedule that never moves the budget must reproduce the queue
+	// run field for field, trace hash included, in both modes.
+	s, err := NewScheduler(500, nodes(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []TimedJob{
+		timedJob(t, "j1", "dgemm", 5e13),
+		timedJob(t, "j2", "stream", 3e12),
+		timedJob(t, "j3", "mg", 3e12),
+	}
+	for _, mode := range []des.Mode{des.ModeExact, des.ModeFast} {
+		queue, err := demandRun(s, jobs, nil, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, phases := range [][]des.BudgetPhase{
+			{{Until: 1e12, Budget: 500}},
+			{{Until: 10, Budget: 500}, {Until: 1e12, Budget: 500}},
+		} {
+			dr, err := demandRun(s, jobs, phases, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dr, queue) {
+				t.Errorf("%v, schedule %v:\n got %+v\nwant %+v", mode, phases, dr, queue)
+			}
+		}
+		if queue.Faults.Readmissions != 0 || queue.Faults.Shocks != 0 {
+			t.Errorf("%v: steady budget caused %d suspensions, %d drops", mode, queue.Faults.Readmissions, queue.Faults.Shocks)
+		}
 	}
 }

@@ -4,7 +4,6 @@ package cluster_test
 // so they live in the external test package and dot-import cluster.
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -425,35 +424,4 @@ func TestQueueRunsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestDemandResponseSteadyBudgetMatchesQueue(t *testing.T) {
-	// A single never-changing budget phase must reproduce the queue run.
-	mk := func() (*Scheduler, []TimedJob) {
-		s, err := NewScheduler(500, nodes(t, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, []TimedJob{
-			timedJob(t, "j1", "dgemm", 5e13),
-			timedJob(t, "j2", "stream", 3e12),
-			timedJob(t, "j3", "mg", 3e12),
-		}
-	}
-	s1, q1 := mk()
-	queue, err := runQueue(s1, q1, PolicyCoord, DisciplineBackfill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, q2 := mk()
-	dr, err := s2.RunDemandResponse(q2, []BudgetPhase{{Until: 1e12, Budget: 500}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dr.Makespan-queue.Makespan) > 0.01*queue.Makespan {
-		t.Errorf("steady demand-response makespan %.1f vs queue %.1f", dr.Makespan, queue.Makespan)
-	}
-	if dr.Suspensions != 0 || dr.Violations != 0 {
-		t.Errorf("steady budget caused suspensions=%d violations=%d", dr.Suspensions, dr.Violations)
-	}
 }

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -87,6 +88,10 @@ type Config struct {
 	// Injector, when non-nil, disturbs the run with node outages and
 	// budget shocks on its deterministic schedule (see internal/faults).
 	Injector *faults.Injector
+	// BudgetPhases, when non-nil, moves the budget on a fixed schedule
+	// under Sched.Budget, its ceiling: demand response, the facility
+	// lowering and raising the bound over the day (see BudgetPhase).
+	BudgetPhases []BudgetPhase
 	// Log, when non-nil, receives the cluster transitions of an
 	// exact-mode run: node failures and recoveries, budget shocks and
 	// restores, and each eviction's reclaim and re-admission. Fast mode
@@ -123,7 +128,7 @@ type Result struct {
 	// turnaround to time-in-service.
 	AvgWait, AvgTurnaround, MaxSlowdown float64
 	// Faults carries the fault accounting (zero counts without an
-	// injector).
+	// injector or a budget schedule).
 	Faults FaultSummary
 	// TraceHash fingerprints the full event trace (FNV-1a over every
 	// event's time bits, kind, job and node). Two runs of the same
@@ -135,7 +140,8 @@ type Result struct {
 	Queue *cluster.QueueResult
 }
 
-// FaultSummary counts what the engine handled under an injector.
+// FaultSummary counts what the engine handled under an injector or a
+// budget schedule.
 type FaultSummary struct {
 	// NodeFailures and NodeRecoveries count node outage transitions.
 	NodeFailures, NodeRecoveries int
@@ -143,7 +149,7 @@ type FaultSummary struct {
 	// failed or a budget shock evicted them; each re-admission reclaims
 	// the job's grant into the pool.
 	Readmissions int
-	// Shocks counts facility budget shocks applied.
+	// Shocks counts budget drops applied, injected or scheduled.
 	Shocks int
 	// BudgetReclaimed is the total power returned to the pool by
 	// failure- and shock-driven evictions.
@@ -190,11 +196,15 @@ func Run(cfg Config) (Result, error) {
 	if err := checkPolicy(cfg); err != nil {
 		return Result{}, err
 	}
+	edges, err := scheduleEdges(cfg.BudgetPhases, cfg.Sched.Budget)
+	if err != nil {
+		return Result{}, err
+	}
 	arrivals := generateArrivals(cfg.Arrivals, cfg.Seed, cfg.Horizon, cfg.MaxJobs)
 	if err := checkJobs(cfg.Jobs, len(arrivals)); err != nil {
 		return Result{}, err
 	}
-	l := newLifecycle(cfg, arrivals)
+	l := newLifecycle(cfg, arrivals, edges)
 	return l.run()
 }
 
@@ -232,6 +242,67 @@ func checkPolicy(cfg Config) error {
 		return fmt.Errorf("des: arrivals run %v workload %q: %w", cfg.Workload.Kind, cfg.Workload.Name, cluster.ErrEvenSplitGPU)
 	}
 	return nil
+}
+
+// BudgetPhase is one segment of a budget schedule. Phase 0's Budget
+// holds from t=0; at each phase's Until but the last, the budget steps
+// to the next phase's; the last phase lasts forever. A step that moves
+// the budget is a budget-shock edge, applied before an injector's edge
+// at the same instant.
+type BudgetPhase struct {
+	// Until ends the segment, in simulated seconds.
+	Until float64
+	// Budget is the cluster power bound during the segment.
+	Budget units.Power
+}
+
+// ErrBudgetPhase is the sentinel for a budget schedule Run refuses.
+// Match with errors.Is; the concrete error is a *BudgetPhaseError.
+var ErrBudgetPhase = errors.New("des: invalid budget phase")
+
+// BudgetPhaseError names the first phase of a schedule Run refused and
+// why.
+type BudgetPhaseError struct {
+	Index  int
+	Phase  BudgetPhase
+	Reason string
+}
+
+// Error names the phase and the rule it breaks.
+func (e *BudgetPhaseError) Error() string {
+	return fmt.Sprintf("des: budget phase %d (until %g s, %v): %s", e.Index, e.Phase.Until, e.Phase.Budget, e.Reason)
+}
+
+// Unwrap makes errors.Is(err, ErrBudgetPhase) work.
+func (e *BudgetPhaseError) Unwrap() error { return ErrBudgetPhase }
+
+// scheduleEdges checks a budget schedule and expands it into pool
+// edges against the ceiling: the first phase's shortfall at t=0, then
+// the step at each boundary that moves the budget. Until times must be
+// finite and strictly increasing from 0; budgets finite, non-negative
+// and at most the ceiling.
+func scheduleEdges(phases []BudgetPhase, ceiling units.Power) ([]faults.ShockEdge, error) {
+	var edges []faults.ShockEdge
+	at, prev := 0.0, ceiling
+	for i, ph := range phases {
+		why := ""
+		switch b := ph.Budget.Watts(); {
+		case !(ph.Until > at) || math.IsInf(ph.Until, 1):
+			why = "until must be finite and after the previous phase's (0 for the first)"
+		case !(b >= 0) || math.IsInf(b, 1):
+			why = "budget must be finite and non-negative"
+		case ph.Budget > ceiling:
+			why = fmt.Sprintf("budget above the scheduler's %v", ceiling)
+		}
+		if why != "" {
+			return nil, &BudgetPhaseError{Index: i, Phase: ph, Reason: why}
+		}
+		if ph.Budget != prev {
+			edges = append(edges, faults.ShockEdge{At: at, Delta: ph.Budget - prev})
+		}
+		at, prev = ph.Until, ph.Budget
+	}
+	return edges, nil
 }
 
 // checkJobs rejects t=0 jobs without work, and jobs whose IDs repeat

@@ -83,19 +83,29 @@ func FuzzParseArrivalSpec(f *testing.F) {
 
 // FuzzModesAgree is the differential contract between the modes: on any
 // configuration both return the same Result apart from Mode and Queue,
-// bit for bit, or the same error. The fuzz bytes choose 1–16 nodes of
-// mixed catalog platforms (at least one a GPU), a per-node budget that
-// often falls below the maximum demand, the policy, the discipline, up
-// to five t=0 jobs of mixed workloads, a small arrival spec and an
-// optional fault spec. Small explicit MaxJobs and MaxEvents bound every
-// run; a run that hits them must fail the same way in both modes.
+// bit for bit, or the same error, and a finished run conserves the pool
+// within 1e-9 of the budget. The first 40 fuzz bytes choose 1–16 nodes
+// of mixed catalog platforms (at least one a GPU), a per-node budget
+// that often falls below the maximum demand, the policy, the
+// discipline, up to five t=0 jobs of mixed workloads, a small arrival
+// spec and an optional fault spec; the bytes past them, a budget
+// schedule (fuzzSchedule). Small explicit MaxJobs and MaxEvents bound
+// every run; a run that hits them must fail the same way in both modes.
 func FuzzModesAgree(f *testing.F) {
-	// The seeded corpus: the empty input and 32 fixed pseudo-random
-	// draws.
+	// The seeded corpus: the empty input, 32 fixed pseudo-random draws
+	// without a schedule and 64 with one.
 	f.Add([]byte{})
 	rng := rand.New(rand.NewPCG(1, 2))
 	for range 32 {
 		b := make([]byte, 40)
+		for i := range b {
+			b[i] = byte(rng.Uint32())
+		}
+		f.Add(b)
+	}
+	rng = rand.New(rand.NewPCG(3, 4))
+	for range 64 {
+		b := make([]byte, 40+2*(1+rng.IntN(5)))
 		for i := range b {
 			b[i] = byte(rng.Uint32())
 		}
@@ -124,6 +134,10 @@ func FuzzModesAgree(f *testing.F) {
 	}
 	jobUnits := []float64{5e11, 2e12, 1e13}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var schedBytes []byte
+		if len(data) > 40 {
+			data, schedBytes = data[:40], data[40:]
+		}
 		next := func() int {
 			if len(data) == 0 {
 				return 0
@@ -174,6 +188,7 @@ func FuzzModesAgree(f *testing.F) {
 			}
 			cfg.Injector = faults.NewInjector(sp, uint64(next()))
 		}
+		cfg.BudgetPhases = fuzzSchedule(schedBytes, cfg)
 
 		cfg.Mode = ModeExact
 		exact, eerr := Run(cfg)
@@ -188,5 +203,39 @@ func FuzzModesAgree(f *testing.F) {
 		if d := modesDiffer(exact, fast); d != "" {
 			t.Fatalf("modes differ:%s", d)
 		}
+		if e := exact.Faults.MaxConservationError; e > 1e-9*sched.Budget {
+			t.Fatalf("pool conservation error %v on a %v budget", e, sched.Budget)
+		}
 	})
+}
+
+// fuzzSchedule draws a budget schedule of one phase per two bytes, up
+// to six; fewer than two bytes draw none. A phase's first byte places
+// its end: below 128, a step of 5–640 s past the previous end; from 128
+// up, if later, the time of one of the run's arrivals or of one of the
+// injector's first eight shock edges, so that schedule edges tie with
+// both. Its second byte sets its budget to 0, ¼, ½, ¾ or all of the
+// ceiling.
+func fuzzSchedule(b []byte, cfg Config) []BudgetPhase {
+	var arrivals, shocks []float64
+	for _, a := range generateArrivals(cfg.Arrivals, cfg.Seed, cfg.Horizon, cfg.MaxJobs) {
+		arrivals = append(arrivals, a.at)
+	}
+	edges := cfg.Injector.ShockEdges(3600, cfg.Sched.Budget)
+	for _, ok := edges.Peek(); ok && len(shocks) < 8; _, ok = edges.Peek() {
+		shocks = append(shocks, edges.Pop().At)
+	}
+	var phases []BudgetPhase
+	prev := 0.0
+	for ; len(b) >= 2 && len(phases) < 6; b = b[2:] {
+		until := prev + 5*float64(1+b[0]%128)
+		if ties := [][]float64{arrivals, shocks}[b[0]/64%2]; b[0] >= 128 && len(ties) > 0 {
+			if at := ties[int(b[0])%len(ties)]; at > prev {
+				until = at
+			}
+		}
+		phases = append(phases, BudgetPhase{Until: until, Budget: cfg.Sched.Budget * units.Power(b[1]%5) / 4})
+		prev = until
+	}
+	return phases
 }

@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -25,6 +26,9 @@ type lifecycle struct {
 
 	outages *faults.OutageStream
 	shocks  *faults.ShockEdges
+	// sched holds the budget schedule's edges not yet applied; on a tie
+	// with an injector's edge the schedule's applies first.
+	sched []faults.ShockEdge
 
 	now     float64 // absolute virtual time; never moves back
 	pool    units.Power
@@ -78,7 +82,7 @@ type jobRec struct {
 // them. The goldens pin the outage schedules, so the formula and its
 // accumulation order (t=0 jobs first, then the generated trace) are
 // part of the contract.
-func newLifecycle(cfg Config, arrs []jobArrival) lifecycle {
+func newLifecycle(cfg Config, arrs []jobArrival, sched []faults.ShockEdge) lifecycle {
 	jobs := make([]jobRec, 0, len(cfg.Jobs)+len(arrs))
 	var totalUnits float64
 	for _, j := range cfg.Jobs {
@@ -102,6 +106,7 @@ func newLifecycle(cfg Config, arrs []jobArrival) lifecycle {
 		cfg: cfg, arrs: arrs,
 		outages:  cfg.Injector.OutageStream(ids, horizon),
 		shocks:   cfg.Injector.ShockEdges(horizon, s.Budget),
+		sched:    sched,
 		pool:     s.Budget,
 		jobs:     jobs,
 		admitter: newAdmitter(cfg),
@@ -122,12 +127,20 @@ func newLifecycle(cfg Config, arrs []jobArrival) lifecycle {
 }
 
 // run is the one event loop. It takes the next event — outage edge,
-// shock edge, arrival, completion, in that order on ties — moves the
-// clock to it, applies it and re-runs the admission pass. A queue that
-// can never start fails with cluster.ErrStarved; Config.MaxEvents
-// bounds the loop.
+// shock edge (the schedule's, then the injector's), arrival,
+// completion, in that order on ties — moves the clock to it, applies
+// it and re-runs the admission pass. A queue that can never start
+// fails with cluster.ErrStarved; Config.MaxEvents bounds the loop.
 func (l *lifecycle) run() (Result, error) {
 	out := Result{Mode: l.cfg.Mode}
+	steps := 0
+	// A schedule that starts below the ceiling withholds the difference
+	// before the first admission.
+	if len(l.sched) > 0 && l.sched[0].At == 0 {
+		l.shock(l.sched[0].Delta)
+		l.sched = l.sched[1:]
+		steps++
+	}
 	for j := range l.cfg.Jobs {
 		l.enqueue(int32(j), false)
 	}
@@ -135,14 +148,15 @@ func (l *lifecycle) run() (Result, error) {
 		return out, err
 	}
 	l.conserve()
-	// At t=0 every node is up and the budget is unshocked, so a queue
-	// that cannot start now can never start: faults only remove capacity.
-	if l.active == 0 && l.queued() > 0 {
+	// At t=0 every node is up, so unless the schedule will raise the
+	// budget, a queue that cannot start now can never start: faults
+	// only remove capacity.
+	if l.active == 0 && l.queued() > 0 && !slices.ContainsFunc(l.sched, func(e faults.ShockEdge) bool { return e.Delta > 0 }) {
 		return out, fmt.Errorf("cluster: no job can start (budget %v too small for every job): %w",
-			l.cfg.Sched.Budget, cluster.ErrStarved)
+			l.pool, cluster.ErrStarved)
 	}
 
-	arrs, ai, steps := l.arrs, 0, 0
+	arrs, ai := l.arrs, 0
 	for ; ai < len(arrs) || l.active > 0 || l.queued() > 0; steps++ {
 		l.conserve()
 		if steps >= l.cfg.MaxEvents {
@@ -155,6 +169,9 @@ func (l *lifecycle) run() (Result, error) {
 		}
 		if ev, ok := l.shocks.Peek(); ok {
 			nextShock = ev.At
+		}
+		if len(l.sched) > 0 && l.sched[0].At < nextShock {
+			nextShock = l.sched[0].At
 		}
 		if ai < len(arrs) {
 			nextArr = max(arrs[ai].at, l.now) // an arrival already due fires now
@@ -175,9 +192,13 @@ func (l *lifecycle) run() (Result, error) {
 				continue
 			}
 		case nextShock <= nextDone && nextShock <= nextArr:
-			ev := l.shocks.Pop()
 			l.advance(nextShock)
-			l.shock(ev.Delta)
+			if len(l.sched) > 0 && l.sched[0].At == nextShock {
+				l.shock(l.sched[0].Delta)
+				l.sched = l.sched[1:]
+			} else {
+				l.shock(l.shocks.Pop().Delta)
+			}
 		case nextArr <= nextDone:
 			l.advance(nextArr)
 			for at := arrs[ai].at; ai < len(arrs) && arrs[ai].at == at; ai++ {

@@ -29,5 +29,5 @@ func Instrument(r *telemetry.Registry) {
 	mNodeRecoveries = r.Counter("cluster_node_recoveries_total",
 		"Node recovery events applied by the fault engine.")
 	mShocks = r.Counter("cluster_budget_shocks_total",
-		"Facility budget shocks applied by the fault engine.")
+		"Budget drops applied by the fault engine, injected or scheduled.")
 }

@@ -133,7 +133,10 @@ func (r *ResilientController) verified(d Domain, cap units.Power) bool {
 
 // SetLimit programs a cap, verifying by readback and retrying per the
 // policy. The returned error wraps ErrCapWriteExhausted (and the last
-// underlying write error, if any) when the retry budget is spent.
+// underlying write error, if any) when the retry budget is spent. A cap
+// the register cannot hold is bad input, not an actuator fault: its
+// *LimitRangeError returns at once, with no retry and no exhaustion
+// counted.
 func (r *ResilientController) SetLimit(d Domain, cap units.Power) error {
 	r.stats.Writes++
 	mCapWrites.Inc()
@@ -147,6 +150,9 @@ func (r *ResilientController) SetLimit(d Domain, cap units.Power) error {
 			mBackoffSeconds.Observe(backoff.Seconds())
 		}
 		err := r.target.SetLimit(d, cap)
+		if errors.Is(err, ErrLimitOutOfRange) {
+			return err // names the domain and the cap
+		}
 		if err == nil {
 			if r.verified(d, cap) {
 				return nil

@@ -3,11 +3,13 @@ package rapl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/hw"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -246,6 +248,48 @@ func TestResilientOnRealController(t *testing.T) {
 	}
 	if _, enabled := ctrl.Limit(DomainPackage); enabled {
 		t.Fatal("limit still enabled after disable")
+	}
+}
+
+// TestResilientRefusesUnrepresentableCapOnce: a cap the register cannot
+// hold fails on the first attempt with the controller's range error. It
+// is not retried, backs off nothing and counts no exhaustion, in the
+// stats or the metrics, and leaves the programmed limit alone.
+func TestResilientRefusesUnrepresentableCapOnce(t *testing.T) {
+	reg := telemetry.New()
+	Instrument(reg)
+	defer Instrument(nil)
+	p := hw.IvyBridge()
+	ctrl := NewController(p.CPU, p.DRAM)
+	r := NewResilient(ctrl, DefaultRetryPolicy(1))
+	if err := r.SetLimit(DomainPackage, 120); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := ctrl.Limit(DomainPackage)
+	caps := []units.Power{units.Power(math.NaN()), units.Power(math.Inf(1)), MaxLimit}
+	for _, c := range caps {
+		err := r.SetLimit(DomainPackage, c)
+		var re *LimitRangeError
+		if !errors.Is(err, ErrLimitOutOfRange) || !errors.As(err, &re) || re.Cap.Watts() != c.Watts() && !math.IsNaN(c.Watts()) {
+			t.Errorf("cap %v: %v, want a *LimitRangeError", c, err)
+		}
+		if errors.Is(err, ErrCapWriteExhausted) {
+			t.Errorf("cap %v: %v counts as exhausted", c, err)
+		}
+	}
+	if got, _ := ctrl.Limit(DomainPackage); got != before {
+		t.Errorf("limit moved from %v to %v", before, got)
+	}
+	if st := r.Stats(); st != (RetryStats{Writes: 1 + len(caps)}) {
+		t.Errorf("stats %+v, want %d writes and nothing else", st, 1+len(caps))
+	}
+	for _, pt := range reg.Snapshot().Points {
+		switch pt.Name {
+		case "rapl_cap_write_retries_total", "rapl_cap_writes_exhausted_total":
+			if pt.Value != 0 {
+				t.Errorf("%s = %v, want 0", pt.Name, pt.Value)
+			}
+		}
 	}
 }
 
