@@ -40,12 +40,12 @@ simbench:
 
 # One iteration of the serving-stack layer benches: the ten-pair
 # decision-table build from a cold engine, warm /v1/coord computations
-# and the CPU and GPU simulator runs beneath both, so the benchmarks
-# cannot rot.
+# and the CPU and GPU simulator runs beneath both, unbound and on a warm
+# bound model, so the benchmarks cannot rot.
 layerbench:
 	$(GO) test -run=^$$ -bench='^BenchmarkBuildPairs$$' -benchtime=1x ./internal/decisiontable
 	$(GO) test -run=^$$ -bench='^BenchmarkComputeCoordWarm$$' -benchtime=1x ./internal/allocsvc
-	$(GO) test -run=^$$ -bench='^BenchmarkSimRun(CPU|GPU)$$' -benchtime=1x .
+	$(GO) test -run=^$$ -bench='^BenchmarkSimRun(Bound)?(CPU|GPU)$$' -benchtime=1x .
 
 # Concurrency smoke for the allocation service under the race
 # detector: many clients over all five API routes, in JSON and binary,
@@ -134,19 +134,27 @@ fastpath-alloc:
 
 # The simulator allocates only the per-phase results it returns: run
 # the CPU and GPU simulator benchmarks and fail if either reports more
-# than 1 alloc/op.
+# than 1 alloc/op; then the same on a warm bound model, whose tabled
+# operating points must not cost an allocation per run either.
 sim-alloc:
 	$(GO) test -run=^$$ -bench='^BenchmarkSimRun(CPU|GPU)$$' -benchtime=20000x -benchmem . | \
 		awk '/^BenchmarkSimRun(CPU|GPU)/ { if ($$(NF-1)+0 > 1) { print "FAIL: simulator allocates:", $$0; bad=1 } found++ } \
 		END { if (found != 2) { print "FAIL: BenchmarkSimRunCPU/GPU did not both run"; exit 1 } if (bad) exit 1 }'
+	$(GO) test -run=^$$ -bench='^BenchmarkSimRunBound(CPU|GPU)$$' -benchtime=20000x -benchmem . | \
+		awk '/^BenchmarkSimRunBound(CPU|GPU)/ { if ($$(NF-1)+0 > 1) { print "FAIL: bound simulator allocates:", $$0; bad=1 } found++ } \
+		END { if (found != 2) { print "FAIL: BenchmarkSimRunBoundCPU/GPU did not both run"; exit 1 } if (bad) exit 1 }'
 
 # Decision tables build their segment intervals on every engine worker:
 # a build fanned over several workers must match a one-worker build
 # boundary for boundary and answer for answer, and concurrent misses on
 # one unbuilt pair must share its one build, repeatedly and under the
-# race detector.
+# race detector. The workers of one pair's build share its bound
+# simulator model and fill its tables concurrently; the seeded corpus
+# of FuzzBoundRunMatchesRun then holds runs from four goroutines on one
+# model to the unbound simulator, under the race detector too.
 buildsmoke:
 	$(GO) test -race -count=5 -run 'TestParallelBuildDeterministic|TestConcurrentMissesBuildOnce' ./internal/decisiontable
+	$(GO) test -race -count=1 -run 'FuzzBoundRunMatchesRun' ./internal/sim
 
 # The committed paper artifacts (results/*) and generated docs
 # (WORKLOADS.md, PLATFORMS.md) must equal what the code produces, byte
@@ -185,7 +193,9 @@ cover:
 # tree specs, phase specs, power units), the tree solver against its
 # sort-based reference, DES exact mode against fast mode, the
 # simulator's fixed-point loops against their solve-every-pass twin, the
-# warm-started RAPL and GPU-governor searches against a cold search, the
+# bound simulator model against the unbound runs, its tabled power
+# ladders against the closed forms, the warm-started RAPL and
+# GPU-governor searches against a cold search, the
 # Prometheus exposition encoder, and the binary wire codec (both a
 # round-trip property fuzzer and a malformed-frame decoder fuzzer).
 fuzz:
@@ -194,6 +204,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseArrivalSpec -fuzztime=10s ./internal/des
 	$(GO) test -run=^$$ -fuzz=FuzzModesAgree -fuzztime=10s ./internal/des
 	$(GO) test -run=^$$ -fuzz=FuzzFixedPointReuse -fuzztime=10s ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzBoundRunMatchesRun -fuzztime=10s ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzLadderPower -fuzztime=10s ./internal/hw
 	$(GO) test -run=^$$ -fuzz=FuzzActuatorHint -fuzztime=10s ./internal/rapl
 	$(GO) test -run=^$$ -fuzz=FuzzActuatorHint -fuzztime=10s ./internal/nvgov
 	$(GO) test -run=^$$ -fuzz=FuzzTreeSpec -fuzztime=10s ./internal/powertree

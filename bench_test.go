@@ -101,6 +101,60 @@ func BenchmarkSimRunGPU(b *testing.B) {
 	}
 }
 
+// BenchmarkSimRunBoundCPU and BenchmarkSimRunBoundGPU time the runs of
+// BenchmarkSimRunCPU and BenchmarkSimRunGPU on a warm bound model
+// (sim.Bind): validation, ladders and operating points already tabled,
+// as in a decision-table build's thousands of runs of one pair.
+func BenchmarkSimRunBoundCPU(b *testing.B) {
+	p, err := hw.PlatformByName("ivybridge")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := workload.ByName("mg")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := sim.Bind(p, &w, sim.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.RunCPU(130, 110); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.RunCPU(130, 110); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSimRunBoundGPU(b *testing.B) {
+	p, err := hw.PlatformByName("titanxp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := workload.ByName("sgemm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := sim.Bind(p, &w, sim.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.RunGPU(200, p.GPU.Mem.ClockNom); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.RunGPU(200, p.GPU.Mem.ClockNom); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkProfileCPU(b *testing.B) {
 	p, err := hw.PlatformByName("ivybridge")
 	if err != nil {

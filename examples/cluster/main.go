@@ -4,9 +4,9 @@
 // budget — not enough to run everything at full power. The scheduler
 // profiles each queued job, admits jobs only when it can grant at least
 // their productive threshold (a GPU job's card minimum cap), caps grants
-// at each job's maximum demand, reclaims COORD's reported surplus, and
-// boosts constrained jobs with what is left — the paper's node-level
-// insights applied at cluster scale.
+// at each job's maximum demand and reclaims COORD's reported surplus
+// into the pool — the paper's node-level insights applied at cluster
+// scale.
 //
 //	go run ./examples/cluster
 package main

@@ -19,6 +19,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/nvgov"
 	"repro/internal/profile"
+	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -290,13 +291,14 @@ func checkBudget(v float64) error {
 // exact computation the service runs behind POST /v1/coord, exported
 // so allocclient's degraded mode can serve coordination answers
 // locally when every shard is unreachable — a degraded answer is
-// content-identical to a served one. It checks the budget, binds the
-// pair and computes at the budget.
+// content-identical to a served one. It checks the budget, resolves
+// and profiles the pair, and computes at the budget on the unbound
+// simulator: one decision builds no simulator tables.
 func ComputeCoord(req CoordRequest) (CoordResponse, error) {
 	if err := checkBudget(req.Budget); err != nil {
 		return CoordResponse{}, err
 	}
-	pair, err := BindCoord(req.Platform, req.Workload)
+	pair, err := resolveCoord(req.Platform, req.Workload)
 	if err != nil {
 		return CoordResponse{}, err
 	}
@@ -306,11 +308,14 @@ func ComputeCoord(req CoordRequest) (CoordResponse, error) {
 // CoordPair is one (platform, workload) pair bound for /v1/coord
 // decisions: resolved against the catalog and profiled once, so
 // computing it at many budgets (a decision-table build) pays for the
-// name lookups, the fingerprint and the profile memo lookup once. It
-// is read-only after BindCoord and safe for concurrent use.
+// name lookups, the profile memo lookup and the simulator's tables
+// once. It is read-only after BindCoord and safe for concurrent use.
 type CoordPair struct {
-	p  hw.Platform
-	wl workload.Workload
+	pr evalpool.Problem
+	// bound, set by BindCoord, simulates the pair's decisions on one
+	// bound simulator shared by every budget; ComputeCoord's one-shot
+	// pair leaves it nil and simulates without building tables.
+	bound *evalpool.Bound
 	// cpu or gpu is the pair's profile, by its kind; profErr is the
 	// profiler's error, reported by Coord after the cap-floor check,
 	// where ComputeCoord has always reported it.
@@ -319,16 +324,27 @@ type CoordPair struct {
 	profErr error
 }
 
-// BindCoord resolves a (platform, workload) pair and profiles it. It
-// fails only on an unknown name or a kind mismatch, with the service's
-// 400 errors. The pair is returned by value, so a request that binds
-// and computes once allocates nothing for it.
+// BindCoord resolves a (platform, workload) pair, profiles it and binds
+// it for decisions at many budgets. It fails only on an unknown name or
+// a kind mismatch, with the service's 400 errors.
 func BindCoord(platform, wl string) (CoordPair, error) {
+	pair, err := resolveCoord(platform, wl)
+	if err != nil {
+		return CoordPair{}, err
+	}
+	pair.bound = evalpool.Default().Bind(pair.pr).WithModel()
+	return pair, nil
+}
+
+// resolveCoord is BindCoord for one decision: the pair is returned by
+// value with nothing bound, so a request that resolves and computes
+// once allocates nothing for it.
+func resolveCoord(platform, wl string) (CoordPair, error) {
 	p, w, err := resolvePair(platform, wl)
 	if err != nil {
 		return CoordPair{}, err
 	}
-	pair := CoordPair{p: p, wl: w}
+	pair := CoordPair{pr: evalpool.Problem{Platform: p, Workload: w}}
 	switch p.Kind {
 	case hw.KindCPU:
 		pair.cpu, pair.profErr = profile.ProfileCPU(p, w)
@@ -348,7 +364,7 @@ func (pair *CoordPair) Coord(strategy string, budget float64) (CoordResponse, er
 	if err := checkBudget(budget); err != nil {
 		return CoordResponse{}, err
 	}
-	p, wl := &pair.p, &pair.wl
+	p, wl := &pair.pr.Platform, &pair.pr.Workload
 	b := units.Power(budget)
 	if p.Kind == hw.KindGPU && b < p.GPU.MinCap {
 		// No settable power cap fits under this budget: the board floor
@@ -403,7 +419,13 @@ func (pair *CoordPair) Coord(strategy string, budget float64) (CoordResponse, er
 	}
 	resp.Alloc = &AllocJSON{ProcWatts: d.Alloc.Proc.Watts(), MemWatts: d.Alloc.Mem.Watts()}
 	resp.SurplusWatts = d.Surplus.Watts()
-	res, err := evalpool.Default().Evaluate(evalpool.Problem{Platform: pair.p, Workload: pair.wl}, evalReq)
+	var res sim.Result
+	var err error
+	if pair.bound != nil {
+		res, err = pair.bound.Evaluate(evalReq)
+	} else {
+		res, err = evalpool.Default().Evaluate(pair.pr, evalReq)
+	}
 	if err != nil {
 		return CoordResponse{}, err
 	}

@@ -10,14 +10,15 @@
 //   - no job receives more than its maximum demand — "power over-budgeting
 //     wastes power without increasing performance";
 //   - within a node, COORD splits the budget across components;
-//   - surplus reported by COORD is reclaimed into the pool and used to
-//     boost already-admitted jobs toward their maximum demand.
+//   - surplus reported by COORD is reclaimed into the pool. A Schedule
+//     round returns it after all of the round's admission decisions,
+//     and Admit at once; neither raises the grant of a job already
+//     admitted.
 package cluster
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/coord"
 	"repro/internal/core"
@@ -250,17 +251,18 @@ func (s *Scheduler) split(node Node, w workload.Workload, grant units.Power, pol
 // Schedule runs one scheduling round over the queued jobs. Jobs are
 // considered in queue order; each takes the next free node. A job is
 // admitted if the pool can cover at least its productive threshold; it is
-// granted up to its maximum demand. After the admission pass, leftover
-// pool power is distributed to admitted jobs still below their maximum
-// demand (largest marginal headroom first).
+// granted up to its maximum demand. Each grant is the smaller of the two,
+// so the first job granted less than its maximum demand empties the
+// pool: no admitted job is left below its maximum demand while power
+// remains. COORD then places each grant, and its surplus returns to the
+// pool.
 func (s *Scheduler) Schedule(jobs []Job) (Outcome, error) {
 	out := Outcome{PoolLeft: s.Budget}
 	freeNodes := append([]Node(nil), s.Nodes...)
 
 	type admitted struct {
-		idx      int
-		node     Node
-		maxTotal units.Power
+		idx  int
+		node Node
 	}
 	var adm []admitted
 
@@ -294,33 +296,7 @@ func (s *Scheduler) Schedule(jobs []Job) (Outcome, error) {
 			NodeID: node.ID,
 			Budget: grant,
 		})
-		adm = append(adm, admitted{
-			idx: len(out.Placements) - 1, node: node, maxTotal: maxTotal,
-		})
-	}
-
-	// Boost pass: hand leftover power to admitted jobs below their
-	// maximum demand, largest gap first.
-	sort.SliceStable(adm, func(i, j int) bool {
-		gapI := adm[i].maxTotal - out.Placements[adm[i].idx].Budget
-		gapJ := adm[j].maxTotal - out.Placements[adm[j].idx].Budget
-		return gapI > gapJ
-	})
-	for _, a := range adm {
-		if out.PoolLeft <= 0 {
-			break
-		}
-		pl := &out.Placements[a.idx]
-		gap := a.maxTotal - pl.Budget
-		if gap <= 0 {
-			continue
-		}
-		boost := gap
-		if boost > out.PoolLeft {
-			boost = out.PoolLeft
-		}
-		pl.Budget += boost
-		out.PoolLeft -= boost
+		adm = append(adm, admitted{idx: len(out.Placements) - 1, node: node})
 	}
 
 	// Place each grant with COORD and reclaim surplus.

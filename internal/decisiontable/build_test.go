@@ -69,7 +69,9 @@ func buildSet(t *testing.T, e *evalpool.Engine, coordPairs, planPairs [][2]strin
 // fanned over several workers have exactly the boundaries of a
 // one-worker build and serve exactly its answers over a budget sweep,
 // for a CPU coord, a GPU coord and a plan pair. Each engine starts
-// cold, so every build samples the exact path afresh.
+// cold, so every build samples the exact path afresh, and the workers
+// of one coord build share the pair's bound simulator model, filling
+// its tables concurrently.
 func TestParallelBuildDeterministic(t *testing.T) {
 	coordPairs := [][2]string{{"ivybridge", "sra"}, {"titanxp", "minife"}}
 	planPairs := [][2]string{{"haswell", "bt"}}

@@ -280,22 +280,29 @@ func Serial() *Engine { return New(Options{Workers: 1, CacheSize: -1}) }
 // Workers returns the engine's worker bound.
 func (e *Engine) Workers() int { return e.workers }
 
+// defaultEngine is the shared engine: read with one atomic load, and
+// replaced under defaultMu, which also serializes its lazy creation.
 var (
 	defaultMu     sync.Mutex
-	defaultEngine *Engine
+	defaultEngine atomic.Pointer[Engine]
 )
 
 // Default returns the process-wide shared engine, creating it with
 // default options on first use. Sharing one engine across an experiment
 // run is what lets independent artifacts reuse each other's profiles,
-// curves and placements.
+// curves and placements. Every call but the first is one atomic load.
 func Default() *Engine {
+	if e := defaultEngine.Load(); e != nil {
+		return e
+	}
 	defaultMu.Lock()
 	defer defaultMu.Unlock()
-	if defaultEngine == nil {
-		defaultEngine = New(Options{})
+	if e := defaultEngine.Load(); e != nil {
+		return e
 	}
-	return defaultEngine
+	e := New(Options{})
+	defaultEngine.Store(e)
+	return e
 }
 
 // Configure replaces the shared engine with a fresh one built from the
@@ -312,18 +319,21 @@ func Configure(o Options) *Engine {
 func SetDefault(e *Engine) *Engine {
 	defaultMu.Lock()
 	defer defaultMu.Unlock()
-	prev := defaultEngine
-	defaultEngine = e
-	return prev
+	return defaultEngine.Swap(e)
 }
 
 // Bound is a problem bound to an engine with its fingerprint computed
 // once, the handle Derive and DeriveWeighted memoize under; its
-// Evaluate serves the derivation's simulator calls.
+// Evaluate serves the derivation's simulator calls, and any other
+// caller's that evaluates one problem at many points.
 type Bound struct {
 	e  *Engine
 	pr Problem
 	fp uint64
+	// model is the problem's bound simulator (sim.Bind), set by
+	// WithModel and nil otherwise. It lives exactly as long as the
+	// Bound.
+	model *sim.Model
 }
 
 // Bind fingerprints the problem once and returns the bound handle.
@@ -331,14 +341,31 @@ func (e *Engine) Bind(pr Problem) *Bound {
 	return &Bound{e: e, pr: pr, fp: pr.fingerprint()}
 }
 
-// Evaluate simulates one point of the bound problem.
-func (b *Bound) Evaluate(req Request) (sim.Result, error) {
-	return b.e.run(&b.pr, req)
+// WithModel returns a copy of b that evaluates through a bound
+// simulator (sim.Bind), whose tables serve every later point of the
+// problem: for a caller that revisits the problem's actuator states
+// over many points (a decision-table build, a CPU profile's search),
+// not for one that evaluates a point or two. Results are Evaluate's
+// bit for bit. A problem that does not bind gets a copy without a
+// model, whose Evaluate reports the unbound entry points' errors.
+func (b *Bound) WithModel() *Bound {
+	c := *b
+	c.model, _ = sim.Bind(b.pr.Platform, &b.pr.Workload, sim.Options{})
+	return &c
 }
 
-// Evaluate simulates a single point.
+// Evaluate simulates one point of the bound problem: the result is
+// Engine.Evaluate's bit for bit.
+func (b *Bound) Evaluate(req Request) (sim.Result, error) {
+	return b.e.run(&b.pr, b.model, req)
+}
+
+// Evaluate simulates a single point: a one-shot call that binds
+// nothing. A caller evaluating one problem at many points binds it
+// (Engine.Bind) and evaluates through the Bound, which copies nothing
+// per point.
 func (e *Engine) Evaluate(pr Problem, req Request) (sim.Result, error) {
-	return e.run(&pr, req)
+	return e.run(&pr, nil, req)
 }
 
 // EvaluateAll evaluates every request and returns results in request
@@ -350,7 +377,7 @@ func (e *Engine) EvaluateAll(ctx context.Context, pr Problem, reqs []Request) ([
 	errs := make([]error, len(reqs))
 	e.Each(len(reqs), func(i int) {
 		if errs[i] = ctx.Err(); errs[i] == nil {
-			out[i], errs[i] = e.run(&pr, reqs[i])
+			out[i], errs[i] = e.run(&pr, nil, reqs[i])
 		}
 	})
 	for _, err := range errs {
@@ -387,19 +414,34 @@ func (e *Engine) Each(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// run dispatches to the simulator entry point the request names.
-func (e *Engine) run(pr *Problem, req Request) (sim.Result, error) {
+// run dispatches to the simulator entry point the request names, on
+// model m when it is not nil. It passes the problem's own workload:
+// the simulator never writes through its workload pointer (phases it
+// adjusts are copied first), so no per-call copy is needed.
+func (e *Engine) run(pr *Problem, m *sim.Model, req Request) (sim.Result, error) {
 	e.simRuns.Add(1)
-	w := pr.Workload
+	w := &pr.Workload
 	switch req.Op {
 	case OpCPU:
-		return sim.RunCPU(pr.Platform, &w, req.Proc, req.Mem)
+		if m != nil {
+			return m.RunCPU(req.Proc, req.Mem)
+		}
+		return sim.RunCPU(pr.Platform, w, req.Proc, req.Mem)
 	case OpGPUClock:
-		return sim.RunGPU(pr.Platform, &w, req.Proc, req.Clock)
+		if m != nil {
+			return m.RunGPU(req.Proc, req.Clock)
+		}
+		return sim.RunGPU(pr.Platform, w, req.Proc, req.Clock)
 	case OpGPUMemPower:
-		return sim.RunGPUMemPower(pr.Platform, &w, req.Proc, req.Mem)
+		if m != nil {
+			return m.RunGPUMemPower(req.Proc, req.Mem)
+		}
+		return sim.RunGPUMemPower(pr.Platform, w, req.Proc, req.Mem)
 	case OpGPUOffsets:
-		return sim.RunGPUOffsets(pr.Platform, &w, req.Proc, req.SMOffset, req.MemOffset)
+		if m != nil {
+			return m.RunGPUOffsets(req.Proc, req.SMOffset, req.MemOffset)
+		}
+		return sim.RunGPUOffsets(pr.Platform, w, req.Proc, req.SMOffset, req.MemOffset)
 	default:
 		return sim.Result{}, fmt.Errorf("evalpool: unknown op %d", req.Op)
 	}

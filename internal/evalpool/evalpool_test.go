@@ -365,3 +365,83 @@ func TestEvaluateAllFirstErrorInRequestOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundMatchesEvaluate: a Bound, with and without a bound
+// simulator (WithModel), answers every point as a one-shot
+// Engine.Evaluate does, result for result and error for error, on its
+// first call, while its model's tables fill and once they are warm,
+// from one goroutine and from eight sharing a fresh Bound; a problem
+// that does not bind (a GPU workload on a CPU platform) answers the
+// unbound errors on every call. Every call counts one simulator run.
+func TestBoundMatchesEvaluate(t *testing.T) {
+	xp := cpuProblem(t, "titanxp", "sgemm")
+	mismatched := cpuProblem(t, "ivybridge", "sgemm")
+	cases := []struct {
+		pr   Problem
+		reqs []Request
+	}{
+		{cpuProblem(t, "ivybridge", "mg"), []Request{
+			{Op: OpCPU, Proc: 120, Mem: 88}, {Op: OpCPU}, {Op: OpCPU, Proc: 60, Mem: 30},
+			{Op: OpCPU, Proc: 120, Mem: 88}, {Op: OpGPUClock, Proc: 200, Clock: 5e9}, {Op: 0},
+		}},
+		{xp, []Request{
+			{Op: OpGPUClock, Proc: 200, Clock: xp.Platform.GPU.Mem.ClockNom}, {Op: OpGPUMemPower, Proc: 180, Mem: 40},
+			{Op: OpGPUOffsets, Proc: 220, SMOffset: -100e6, MemOffset: 150e6}, {Op: OpGPUClock, Proc: 50, Clock: 5e9},
+			{Op: OpCPU, Proc: 120, Mem: 88}, {Op: OpGPUMemPower, Proc: 180, Mem: 40},
+		}},
+		{mismatched, []Request{{Op: OpCPU, Proc: 120, Mem: 88}, {Op: OpCPU, Proc: 120, Mem: 88}, {Op: OpGPUClock, Proc: 200, Clock: 5e9}}},
+	}
+	same := func(got sim.Result, errGot error, want sim.Result, errWant error) bool {
+		if (errGot == nil) != (errWant == nil) || (errGot != nil && errGot.Error() != errWant.Error()) {
+			return false
+		}
+		return reflect.DeepEqual(got, want)
+	}
+	for _, c := range cases {
+		want := make([]sim.Result, len(c.reqs))
+		errWant := make([]error, len(c.reqs))
+		for i, req := range c.reqs {
+			want[i], errWant[i] = Serial().Evaluate(c.pr, req)
+		}
+		for _, model := range []bool{false, true} {
+			e := New(Options{Workers: 1})
+			b := e.Bind(c.pr)
+			if model {
+				b = b.WithModel()
+			}
+			for pass := 0; pass < 2; pass++ {
+				for i, req := range c.reqs {
+					got, err := b.Evaluate(req)
+					if !same(got, err, want[i], errWant[i]) {
+						t.Fatalf("%s/%s model %v pass %d request %d %+v: bound %v, %v; unbound %v, %v",
+							c.pr.Platform.Name, c.pr.Workload.Name, model, pass, i, req, got.Perf, err, want[i].Perf, errWant[i])
+					}
+				}
+			}
+			if n := e.Stats().SimRuns; n != uint64(2*len(c.reqs)) {
+				t.Fatalf("%s/%s model %v: %d simulator runs counted, want %d", c.pr.Platform.Name, c.pr.Workload.Name, model, n, 2*len(c.reqs))
+			}
+		}
+
+		shared := New(Options{}).Bind(c.pr).WithModel()
+		var wg sync.WaitGroup
+		errs := make([]error, 8)
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range 3 * len(c.reqs) {
+					i := (k + g) % len(c.reqs)
+					if got, err := shared.Evaluate(c.reqs[i]); !same(got, err, want[i], errWant[i]) {
+						errs[g] = fmt.Errorf("goroutine %d, request %d: bound %v, %v; unbound %v, %v", g, i, got.Perf, err, want[i].Perf, errWant[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("%s/%s shared Bound: %v", c.pr.Platform.Name, c.pr.Workload.Name, err)
+		}
+	}
+}

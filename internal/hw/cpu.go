@@ -105,9 +105,11 @@ func (c *CPUSpec) NumPStates() int {
 }
 
 // PStateAt returns the i-th P-state, 0 <= i < NumPStates():
-// FMin + i·PStateStep, clamped to FNom. The closed form needs no
-// table; for whole-Hz specs (every catalog CPU) it equals stepping up
-// from FMin by repeated addition, bit for bit.
+// FMin + i·PStateStep, clamped to FNom. For whole-Hz specs (every
+// catalog CPU) it equals stepping up from FMin by repeated addition,
+// bit for bit. One-shot callers use the closed form directly;
+// PStateBins tables it, with each state's power coefficient, for a
+// bound simulator's many runs.
 func (c *CPUSpec) PStateAt(i int) units.Frequency {
 	f := c.FMin + units.Frequency(i)*c.PStateStep
 	if f > c.FNom {
@@ -184,6 +186,13 @@ func (c *CPUSpec) Voltage(f units.Frequency) float64 {
 // The model is the standard CMOS decomposition: a hardware idle floor,
 // plus an uncore adder and a core-dynamic term f*V^2 that both gate with
 // the duty cycle.
+//
+// Power is PowerAt(DynCoef(f), duty, act) written out. DynCoef is too
+// large to inline, so the composed form costs the one-shot actuator
+// search, which calls Power on every probe, a call per probe: about 4%
+// of BenchmarkSimRunCPU on one pinned core of a 2-vCPU x86-64 host
+// (slower in 19 of 22 paired runs). FuzzLadderPower holds the two
+// forms equal bit for bit.
 func (c *CPUSpec) Power(f units.Frequency, duty, act float64) units.Power {
 	f = f.Clamp(c.FMin, c.FNom)
 	duty = clamp01Range(duty, c.MinDuty, 1)
@@ -191,8 +200,52 @@ func (c *CPUSpec) Power(f units.Frequency, duty, act float64) units.Power {
 	v := c.Voltage(f)
 	freqRatio := f.Hz() / c.FNom.Hz()
 	voltRatio := v / c.VNom
-	dyn := c.MaxDynPower.Watts() * freqRatio * voltRatio * voltRatio * act
+	dyn := float64(c.MaxDynPower.Watts() * freqRatio * voltRatio * voltRatio * act)
 	return c.IdlePower + units.Power((c.UncorePower.Watts()+dyn)*duty)
+}
+
+// DynCoef returns the core dynamic power at frequency f (clamped to the
+// P-state range) and full activity, before the duty gate:
+// MaxDynPower·freqRatio·voltRatio·voltRatio, multiplied left to right.
+func (c *CPUSpec) DynCoef(f units.Frequency) float64 {
+	f = f.Clamp(c.FMin, c.FNom)
+	v := c.Voltage(f)
+	freqRatio := f.Hz() / c.FNom.Hz()
+	voltRatio := v / c.VNom
+	return c.MaxDynPower.Watts() * freqRatio * voltRatio * voltRatio
+}
+
+// PowerAt is Power for the frequency whose DynCoef is coef:
+// Power(f, duty, act) is PowerAt(DynCoef(f), duty, act) bit for bit,
+// so a tabled coefficient (PStateBins) gives the closed form's power.
+func (c *CPUSpec) PowerAt(coef, duty, act float64) units.Power {
+	duty = clamp01Range(duty, c.MinDuty, 1)
+	act = clamp01(act)
+	// The conversion rounds the product before the add: without it an
+	// FMA architecture may fuse the two, and a coefficient loaded from
+	// a table could then round differently from one computed inline.
+	dyn := float64(coef * act)
+	return c.IdlePower + units.Power((c.UncorePower.Watts()+dyn)*duty)
+}
+
+// Bin is one state of a DVFS ladder: its frequency and the DynCoef
+// its power scales by activity.
+type Bin struct {
+	Freq units.Frequency
+	Coef float64
+}
+
+// PStateBins tables the P-state ladder: bin i is PStateAt(i) and its
+// DynCoef, for every i below NumPStates. A bound simulator model builds
+// it once, so its actuator reads each probed state's power as one
+// PowerAt instead of re-deriving voltage and ratios per probe.
+func (c *CPUSpec) PStateBins() []Bin {
+	bins := make([]Bin, c.NumPStates())
+	for i := range bins {
+		f := c.PStateAt(i)
+		bins[i] = Bin{Freq: f, Coef: c.DynCoef(f)}
+	}
+	return bins
 }
 
 // MaxPower returns the package power at the highest P-state with no

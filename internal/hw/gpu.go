@@ -140,18 +140,40 @@ func (g *GPUSpec) Voltage(f units.Frequency) float64 {
 
 // SMPower returns the SM-domain power at clock f and activity act.
 func (g *GPUSpec) SMPower(f units.Frequency, act float64) units.Power {
+	return g.SMPowerAt(g.DynCoef(f), act)
+}
+
+// DynCoef returns the SM dynamic power at clock f (clamped to the DVFS
+// range) and full activity: SMMaxDynPower·freqRatio·voltRatio·voltRatio,
+// multiplied left to right.
+func (g *GPUSpec) DynCoef(f units.Frequency) float64 {
 	f = f.Clamp(g.SMClockMin, g.SMClockNom)
-	act = clamp01(act)
 	v := g.Voltage(f)
 	freqRatio := f.Hz() / g.SMClockNom.Hz()
 	voltRatio := v / g.VNom
-	return g.SMIdlePower + units.Power(g.SMMaxDynPower.Watts()*freqRatio*voltRatio*voltRatio*act)
+	return g.SMMaxDynPower.Watts() * freqRatio * voltRatio * voltRatio
+}
+
+// SMPowerAt is SMPower for the clock whose DynCoef is coef, bit for
+// bit, so a tabled coefficient (SMClockBins) gives the closed form's
+// power.
+func (g *GPUSpec) SMPowerAt(coef, act float64) units.Power {
+	act = clamp01(act)
+	// Rounded before the add, so no FMA architecture fuses the two (see
+	// CPUSpec.PowerAt).
+	return g.SMIdlePower + units.Power(float64(coef*act))
 }
 
 // BoardPower returns the total board power at the given SM clock, memory
 // clock and SM activity.
 func (g *GPUSpec) BoardPower(smClock, memClock units.Frequency, act float64) units.Power {
-	return g.IdleBoard + g.SMPower(smClock, act) + g.Mem.Power(memClock)
+	return g.BoardPowerAt(g.DynCoef(smClock), g.Mem.Power(memClock), act)
+}
+
+// BoardPowerAt is BoardPower for the SM clock whose DynCoef is coef and
+// a memory clock drawing memPower (GPUMemSpec.Power), bit for bit.
+func (g *GPUSpec) BoardPowerAt(coef float64, memPower units.Power, act float64) units.Power {
+	return g.IdleBoard + g.SMPowerAt(coef, act) + memPower
 }
 
 // PeakComputeRate returns the aggregate SM throughput at clock f.
@@ -182,15 +204,28 @@ func (g *GPUSpec) NumSMClocks() int {
 }
 
 // SMClockAt returns the i-th SM DVFS bin, 0 <= i < NumSMClocks():
-// SMClockMin + i·SMClockStep, clamped to SMClockNom. The closed form
-// needs no table; for whole-Hz specs (every catalog card) it equals
-// stepping up from SMClockMin by repeated addition, bit for bit.
+// SMClockMin + i·SMClockStep, clamped to SMClockNom. For whole-Hz specs
+// (every catalog card) it equals stepping up from SMClockMin by
+// repeated addition, bit for bit. One-shot callers use the closed form
+// directly; SMClockBins tables it, with each bin's power coefficient,
+// for a bound simulator's many runs.
 func (g *GPUSpec) SMClockAt(i int) units.Frequency {
 	f := g.SMClockMin + units.Frequency(i)*g.SMClockStep
 	if f > g.SMClockNom {
 		f = g.SMClockNom
 	}
 	return f
+}
+
+// SMClockBins tables the SM DVFS ladder: bin i is SMClockAt(i) and its
+// DynCoef, for every i below NumSMClocks (see CPUSpec.PStateBins).
+func (g *GPUSpec) SMClockBins() []Bin {
+	bins := make([]Bin, g.NumSMClocks())
+	for i := range bins {
+		f := g.SMClockAt(i)
+		bins[i] = Bin{Freq: f, Coef: g.DynCoef(f)}
+	}
+	return bins
 }
 
 // smTopBin returns the largest k with SMClockMin + k·SMClockStep at or

@@ -94,7 +94,14 @@ func Solve(p *workload.Phase, computeCap units.Rate, memCap units.Bandwidth) Ope
 // engages), whereas folding the ceiling into the p-norm capacity would
 // charge a spurious contention penalty for running near it.
 func SolveThrottled(p *workload.Phase, computeCap units.Rate, memCap units.Bandwidth, ceiling units.Bandwidth) OperatingPoint {
-	op := Solve(p, computeCap, memCap)
+	return Throttle(p, Solve(p, computeCap, memCap), ceiling)
+}
+
+// Throttle applies the hard bandwidth ceiling to op, the Solve result
+// for phase p: SolveThrottled is Throttle of Solve. A caller that
+// solves one point under many ceilings solves it once and throttles
+// each.
+func Throttle(p *workload.Phase, op OperatingPoint, ceiling units.Bandwidth) OperatingPoint {
 	if ceiling <= 0 || op.BandwidthUsed <= ceiling || p.BytesPerUnit == 0 {
 		return op
 	}

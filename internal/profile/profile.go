@@ -75,9 +75,11 @@ func ProfileCPUWithMargin(p hw.Platform, w workload.Workload, margin float64) (C
 	// margin, so the shared evaluation engine memoizes it whole: every
 	// figure, request and scheduling round that profiles the same pair
 	// gets the stored profile instead of re-running the binary search.
+	// A profile that misses the memo runs its ten or so searches on a
+	// bound simulator: they revisit about half of their actuator states.
 	bound := evalpool.Default().Bind(evalpool.Problem{Platform: p, Workload: w})
 	return evalpool.Derive(bound, "profile.cpu", margin, func() (CPUProfile, error) {
-		return runCPUPlan(p, w, margin, bound)
+		return runCPUPlan(p, w, margin, bound.WithModel())
 	})
 }
 

@@ -53,9 +53,16 @@ type Controller struct {
 	cpu  *hw.CPUSpec
 	dram *hw.DRAMSpec
 	msrs *RegisterFile
+	// bins is cpu's P-state ladder (hw.CPUSpec.PStateBins) when the
+	// controller was built with one, nil when it reads the closed forms.
+	bins []hw.Bin
+	// nps is cpu.NumPStates without a ladder, stored by the first
+	// actuation (0 until then): the count's grid search on every
+	// actuation cost a tenth of a one-shot run. Atomic, like fit.
+	nps atomic.Int32
 	// fit is the number of P-states the last package actuation found
 	// under the cap: the next search checks it first (see
-	// actuateUnder). Atomic, so actuating one controller from several
+	// actuateBin). Atomic, so actuating one controller from several
 	// goroutines stays race-free; any value is only a guess.
 	fit atomic.Int32
 }
@@ -63,7 +70,17 @@ type Controller struct {
 // NewController returns a controller for the given CPU-node component
 // specs.
 func NewController(cpu *hw.CPUSpec, dram *hw.DRAMSpec) *Controller {
-	return &Controller{cpu: cpu, dram: dram, msrs: NewRegisterFile()}
+	return NewControllerBins(cpu, dram, nil)
+}
+
+// NewControllerBins is NewController with cpu's P-state ladder tabled
+// in bins, as cpu.PStateBins() builds it (nil reads the closed forms):
+// the states it selects are the same bit for bit, each probe of the
+// search is one multiply and add instead of a voltage interpolation.
+// The controller reads bins and never writes them, so every controller
+// of one spec may share one ladder.
+func NewControllerBins(cpu *hw.CPUSpec, dram *hw.DRAMSpec, bins []hw.Bin) *Controller {
+	return &Controller{cpu: cpu, dram: dram, msrs: NewRegisterFile(), bins: bins}
 }
 
 // MSRs exposes the emulated register file (for tools that want the
@@ -147,22 +164,64 @@ func (c *Controller) Limit(d Domain) (units.Power, bool) {
 // the cap, run at the floor regardless (the cap is not respected).
 //
 // The highest fitting P-state is found by binary search over the
-// closed-form grid (hw.CPUSpec.PStateAt), not by building the table
-// and scanning it down. Package power is non-decreasing in frequency
-// (VNom >= VMin, every term is a non-negative product of monotone
-// factors, and correctly rounded arithmetic preserves order), so the
-// P-states that fit form a prefix of the grid and both find the same
-// state. The fit predicate is written as the scan wrote it, so a NaN
-// activity selects the same state too.
+// P-state grid (hw.CPUSpec.PStateAt, or the controller's ladder), not
+// by scanning the table down. Package power is non-decreasing in
+// frequency (VNom >= VMin, every term is a non-negative product of
+// monotone factors, and correctly rounded arithmetic preserves order),
+// so the P-states that fit form a prefix of the grid and both find the
+// same state. The fit predicate is written as the scan wrote it, so a
+// NaN activity selects the same state too.
 func (c *Controller) ActuatePackage(act float64) PackageState {
-	cap, enabled := c.Limit(DomainPackage)
-	if !enabled {
-		return PackageState{Freq: c.cpu.FNom, Duty: 1}
-	}
-	return c.actuateUnder(cap, act)
+	s, _ := c.ActuateBin(act)
+	return s
 }
 
-// actuateUnder is ActuatePackage for an enabled package cap.
+// ActuateBin is ActuatePackage that also returns the state's index
+// below NumPStates+NumDuties: i for P-state i unthrottled (a disabled
+// cap runs the top one), NumPStates−1+j for duty cycle j at FMin, and
+// NumPStates+NumDuties−1 for the floor. Equal indices mean equal
+// frequency and duty, so a caller can table what it derives from those
+// two per index.
+func (c *Controller) ActuateBin(act float64) (PackageState, int) {
+	cap, enabled := c.Limit(DomainPackage)
+	if !enabled {
+		return PackageState{Freq: c.cpu.FNom, Duty: 1}, c.numPStates() - 1
+	}
+	return c.actuateBin(cap, act)
+}
+
+// numPStates is cpu.NumPStates: the ladder's length when there is one,
+// else the count the first actuation stored in nps.
+func (c *Controller) numPStates() int {
+	if c.bins != nil {
+		return len(c.bins)
+	}
+	n := int(c.nps.Load())
+	if n == 0 {
+		n = c.cpu.NumPStates()
+		c.nps.Store(int32(n))
+	}
+	return n
+}
+
+// pstatePower returns P-state i's unthrottled power at activity act,
+// from the ladder when there is one.
+func (c *Controller) pstatePower(i int, act float64) units.Power {
+	if c.bins != nil {
+		return c.cpu.PowerAt(c.bins[i].Coef, 1, act)
+	}
+	return c.cpu.Power(c.cpu.PStateAt(i), 1, act)
+}
+
+// pstate returns P-state i, from the ladder when there is one.
+func (c *Controller) pstate(i int) units.Frequency {
+	if c.bins != nil {
+		return c.bins[i].Freq
+	}
+	return c.cpu.PStateAt(i)
+}
+
+// actuateBin is ActuateBin for an enabled package cap.
 //
 // Because the fitting P-states form a prefix, the number that fit is
 // the one h with P-state h−1 fitting (or h = 0) and P-state h not (or h
@@ -171,32 +230,50 @@ func (c *Controller) ActuatePackage(act float64) PackageState {
 // ⌈log₂(NumPStates+1)⌉, and the answer is exact whenever the check
 // passes, since the boundary is unique. Between the passes of one
 // fixed-point solve the activity moves little and the count rarely
-// does; when it moved, the full search runs. A NaN activity fits no
-// P-state either way.
-func (c *Controller) actuateUnder(cap units.Power, act float64) PackageState {
+// does. A failed check still tells on which side the boundary lies:
+// P-state h−1 not fitting puts it below, P-state h fitting above, and
+// the search runs on that side only. A NaN activity fits no P-state
+// either way.
+func (c *Controller) actuateBin(cap units.Power, act float64) (PackageState, int) {
 	cpu := c.cpu
-	fits := func(i int) bool { return cpu.Power(cpu.PStateAt(i), 1, act) <= cap }
+	fits := func(i int) bool { return c.pstatePower(i, act) <= cap }
 	// Highest P-state under the cap, no throttling.
-	n := cpu.NumPStates()
+	n := c.numPStates()
 	fit := int(c.fit.Load())
-	if !(0 <= fit && fit <= n && (fit == 0 || fits(fit-1)) && (fit == n || !fits(fit))) {
-		fit = sort.Search(n, func(i int) bool { return !fits(i) })
+	lo, hi := 0, n // the count lies in [lo, hi]
+	switch {
+	case fit < 0 || fit > n:
+	case fit > 0 && !fits(fit-1):
+		hi = fit - 1
+	case fit < n && fits(fit):
+		lo = fit + 1
+	default:
+		hi = -1 // the check passed
+	}
+	if hi >= lo {
+		fit = lo + sort.Search(hi-lo, func(i int) bool { return !fits(lo + i) })
 		c.fit.Store(int32(fit))
 	}
 	if fit > 0 {
-		return PackageState{Freq: cpu.PStateAt(fit - 1), Duty: 1}
+		return PackageState{Freq: c.pstate(fit - 1), Duty: 1}, fit - 1
 	}
 	// Lowest P-state still over the cap: engage T-states at FMin.
+	var floor float64
+	if c.bins != nil {
+		floor = c.bins[0].Coef
+	} else {
+		floor = cpu.DynCoef(cpu.FMin)
+	}
 	for i := 1; i < cpu.NumDuties(); i++ {
-		if duty := cpu.DutyAt(i); cpu.Power(cpu.FMin, duty, act) <= cap {
-			return PackageState{Freq: cpu.FMin, Duty: duty, Throttled: true}
+		if duty := cpu.DutyAt(i); cpu.PowerAt(floor, duty, act) <= cap {
+			return PackageState{Freq: cpu.FMin, Duty: duty, Throttled: true}, n - 1 + i
 		}
 	}
 	// Even the deepest throttle exceeds the cap: hardware floor.
 	return PackageState{
 		Freq: cpu.FMin, Duty: cpu.MinDuty,
 		Throttled: true, AtFloor: true,
-	}
+	}, n - 1 + cpu.NumDuties()
 }
 
 // PackagePower returns the package power drawn in state s at activity

@@ -12,6 +12,13 @@ import (
 	"repro/internal/units"
 )
 
+// actuateUnder is ActuatePackage for an enabled package cap: the
+// state of actuateBin.
+func (c *Controller) actuateUnder(cap units.Power, act float64) PackageState {
+	s, _ := c.actuateBin(cap, act)
+	return s
+}
+
 // coldActuate is the package actuator without the warm start: a full
 // binary search over the P-states on every call, then the T-state walk.
 func coldActuate(cpu *hw.CPUSpec, cap units.Power, act float64) PackageState {

@@ -16,6 +16,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/hw"
 	"repro/internal/nvgov"
@@ -106,19 +107,35 @@ func RunCPU(p hw.Platform, w *workload.Workload, procCap, memCap units.Power) (R
 
 // RunCPUOpts is RunCPU with explicit model options.
 func RunCPUOpts(p hw.Platform, w *workload.Workload, procCap, memCap units.Power, opts Options) (Result, error) {
-	if p.Kind != hw.KindCPU {
-		return Result{}, fmt.Errorf("sim: platform %q is not a CPU platform", p.Name)
+	if err := check(p, w, hw.KindCPU); err != nil {
+		return Result{}, err
+	}
+	return cpuRun(p, w, procCap, memCap, opts, nil)
+}
+
+// check validates a run's platform and workload: the platform must be
+// of kind, both must be internally consistent, and the workload must
+// be of the platform's kind.
+func check(p hw.Platform, w *workload.Workload, kind hw.Kind) error {
+	if p.Kind != kind {
+		return fmt.Errorf("sim: platform %q is not a %s platform", p.Name, strings.ToUpper(kind.String()))
 	}
 	if err := p.Validate(); err != nil {
-		return Result{}, err
+		return err
 	}
 	if err := w.Validate(); err != nil {
-		return Result{}, err
+		return err
 	}
-	if w.Kind != hw.KindCPU {
-		return Result{}, fmt.Errorf("sim: workload %q is not a CPU workload", w.Name)
+	if w.Kind != kind {
+		return fmt.Errorf("sim: workload %q is not a %s workload", w.Name, strings.ToUpper(kind.String()))
 	}
-	ctrl := rapl.NewController(p.CPU, p.DRAM)
+	return nil
+}
+
+// cpuRun is RunCPUOpts after validation, reading m's tables when m is
+// not nil.
+func cpuRun(p hw.Platform, w *workload.Workload, procCap, memCap units.Power, opts Options, m *Model) (Result, error) {
+	ctrl := rapl.NewControllerBins(p.CPU, p.DRAM, m.ladder())
 	if err := ctrl.SetLimit(rapl.DomainPackage, procCap); err != nil {
 		return Result{}, err
 	}
@@ -132,23 +149,30 @@ func RunCPUOpts(p hw.Platform, w *workload.Workload, procCap, memCap units.Power
 		if opts.ForceOverlap > 0 {
 			ph.Overlap = opts.ForceOverlap
 		}
-		phases = append(phases, solveCPUPhase(ctrl, p, &ph, opts))
+		phases = append(phases, solveCPUPhase(ctrl, p, &ph, opts, m.row(i)))
 	}
 	return aggregate(w, phases), nil
 }
 
 // solveCPUPhase iterates the activity/actuator/performance loop for one
-// phase until the activity factor stops moving.
-func solveCPUPhase(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, opts Options) PhaseResult {
+// phase until the activity factor stops moving. row holds the phase's
+// pattern points by package state when the run is bound (nil solves
+// them).
+func solveCPUPhase(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, opts Options, row pointRow) PhaseResult {
 	act := ph.Activity(0.5)
+	// An operating point is the pattern point of the package state
+	// (solveCPUPattern), throttled at the DRAM ceiling. The ceiling is
+	// loop-invariant: ActuateBin only reads the package limit register,
+	// and no register is written while a run solves its phases.
+	ceiling := ctrl.DRAMBandwidthCeiling(ph.RandomFrac)
 	// state and op are the last package state and its operating point.
 	// A pass whose actuator returns an equal state reuses op instead of
-	// solving it again (see solveCPUPoint for why that is exact).
+	// solving it again.
 	var state rapl.PackageState
 	var op perfmodel.OperatingPoint
 	for i := 0; i < maxIterations; i++ {
-		if s := ctrl.ActuatePackage(act); i == 0 || s != state {
-			state, op = s, solveCPUPoint(ctrl, p, ph, s, opts)
+		if s, bin := ctrl.ActuateBin(act); i == 0 || s != state {
+			state, op = s, perfmodel.Throttle(ph, row.cpuPattern(bin, p, ph, s, opts), ceiling)
 		}
 		next := ph.Activity(op.StallFrac)
 		if math.Abs(next-act) < convergeEps {
@@ -158,8 +182,8 @@ func solveCPUPhase(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, opt
 		act += damping * (next - act)
 	}
 	// Final consistent pass with the converged activity.
-	if s := ctrl.ActuatePackage(act); s != state {
-		state, op = s, solveCPUPoint(ctrl, p, ph, s, opts)
+	if s, bin := ctrl.ActuateBin(act); s != state {
+		state, op = s, perfmodel.Throttle(ph, row.cpuPattern(bin, p, ph, s, opts), ceiling)
 	}
 	act = ph.Activity(op.StallFrac)
 
@@ -181,16 +205,14 @@ func solveCPUPhase(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, opt
 	}
 }
 
-// solveCPUPoint computes the operating point for a given package state:
-// the compute capacity follows the P/T state, and the memory capacity is
-// the lower of the pattern limit and the throttling ceiling.
+// solveCPUPattern computes the operating point for a given package
+// state before DRAM throttling: the compute capacity follows the P/T
+// state, and the memory capacity is the pattern limit.
 //
-// Within one phase solve it is a pure function of state: the phase, the
-// platform and opts are loop-invariant, and so is the DRAM ceiling,
-// because ActuatePackage only reads the package limit register and no
-// register is written while a run solves its phases. solveCPUPhase
-// relies on this to skip the solve when the state repeats.
-func solveCPUPoint(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, state rapl.PackageState, opts Options) perfmodel.OperatingPoint {
+// It reads nothing but the phase, the platform, opts and the state's
+// frequency and duty, so within one bound model it is a pure function
+// of the state's ActuateBin index: the model's row tables it by index.
+func solveCPUPattern(p hw.Platform, ph *workload.Phase, state rapl.PackageState, opts Options) perfmodel.OperatingPoint {
 	computeCap := units.Rate(p.CPU.PeakComputeRate(state.Freq, state.Duty).OpsPerSecond() * ph.ComputeEff)
 	// Memory requests are issued by instructions: clock throttling gates
 	// the cores' ability to keep requests outstanding, so the achievable
@@ -206,8 +228,7 @@ func solveCPUPoint(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, sta
 		issue = 1
 	}
 	patternBW := units.Bandwidth(p.DRAM.PeakBandwidth().BytesPerSecond() * ph.BandwidthEff * issue)
-	throttleBW := ctrl.DRAMBandwidthCeiling(ph.RandomFrac)
-	return perfmodel.SolveThrottled(ph, computeCap, patternBW, throttleBW)
+	return perfmodel.Solve(ph, computeCap, patternBW)
 }
 
 // RunGPU simulates workload w on a GPU platform with the board capped at
@@ -215,29 +236,10 @@ func solveCPUPoint(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, sta
 // knob). Pass the card's nominal memory clock for the default driver
 // policy.
 func RunGPU(p hw.Platform, w *workload.Workload, totalCap units.Power, memClock units.Frequency) (Result, error) {
-	if p.Kind != hw.KindGPU {
-		return Result{}, fmt.Errorf("sim: platform %q is not a GPU platform", p.Name)
-	}
-	if err := p.Validate(); err != nil {
+	if err := check(p, w, hw.KindGPU); err != nil {
 		return Result{}, err
 	}
-	if err := w.Validate(); err != nil {
-		return Result{}, err
-	}
-	if w.Kind != hw.KindGPU {
-		return Result{}, fmt.Errorf("sim: workload %q is not a GPU workload", w.Name)
-	}
-	gov := nvgov.New(p.GPU)
-	if err := gov.SetPowerCap(totalCap); err != nil {
-		return Result{}, err
-	}
-	gov.SetMemClock(memClock)
-
-	phases := make([]PhaseResult, 0, len(w.Phases))
-	for i := range w.Phases {
-		phases = append(phases, solveGPUPhase(gov, p, &w.Phases[i]))
-	}
-	return aggregate(w, phases), nil
+	return gpuRun(p, w, totalCap, gpuClocks{mem: memClock}, nil)
 }
 
 // RunGPUOffsets simulates workload w with explicit nvidia-settings clock
@@ -245,30 +247,10 @@ func RunGPU(p hw.Platform, w *workload.Workload, totalCap units.Power, memClock 
 // experiments sweep. smOffset and memOffset shift the SM boost limit and
 // memory clock relative to nominal.
 func RunGPUOffsets(p hw.Platform, w *workload.Workload, totalCap units.Power, smOffset, memOffset units.Frequency) (Result, error) {
-	if p.Kind != hw.KindGPU {
-		return Result{}, fmt.Errorf("sim: platform %q is not a GPU platform", p.Name)
-	}
-	if err := p.Validate(); err != nil {
+	if err := check(p, w, hw.KindGPU); err != nil {
 		return Result{}, err
 	}
-	if err := w.Validate(); err != nil {
-		return Result{}, err
-	}
-	if w.Kind != hw.KindGPU {
-		return Result{}, fmt.Errorf("sim: workload %q is not a GPU workload", w.Name)
-	}
-	gov := nvgov.New(p.GPU)
-	if err := gov.SetPowerCap(totalCap); err != nil {
-		return Result{}, err
-	}
-	gov.SetSMOffset(smOffset)
-	gov.SetMemOffset(memOffset)
-
-	phases := make([]PhaseResult, 0, len(w.Phases))
-	for i := range w.Phases {
-		phases = append(phases, solveGPUPhase(gov, p, &w.Phases[i]))
-	}
-	return aggregate(w, phases), nil
+	return gpuRun(p, w, totalCap, gpuClocks{offsets: true, sm: smOffset, mem: memOffset}, nil)
 }
 
 // RunGPUMemPower is RunGPU with the allocation expressed as a memory
@@ -282,7 +264,44 @@ func RunGPUMemPower(p hw.Platform, w *workload.Workload, totalCap, memBudget uni
 	return RunGPU(p, w, totalCap, clock)
 }
 
-func solveGPUPhase(gov *nvgov.Governor, p hw.Platform, ph *workload.Phase) PhaseResult {
+// gpuClocks is a GPU run's clock programming: the memory clock RunGPU
+// pins (mem), or RunGPUOffsets' SM and memory offsets (sm, mem).
+type gpuClocks struct {
+	offsets bool
+	sm, mem units.Frequency
+}
+
+// program sets the clocks on gov, as the entry point always has.
+func (c gpuClocks) program(gov *nvgov.Governor) {
+	if c.offsets {
+		gov.SetSMOffset(c.sm)
+		gov.SetMemOffset(c.mem)
+		return
+	}
+	gov.SetMemClock(c.mem)
+}
+
+// gpuRun is the GPU entry points after validation, reading m's tables
+// when m is not nil.
+func gpuRun(p hw.Platform, w *workload.Workload, totalCap units.Power, clocks gpuClocks, m *Model) (Result, error) {
+	gov := nvgov.NewBins(p.GPU, m.ladder())
+	if err := gov.SetPowerCap(totalCap); err != nil {
+		return Result{}, err
+	}
+	clocks.program(gov)
+
+	mem := m.memIndex(gov.MemClock())
+	phases := make([]PhaseResult, 0, len(w.Phases))
+	for i := range w.Phases {
+		phases = append(phases, solveGPUPhase(gov, p, &w.Phases[i], m.gpuRow(i, mem)))
+	}
+	return aggregate(w, phases), nil
+}
+
+// solveGPUPhase is solveCPUPhase for a GPU phase; row holds its
+// operating points by SM bin at the run's memory clock when the run is
+// bound (nil solves them).
+func solveGPUPhase(gov *nvgov.Governor, p hw.Platform, ph *workload.Phase, row pointRow) PhaseResult {
 	act := ph.Activity(0.5)
 	// As in solveCPUPhase, an equal board state reuses the last op:
 	// solveGPUPoint reads nothing but the loop-invariant platform and
@@ -290,8 +309,8 @@ func solveGPUPhase(gov *nvgov.Governor, p hw.Platform, ph *workload.Phase) Phase
 	var state nvgov.State
 	var op perfmodel.OperatingPoint
 	for i := 0; i < maxIterations; i++ {
-		if s := gov.Actuate(act); i == 0 || s != state {
-			state, op = s, solveGPUPoint(p, ph, s)
+		if s, bin := gov.ActuateBin(act); i == 0 || s != state {
+			state, op = s, row.gpuPoint(bin, p, ph, s)
 		}
 		next := ph.Activity(op.StallFrac)
 		if math.Abs(next-act) < convergeEps {
@@ -300,8 +319,8 @@ func solveGPUPhase(gov *nvgov.Governor, p hw.Platform, ph *workload.Phase) Phase
 		}
 		act += damping * (next - act)
 	}
-	if s := gov.Actuate(act); s != state {
-		state, op = s, solveGPUPoint(p, ph, s)
+	if s, bin := gov.ActuateBin(act); s != state {
+		state, op = s, row.gpuPoint(bin, p, ph, s)
 	}
 	act = ph.Activity(op.StallFrac)
 
@@ -332,6 +351,10 @@ func solveGPUPhase(gov *nvgov.Governor, p hw.Platform, ph *workload.Phase) Phase
 // power to memory starves the SMs that feed it.
 const gpuMLPFloor = 0.5
 
+// solveGPUPoint computes the operating point for a given board state.
+// It reads nothing but the platform, the phase and the state's two
+// clocks, so within one bound model it is a pure function of the SM bin
+// at a given memory clock: the model's rows table it by both.
 func solveGPUPoint(p hw.Platform, ph *workload.Phase, state nvgov.State) perfmodel.OperatingPoint {
 	computeCap := units.Rate(p.GPU.PeakComputeRate(state.SMClock).OpsPerSecond() * ph.ComputeEff)
 	smRatio := state.SMClock.Hz() / p.GPU.SMClockNom.Hz()
