@@ -69,7 +69,9 @@ func contractBudgets(p hw.Platform, wl workload.Workload) []float64 {
 // pair bound once and computed at many budgets answers exactly what
 // ComputeCoord and ComputePlan answer request by request: the same
 // JSON bytes, or the same error text, under every strategy and an
-// unknown one.
+// unknown one. The bound pair answers into one response reused across
+// every budget and strategy of the pair, too-small rows among them, so
+// a field it failed to overwrite would show.
 func TestBoundPathMatchesCompute(t *testing.T) {
 	strategies := []string{"", "nosuch"}
 	for _, st := range coord.CPUStrategies() {
@@ -98,6 +100,7 @@ func TestBoundPathMatchesCompute(t *testing.T) {
 
 			coordPair, coordErr := BindCoord(pname, wname)
 			planPair, planErr := BindPlan(pname, wname)
+			var reused CoordResponse
 			for _, b := range budgets {
 				for _, st := range strategies {
 					want, err := ComputeCoord(CoordRequest{Platform: pname, Workload: wname, Budget: b, Strategy: st})
@@ -105,8 +108,8 @@ func TestBoundPathMatchesCompute(t *testing.T) {
 					var gotR string
 					switch {
 					case coordErr == nil:
-						got, err := coordPair.Coord(st, b)
-						gotR = rendered(t, got, err)
+						err := coordPair.Coord(st, b, &reused)
+						gotR = rendered(t, reused, err)
 					case checkBudget(b) != nil:
 						// ComputeCoord refuses the budget before it binds.
 						continue

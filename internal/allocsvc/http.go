@@ -302,7 +302,11 @@ func ComputeCoord(req CoordRequest) (CoordResponse, error) {
 	if err != nil {
 		return CoordResponse{}, err
 	}
-	return pair.Coord(req.Strategy, req.Budget)
+	var resp CoordResponse
+	if err := pair.Coord(req.Strategy, req.Budget, &resp); err != nil {
+		return CoordResponse{}, err
+	}
+	return resp, nil
 }
 
 // CoordPair is one (platform, workload) pair bound for /v1/coord
@@ -355,14 +359,19 @@ func resolveCoord(platform, wl string) (CoordPair, error) {
 }
 
 // Coord computes the pair's /v1/coord decision under strategy (empty
-// means "coord") at budget: byte for byte what ComputeCoord answers for
-// the same request, errors included.
-func (pair *CoordPair) Coord(strategy string, budget float64) (CoordResponse, error) {
+// means "coord") at budget into *out: byte for byte what ComputeCoord
+// answers for the same request, errors included. It overwrites every
+// field of *out and writes an allocation through out.Alloc, allocating
+// one only when out.Alloc is nil, so a caller that keeps its response
+// (a table build sampling many budgets) allocates nothing per call. A
+// decision without an allocation (too small a budget) sets out.Alloc to
+// nil. On error *out holds no answer.
+func (pair *CoordPair) Coord(strategy string, budget float64, out *CoordResponse) error {
 	if strategy == "" {
 		strategy = "coord"
 	}
 	if err := checkBudget(budget); err != nil {
-		return CoordResponse{}, err
+		return err
 	}
 	p, wl := &pair.pr.Platform, &pair.pr.Workload
 	b := units.Power(budget)
@@ -372,19 +381,21 @@ func (pair *CoordPair) Coord(strategy string, budget float64) (CoordResponse, er
 		// silently evaluating at a clamped cap the budget cannot fund
 		// (reachable on H100-class cards, whose floor is 200 W).
 		capErr := nvgov.CheckCap(p.GPU, b)
-		return CoordResponse{}, &badRequestError{
+		return &badRequestError{
 			msg: fmt.Sprintf("budget %v is below the card's settable cap floor: %v",
 				b, capErr),
 			cause: capErr,
 		}
 	}
 	if pair.profErr != nil {
-		return CoordResponse{}, pair.profErr
+		return pair.profErr
 	}
-	resp := CoordResponse{
-		Platform: p.Name, Workload: wl.Name, Kind: p.Kind.String(),
-		Strategy: strategy, Budget: budget,
-	}
+	// Field by field, leaving out.Alloc in place: storing the pointer
+	// read from out back through out would make escape analysis move
+	// every caller's Alloc storage to the heap.
+	out.Platform, out.Workload, out.Kind = p.Name, wl.Name, p.Kind.String()
+	out.Strategy, out.Budget = strategy, budget
+	out.SurplusWatts, out.ExpectedPerf, out.PerfUnit, out.ExpectedPower = 0, 0, "", 0
 
 	var d coord.Decision
 	var evalReq evalpool.Request
@@ -392,7 +403,7 @@ func (pair *CoordPair) Coord(strategy string, budget float64) (CoordResponse, er
 	case hw.KindCPU:
 		st, ok := cpuStrategy(strategy)
 		if !ok {
-			return CoordResponse{}, badRequestf("unknown CPU strategy %q (supported: %s)",
+			return badRequestf("unknown CPU strategy %q (supported: %s)",
 				strategy, strategyNames(hw.KindCPU))
 		}
 		d = st(pair.cpu, b)
@@ -400,7 +411,7 @@ func (pair *CoordPair) Coord(strategy string, budget float64) (CoordResponse, er
 	case hw.KindGPU:
 		st, ok := gpuStrategy(strategy)
 		if !ok {
-			return CoordResponse{}, badRequestf("unknown GPU strategy %q (supported: %s)",
+			return badRequestf("unknown GPU strategy %q (supported: %s)",
 				strategy, strategyNames(hw.KindGPU))
 		}
 		d = st(pair.gpu, b)
@@ -413,12 +424,16 @@ func (pair *CoordPair) Coord(strategy string, budget float64) (CoordResponse, er
 		evalReq = evalpool.Request{Op: evalpool.OpGPUMemPower, Proc: cap, Mem: d.Alloc.Mem}
 	}
 
-	resp.Status = d.Status.String()
+	out.Status = d.Status.String()
 	if d.Status == coord.StatusTooSmall {
-		return resp, nil
+		out.Alloc = nil
+		return nil
 	}
-	resp.Alloc = &AllocJSON{ProcWatts: d.Alloc.Proc.Watts(), MemWatts: d.Alloc.Mem.Watts()}
-	resp.SurplusWatts = d.Surplus.Watts()
+	if out.Alloc == nil {
+		out.Alloc = new(AllocJSON)
+	}
+	*out.Alloc = AllocJSON{ProcWatts: d.Alloc.Proc.Watts(), MemWatts: d.Alloc.Mem.Watts()}
+	out.SurplusWatts = d.Surplus.Watts()
 	var res sim.Result
 	var err error
 	if pair.bound != nil {
@@ -427,12 +442,12 @@ func (pair *CoordPair) Coord(strategy string, budget float64) (CoordResponse, er
 		res, err = evalpool.Default().Evaluate(pair.pr, evalReq)
 	}
 	if err != nil {
-		return CoordResponse{}, err
+		return err
 	}
-	resp.ExpectedPerf = res.Perf
-	resp.PerfUnit = wl.PerfUnit
-	resp.ExpectedPower = res.TotalPower.Watts()
-	return resp, nil
+	out.ExpectedPerf = res.Perf
+	out.PerfUnit = wl.PerfUnit
+	out.ExpectedPower = res.TotalPower.Watts()
+	return nil
 }
 
 func cpuStrategy(name string) (func(profile.CPUProfile, units.Power) coord.Decision, bool) {
@@ -525,6 +540,7 @@ func (pair *PlanPair) Plan(budget float64) (PlanResponse, error) {
 	resp := PlanResponse{
 		Platform: pair.p.Name, Workload: pair.wl.Name, Budget: budget,
 		Rejected: plan.Rejected(),
+		Steps:    make([]PlanStepJSON, 0, len(plan.Steps)),
 	}
 	for _, st := range plan.Steps {
 		resp.Steps = append(resp.Steps, PlanStepJSON{

@@ -57,7 +57,8 @@ const maxBisection = 40
 //
 // Anchors that conflict with the model's structure (e.g. a DRAM power
 // below the platform's background floor) return an error rather than a
-// bad fit.
+// bad fit. The fit adjusts a Clone of w: w's phases, which may be a
+// shared catalog entry's, are left unchanged.
 func Fit(p hw.Platform, w workload.Workload, a Anchors) (Result, error) {
 	if p.Kind != hw.KindCPU {
 		return Result{}, fmt.Errorf("calibrate: platform %q is not a CPU platform", p.Name)
@@ -74,7 +75,7 @@ func Fit(p hw.Platform, w workload.Workload, a Anchors) (Result, error) {
 			a.ProcPower, p.CPU.IdlePower)
 	}
 
-	res := Result{Workload: w}
+	res := Result{Workload: w.Clone()}
 	run := func() (sim.Result, error) {
 		res.Iterations++
 		return sim.RunCPU(p, &res.Workload, 0, 0)

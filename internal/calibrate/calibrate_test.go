@@ -1,6 +1,7 @@
 package calibrate
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/hw"
@@ -30,8 +31,7 @@ func TestFitReproducesAnchors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	perturbed := orig
-	perturbed.Phases = append([]workload.Phase(nil), orig.Phases...)
+	perturbed := orig.Clone()
 	perturbed.Phases[0].BandwidthEff = 0.4
 	perturbed.Phases[0].ActivityBase = 0.9
 	perturbed.Phases[0].StallActivity = 0.45
@@ -57,6 +57,28 @@ func TestFitReproducesAnchors(t *testing.T) {
 	}
 	if relErr(check.MemPower.Watts(), truth.MemPower.Watts()) > 0.03 {
 		t.Errorf("calibrated mem power %v vs truth %v", check.MemPower, truth.MemPower)
+	}
+}
+
+// TestFitLeavesArgumentUnchanged: Fit adjusts its own copy of the
+// phases. A catalog lookup's phases are shared with every other lookup
+// of the name, so a fit that wrote through its argument would recalibrate
+// stream for the whole process.
+func TestFitLeavesArgumentUnchanged(t *testing.T) {
+	w, err := workload.ByName("stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(w.Phases)
+	res, err := Fit(ivy(t), w, Anchors{ProcPower: 109, MemPower: 116})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(w.Phases, want) {
+		t.Fatalf("Fit rewrote its argument's phases: %+v, want %+v", w.Phases[0], want[0])
+	}
+	if slices.Equal(res.Workload.Phases, want) {
+		t.Fatal("the fit moved no parameter; the test needs anchors that do")
 	}
 }
 

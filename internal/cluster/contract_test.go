@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/evalpool"
@@ -31,8 +30,7 @@ func TestScheduleSerialParallelContract(t *testing.T) {
 	}
 	stream2 := mustWorkload(t, "stream")
 	stream2.PerfPerUnitRate *= 2
-	dgemm4 := mustWorkload(t, "dgemm")
-	dgemm4.Phases = slices.Clone(dgemm4.Phases)
+	dgemm4 := mustWorkload(t, "dgemm").Clone()
 	dgemm4.Phases[0].BytesPerUnit *= 4
 	mix := []workload.Workload{
 		mustWorkload(t, "stream"), stream2, mustWorkload(t, "sgemm"),

@@ -172,7 +172,7 @@ func (s *Set) buildCoordTable(pname, wname string) *coordTable {
 		}
 	} else {
 		below, err := exact(t.lo / 2)
-		if err != nil || below.Status != t.tooSmallStatus || below.Alloc != nil {
+		if err != nil || below.status != coord.StatusTooSmall || below.hasAlloc {
 			return nil
 		}
 	}
@@ -185,13 +185,13 @@ func (s *Set) buildCoordTable(pname, wname string) *coordTable {
 		satB = t.lo
 	}
 	sat, err := exact(satB)
-	if err != nil || sat.Status != t.surplusStatus || sat.Alloc == nil || sat.SurplusWatts != satB-t.hi {
+	if err != nil || sat.status != coord.StatusSurplus || !sat.hasAlloc || sat.surplus != satB-t.hi {
 		return nil
 	}
-	t.surplusProc = sat.Alloc.ProcWatts
-	t.surplusMem = sat.Alloc.MemWatts
-	t.surplusPerf = sat.ExpectedPerf
-	t.surplusPower = sat.ExpectedPower
+	t.surplusProc = sat.alloc.ProcWatts
+	t.surplusMem = sat.alloc.MemWatts
+	t.surplusPerf = sat.perf
+	t.surplusPower = sat.power
 
 	if !(t.hi > t.lo) {
 		// Degenerate range: no segments, no index; serve answers every
@@ -199,9 +199,9 @@ func (s *Set) buildCoordTable(pname, wname string) *coordTable {
 		// the floor. Confirm the row is budget-independent at a second
 		// point before trusting it everywhere.
 		again, err := exact(t.lo * 1.5)
-		if err != nil || again.Status != t.surplusStatus || again.Alloc == nil ||
-			*again.Alloc != *sat.Alloc || again.SurplusWatts != t.lo*1.5-t.hi ||
-			again.ExpectedPerf != sat.ExpectedPerf || again.ExpectedPower != sat.ExpectedPower {
+		if err != nil || again.status != coord.StatusSurplus || !again.hasAlloc ||
+			again.alloc != sat.alloc || again.surplus != t.lo*1.5-t.hi ||
+			again.perf != sat.perf || again.power != sat.power {
 			return nil
 		}
 		return t
@@ -246,18 +246,18 @@ func buildCoordSegs(t *coordTable, exact coordPath, start, end float64, depth in
 	if err1 != nil || err2 != nil {
 		return bad
 	}
-	if r1.Status != t.okStatus || r2.Status != t.okStatus || r1.Alloc == nil || r2.Alloc == nil {
+	if r1.status != coord.StatusOK || r2.status != coord.StatusOK || !r1.hasAlloc || !r2.hasAlloc {
 		return split()
 	}
-	y1, y2 := r1.Alloc.ProcWatts, r2.Alloc.ProcWatts
+	y1, y2 := r1.alloc.ProcWatts, r2.alloc.ProcWatts
 	if t.memPrimary {
-		y1, y2 = r1.Alloc.MemWatts, r2.Alloc.MemWatts
+		y1, y2 = r1.alloc.MemWatts, r2.alloc.MemWatts
 	}
 	seg := coordSeg{
 		start: start, end: end,
 		primary: lineThrough(t1, y1, t2, y2),
-		perf:    lineThrough(t1, r1.ExpectedPerf, t2, r2.ExpectedPerf),
-		power:   lineThrough(t1, r1.ExpectedPower, t2, r2.ExpectedPower),
+		perf:    lineThrough(t1, r1.perf, t2, r2.perf),
+		power:   lineThrough(t1, r1.power, t2, r2.power),
 	}
 	for _, f := range probeFracs {
 		if !checkCoordProbe(t, exact, &seg, start+f*w) {
@@ -291,7 +291,7 @@ func edgeProbes(start, end float64) [2]float64 {
 // allocation within AllocEps, perf and power within DefaultEps.
 func checkCoordProbe(t *coordTable, exact coordPath, seg *coordSeg, b float64) bool {
 	want, err := exact(b)
-	if err != nil || want.Status != t.okStatus || want.Alloc == nil || want.SurplusWatts != 0 {
+	if err != nil || want.status != coord.StatusOK || !want.hasAlloc || want.surplus != 0 {
 		return false
 	}
 	y := seg.primary.at(b)
@@ -299,10 +299,10 @@ func checkCoordProbe(t *coordTable, exact coordPath, seg *coordSeg, b float64) b
 	if t.memPrimary {
 		mem, proc = y, b-y
 	}
-	return within(proc, want.Alloc.ProcWatts, AllocEps) &&
-		within(mem, want.Alloc.MemWatts, AllocEps) &&
-		within(seg.perf.at(b), want.ExpectedPerf, DefaultEps*probeMargin) &&
-		within(seg.power.at(b), want.ExpectedPower, DefaultEps*probeMargin)
+	return within(proc, want.alloc.ProcWatts, AllocEps) &&
+		within(mem, want.alloc.MemWatts, AllocEps) &&
+		within(seg.perf.at(b), want.perf, DefaultEps*probeMargin) &&
+		within(seg.power.at(b), want.power, DefaultEps*probeMargin)
 }
 
 // index builds the uniform acceleration index over the segments.

@@ -103,7 +103,7 @@ func TestConcurrentMissesBuildOnce(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return func(b float64) (wire.CoordResponse, error) {
+			return func(b float64) (coordSample, error) {
 				calls.Add(1)
 				return exact(b)
 			}, nil

@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/allocsvc"
+	"repro/internal/coord"
 	"repro/internal/hw"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -103,18 +104,48 @@ type Set struct {
 // coordPath is one bound pair's exact coord decision, under the
 // strategy the tables serve, at a budget; planPath its plan decision.
 type (
-	coordPath func(budget float64) (wire.CoordResponse, error)
+	coordPath func(budget float64) (coordSample, error)
 	planPath  func(budget float64) (wire.PlanResponse, error)
 )
 
+// coordSample is one exact coord decision as a build reads it: the
+// wire response's values, so a sample allocates nothing and every
+// sample a build holds at once is its own. hasAlloc says whether the
+// response carries an allocation.
+type coordSample struct {
+	status               coord.Status
+	hasAlloc             bool
+	alloc                wire.AllocJSON
+	surplus, perf, power float64
+}
+
 // bindExactCoord binds a pair's exact coord path (allocsvc.BindCoord)
-// under the "coord" strategy, the one the tables serve.
+// under the "coord" strategy, the one the tables serve. Each sample
+// fills a response on the sampling goroutine's stack and reads it into
+// a coordSample. The sample keeps no string of the response, its status
+// is parsed back instead: a kept string would tie the sample to the
+// response, and escape analysis would move the response's allocation
+// to the heap.
 func bindExactCoord(platform, wl string) (coordPath, error) {
 	pair, err := allocsvc.BindCoord(platform, wl)
 	if err != nil {
 		return nil, err
 	}
-	return func(b float64) (wire.CoordResponse, error) { return pair.Coord("coord", b) }, nil
+	return func(b float64) (coordSample, error) {
+		var alloc wire.AllocJSON
+		resp := wire.CoordResponse{Alloc: &alloc}
+		if err := pair.Coord("coord", b, &resp); err != nil {
+			return coordSample{}, err
+		}
+		s := coordSample{status: -1, hasAlloc: resp.Alloc != nil, alloc: alloc,
+			surplus: resp.SurplusWatts, perf: resp.ExpectedPerf, power: resp.ExpectedPower}
+		for _, st := range [...]coord.Status{coord.StatusOK, coord.StatusSurplus, coord.StatusTooSmall} {
+			if resp.Status == st.String() {
+				s.status = st
+			}
+		}
+		return s, nil
+	}, nil
 }
 
 // bindExactPlan binds a pair's exact plan path (allocsvc.BindPlan).

@@ -536,7 +536,7 @@ func TestDegradedPairBypassesTables(t *testing.T) {
 	s := New(Config{})
 	fault := errors.New("sensor fault")
 	s.bindCoord = func(platform, wl string) (coordPath, error) {
-		return func(float64) (wire.CoordResponse, error) { return wire.CoordResponse{}, fault }, nil
+		return func(float64) (coordSample, error) { return coordSample{}, fault }, nil
 	}
 	s.bindPlan = func(platform, wl string) (planPath, error) {
 		return func(float64) (wire.PlanResponse, error) { return wire.PlanResponse{}, fault }, nil

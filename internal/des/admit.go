@@ -59,9 +59,10 @@ type admEntry struct {
 }
 
 // newAdmitter classes the run's nodes and workloads and frees every
-// node, in node order. Platforms are classed by value: nodes built from
-// one catalog platform share its spec pointers, and a class split by
-// fresh pointers costs only cache hits, never a wrong answer. Workloads
+// node, in node order. Platforms are classed by value, their spec
+// pointers by identity: every lookup of one catalog platform shares its
+// spec pointers, so its nodes form one class, and a class split by a
+// Clone's equal specs costs only cache hits, never a wrong answer. Workloads
 // are classed by content (reflect.DeepEqual), never by name: same-named
 // variants must not share admissions.
 func newAdmitter(cfg Config) admitter {

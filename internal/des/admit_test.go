@@ -10,7 +10,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // TestOneJobEqualsSim: the engine adds queueing, never physics. A
@@ -111,8 +110,7 @@ func TestSameNameWorkloadsAdmittedApart(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := mustWorkload(t, "stream")
-	v := w
-	v.Phases = append([]workload.Phase(nil), w.Phases...)
+	v := w.Clone()
 	v.Phases[0].BytesPerUnit *= 2
 	nodes := []cluster.Node{{ID: "n0", Platform: p}, {ID: "n1", Platform: p}}
 	s, err := cluster.NewScheduler(2000, nodes)

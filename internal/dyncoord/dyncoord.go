@@ -196,7 +196,7 @@ func PlanCPUDegraded(p hw.Platform, w workload.Workload, budget units.Power, pha
 	fallback := coord.MemoryFirst(fallbackProf, budget)
 
 	mPlans.Inc()
-	plan := Plan{Workload: w.Name, Budget: budget}
+	plan := Plan{Workload: w.Name, Budget: budget, Steps: make([]Step, 0, len(w.Phases))}
 	for i, ph := range w.Phases {
 		mSteps.Inc()
 		step := Step{Phase: ph.Name, Weight: ph.Weight}

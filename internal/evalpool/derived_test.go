@@ -29,7 +29,7 @@ func TestDeriveMemoizesByContent(t *testing.T) {
 	}
 	derive(e, cpuProblem(t, "ivybridge", "stream"), "other", 1)
 	derive(e, cpuProblem(t, "ivybridge", "stream"), "k", 1.02)
-	variant := cpuProblem(t, "ivybridge", "stream")
+	variant := clonedProblem(t, "ivybridge", "stream")
 	variant.Workload.Phases[0].Overlap++
 	derive(e, variant, "k", 1)
 	derive(New(Options{}), cpuProblem(t, "ivybridge", "stream"), "k", 1)

@@ -2,113 +2,63 @@ package evalpool
 
 import (
 	"reflect"
-	"strconv"
 	"testing"
 
+	"repro/internal/catalogtest"
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
 
 // TestFingerprintStableAcrossLookups pins the memo's cross-request
-// reuse: two independent catalog lookups of the same pair build fresh
-// spec pointers and phase slices, yet must land in one key space.
+// reuse to content, not identity: a catalog pair and its deep Clone,
+// equal in content but with fresh spec pointers and phase slices, must
+// land in one key space, as must two lookups of the shared entry.
 func TestFingerprintStableAcrossLookups(t *testing.T) {
 	for _, p := range hw.AllPlatforms() {
 		for _, w := range workload.AllWorkloads() {
 			a := cpuProblem(t, p.Name, w.Name)
-			b := cpuProblem(t, p.Name, w.Name)
+			b := clonedProblem(t, p.Name, w.Name)
 			if a.Platform.CPU != nil && a.Platform.CPU == b.Platform.CPU ||
-				a.Platform.GPU != nil && a.Platform.GPU == b.Platform.GPU {
-				t.Fatalf("%s: lookups share spec pointers; the test needs fresh ones", p.Name)
+				a.Platform.GPU != nil && a.Platform.GPU == b.Platform.GPU ||
+				&a.Workload.Phases[0] == &b.Workload.Phases[0] {
+				t.Fatalf("%s/%s: the clone shares storage with the catalog; the test needs fresh pointers",
+					p.Name, w.Name)
 			}
-			if fa, fb := a.fingerprint(), b.fingerprint(); fa != fb {
-				t.Errorf("%s/%s: fingerprints differ across lookups: %#x vs %#x",
-					p.Name, w.Name, fa, fb)
+			c := cpuProblem(t, p.Name, w.Name)
+			if fa, fb, fc := a.fingerprint(), b.fingerprint(), c.fingerprint(); fa != fb || fa != fc {
+				t.Errorf("%s/%s: fingerprints differ across copies: %#x, %#x, %#x",
+					p.Name, w.Name, fa, fb, fc)
 			}
 		}
 	}
 }
 
-// leafPaths lists the path of every leaf field reachable from v,
-// following non-nil pointers and every slice element.
-func leafPaths(t *testing.T, v reflect.Value, path string, out *[]string) {
+// clonedProblem is cpuProblem on deep clones of the catalog entries, so
+// a test may write to any of its fields.
+func clonedProblem(t testing.TB, platform, wl string) Problem {
 	t.Helper()
-	switch v.Kind() {
-	case reflect.Pointer:
-		if !v.IsNil() {
-			leafPaths(t, v.Elem(), path, out)
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			leafPaths(t, v.Field(i), path+"."+v.Type().Field(i).Name, out)
-		}
-	case reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			leafPaths(t, v.Index(i), path+"["+strconv.Itoa(i)+"]", out)
-		}
-	case reflect.String, reflect.Int, reflect.Float64:
-		*out = append(*out, path)
-	default:
-		t.Fatalf("%s: unhandled field kind %s; teach fingerprint and this test about it",
-			path, v.Kind())
-	}
-}
-
-// perturb changes the leaf at path in v, returning false if the path
-// was not found.
-func perturb(v reflect.Value, path, at string) bool {
-	switch v.Kind() {
-	case reflect.Pointer:
-		return !v.IsNil() && perturb(v.Elem(), path, at)
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if perturb(v.Field(i), path, at+"."+v.Type().Field(i).Name) {
-				return true
-			}
-		}
-	case reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			if perturb(v.Index(i), path, at+"["+strconv.Itoa(i)+"]") {
-				return true
-			}
-		}
-	case reflect.String:
-		if at == path {
-			v.SetString(v.String() + "x")
-			return true
-		}
-	case reflect.Int:
-		if at == path {
-			v.SetInt(v.Int() + 1)
-			return true
-		}
-	case reflect.Float64:
-		if at == path {
-			v.SetFloat(v.Float()*1.5 + 1)
-			return true
-		}
-	}
-	return false
+	pr := cpuProblem(t, platform, wl)
+	return Problem{Platform: pr.Platform.Clone(), Workload: pr.Workload.Clone()}
 }
 
 // TestFingerprintCoversEveryField perturbs each leaf field of the
 // problem — through the platform's CPU, DRAM and GPU pointers, the GPU
-// memory spec, the workload and every phase — one at a time, and
-// requires a new fingerprint each time. Walking the structs by
-// reflection means a field added later fails here until fingerprint
-// hashes it, instead of silently aliasing distinct problems.
+// memory spec, the workload and every phase — one at a time, each on a
+// fresh clone, and requires a new fingerprint each time. Walking the
+// structs by reflection means a field added later fails here until
+// fingerprint hashes it, instead of silently aliasing distinct problems.
 func TestFingerprintCoversEveryField(t *testing.T) {
 	for _, pair := range [][2]string{{"ivybridge", "bt"}, {"h100", "llmbatch"}} {
 		base := cpuProblem(t, pair[0], pair[1])
 		want := base.fingerprint()
 		var paths []string
-		leafPaths(t, reflect.ValueOf(&base).Elem(), "Problem", &paths)
+		catalogtest.LeafPaths(t, reflect.ValueOf(&base).Elem(), "Problem", &paths)
 		if len(paths) < 30 {
 			t.Fatalf("%v: only %d leaf fields found", pair, len(paths))
 		}
 		for _, path := range paths {
-			pr := cpuProblem(t, pair[0], pair[1])
-			if !perturb(reflect.ValueOf(&pr).Elem(), path, "Problem") {
+			pr := clonedProblem(t, pair[0], pair[1])
+			if !catalogtest.Perturb(reflect.ValueOf(&pr).Elem(), path, "Problem") {
 				t.Fatalf("%v: leaf %s not found for perturbation", pair, path)
 			}
 			if pr.fingerprint() == want {

@@ -342,8 +342,9 @@ func AllPlatforms() []Platform {
 }
 
 // catalog is AllPlatforms built once and indexed by name, with the
-// names sorted for error messages. PlatformByName hands out clones, so
-// the entries themselves are never exposed.
+// names sorted for error messages. Its entries are shared: every
+// PlatformByName of one name returns the same spec pointers, and no
+// code writes through them.
 var catalog = sync.OnceValues(func() (map[string]Platform, []string) {
 	byName := map[string]Platform{}
 	var names []string
@@ -355,20 +356,23 @@ var catalog = sync.OnceValues(func() (map[string]Platform, []string) {
 	return byName, names
 })
 
-// PlatformByName looks up a platform by its short name. Each call
-// returns a fresh value with its own spec pointers, so callers may
-// mutate their copy. The error lists the valid names.
+// PlatformByName looks up a platform by its short name. It returns the
+// shared catalog entry without copying: its CPU, DRAM and GPU specs are
+// the catalog's own, read-only for every caller. A caller that needs a
+// variant writes to a Clone. The error lists the valid names.
 func PlatformByName(name string) (Platform, error) {
 	byName, names := catalog()
 	p, ok := byName[name]
 	if !ok {
 		return Platform{}, fmt.Errorf("unknown platform %q (valid: %v)", name, names)
 	}
-	return p.clone(), nil
+	return p, nil
 }
 
-// clone returns p with freshly allocated copies of its component specs.
-func (p Platform) clone() Platform {
+// Clone returns p with freshly allocated copies of its component specs,
+// so writing to the clone's specs leaves p, and the catalog entry p may
+// be, unchanged.
+func (p Platform) Clone() Platform {
 	if p.CPU != nil {
 		c := *p.CPU
 		p.CPU = &c

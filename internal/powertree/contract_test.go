@@ -2,7 +2,6 @@ package powertree
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/evalpool"
@@ -62,8 +61,7 @@ func TestCurveSetClassesByValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant := stream
-	variant.Phases = slices.Clone(stream.Phases)
+	variant := stream.Clone()
 	variant.Phases[0].BytesPerUnit *= 4
 	tree := func(ws ...workload.Workload) Spec {
 		r := Rack{ID: "r0"}
@@ -109,19 +107,19 @@ func TestCurveSetClassesByValue(t *testing.T) {
 
 // TestSameWorkloadCoversEveryField: sameWorkload lists the workload's
 // fields by hand, so a change to any one of them must tell two
-// workloads apart, and two catalog lookups of one workload must match.
+// workloads apart, and a catalog entry must match its Clone, whose
+// phases are equal in content but a slice of their own.
 func TestSameWorkloadCoversEveryField(t *testing.T) {
 	w, err := workload.ByName("bt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := workload.ByName("bt"); !sameWorkload(w, again) {
-		t.Fatal("two lookups of bt differ")
+	if !sameWorkload(w, w.Clone()) {
+		t.Fatal("bt differs from its clone")
 	}
 	typ := reflect.TypeOf(w)
 	for i := 0; i < typ.NumField(); i++ {
-		v := w
-		v.Phases = slices.Clone(w.Phases)
+		v := w.Clone()
 		f := reflect.ValueOf(&v).Elem().Field(i)
 		switch {
 		case f.Kind() == reflect.String:
@@ -143,9 +141,9 @@ func TestSameWorkloadCoversEveryField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _ := hw.PlatformByName("titanxp")
+	q := p.Clone()
 	if !samePlatform(p, q) {
-		t.Fatal("two lookups of titanxp differ")
+		t.Fatal("titanxp differs from its clone")
 	}
 	q.GPU.Mem.PowerMax++
 	if samePlatform(p, q) {

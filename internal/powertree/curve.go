@@ -108,8 +108,9 @@ func (cs *CurveSet) lookup(p hw.Platform, w workload.Workload) *curve {
 }
 
 // samePlatform reports whether p and q are equal by value, their
-// component specs compared by content rather than by pointer: every
-// catalog lookup returns fresh spec pointers.
+// component specs compared by content rather than by pointer: lookups
+// of one catalog platform share their spec pointers, but a spec built
+// or cloned apart with equal content is the same platform.
 func samePlatform(p, q hw.Platform) bool {
 	if !sameSpec(p.CPU, q.CPU) || !sameSpec(p.DRAM, q.DRAM) || !sameSpec(p.GPU, q.GPU) {
 		return false

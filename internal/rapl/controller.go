@@ -172,18 +172,21 @@ func (c *Controller) Limit(d Domain) (units.Power, bool) {
 // same state. The fit predicate is written as the scan wrote it, so a
 // NaN activity selects the same state too.
 func (c *Controller) ActuatePackage(act float64) PackageState {
-	s, _ := c.ActuateBin(act)
+	cap, enabled := c.Limit(DomainPackage)
+	s, _ := c.ActuateBin(cap, enabled, act)
 	return s
 }
 
-// ActuateBin is ActuatePackage that also returns the state's index
-// below NumPStates+NumDuties: i for P-state i unthrottled (a disabled
-// cap runs the top one), NumPStates−1+j for duty cycle j at FMin, and
-// NumPStates+NumDuties−1 for the floor. Equal indices mean equal
-// frequency and duty, so a caller can table what it derives from those
-// two per index.
-func (c *Controller) ActuateBin(act float64) (PackageState, int) {
-	cap, enabled := c.Limit(DomainPackage)
+// ActuateBin is ActuatePackage under the package limit (cap, enabled)
+// as Limit(DomainPackage) reports it, and also returns the state's
+// index below NumPStates+NumDuties: i for P-state i unthrottled (a
+// disabled cap runs the top one), NumPStates−1+j for duty cycle j at
+// FMin, and NumPStates+NumDuties−1 for the floor. Equal indices mean
+// equal frequency and duty, so a caller can table what it derives from
+// those two per index. Taking the limit as arguments lets a caller that
+// writes no register between actuations, such as one fixed-point
+// solve, read and decode the register once instead of on every pass.
+func (c *Controller) ActuateBin(cap units.Power, enabled bool, act float64) (PackageState, int) {
 	if !enabled {
 		return PackageState{Freq: c.cpu.FNom, Duty: 1}, c.numPStates() - 1
 	}

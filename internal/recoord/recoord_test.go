@@ -345,8 +345,7 @@ func TestSlateKeyedByAggregateContent(t *testing.T) {
 	mixA, mixB := spec("prefill=1,decode=1"), spec("prefill=9,decode=1")
 	mixB.Desc = mixA.Desc
 	llm := mustWorkload(t, "llmbatch")
-	variant := llm
-	variant.Phases = append([]workload.Phase(nil), llm.Phases...)
+	variant := llm.Clone()
 	variant.Phases[1].BytesPerUnit *= 1.5
 	const budget = 400 * units.Watt
 	for _, tc := range []struct {

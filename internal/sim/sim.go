@@ -161,17 +161,18 @@ func cpuRun(p hw.Platform, w *workload.Workload, procCap, memCap units.Power, op
 func solveCPUPhase(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, opts Options, row pointRow) PhaseResult {
 	act := ph.Activity(0.5)
 	// An operating point is the pattern point of the package state
-	// (solveCPUPattern), throttled at the DRAM ceiling. The ceiling is
-	// loop-invariant: ActuateBin only reads the package limit register,
-	// and no register is written while a run solves its phases.
+	// (solveCPUPattern), throttled at the DRAM ceiling. The ceiling and
+	// the package limit are loop-invariant: no register is written while
+	// a run solves its phases, so both are read once per phase.
 	ceiling := ctrl.DRAMBandwidthCeiling(ph.RandomFrac)
+	limit, limited := ctrl.Limit(rapl.DomainPackage)
 	// state and op are the last package state and its operating point.
 	// A pass whose actuator returns an equal state reuses op instead of
 	// solving it again.
 	var state rapl.PackageState
 	var op perfmodel.OperatingPoint
 	for i := 0; i < maxIterations; i++ {
-		if s, bin := ctrl.ActuateBin(act); i == 0 || s != state {
+		if s, bin := ctrl.ActuateBin(limit, limited, act); i == 0 || s != state {
 			state, op = s, perfmodel.Throttle(ph, row.cpuPattern(bin, p, ph, s, opts), ceiling)
 		}
 		next := ph.Activity(op.StallFrac)
@@ -182,7 +183,7 @@ func solveCPUPhase(ctrl *rapl.Controller, p hw.Platform, ph *workload.Phase, opt
 		act += damping * (next - act)
 	}
 	// Final consistent pass with the converged activity.
-	if s, bin := ctrl.ActuateBin(act); s != state {
+	if s, bin := ctrl.ActuateBin(limit, limited, act); s != state {
 		state, op = s, perfmodel.Throttle(ph, row.cpuPattern(bin, p, ph, s, opts), ceiling)
 	}
 	act = ph.Activity(op.StallFrac)

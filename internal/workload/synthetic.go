@@ -116,9 +116,8 @@ func Scaled(w Workload, factor float64) (Workload, error) {
 	if factor <= 0 {
 		return Workload{}, fmt.Errorf("workload: non-positive traffic factor %v", factor)
 	}
-	out := w
+	out := w.Clone()
 	out.Name = fmt.Sprintf("%s(x%.2g)", w.Name, factor)
-	out.Phases = append([]Phase(nil), w.Phases...)
 	for i := range out.Phases {
 		out.Phases[i].BytesPerUnit *= factor
 	}

@@ -220,8 +220,7 @@ func NormalizeWeights(phases []Phase) error {
 // Normalized returns a copy of the workload with phase weights
 // normalized to an exact sum of 1 via NormalizeWeights.
 func (w Workload) Normalized() (Workload, error) {
-	out := w
-	out.Phases = append([]Phase(nil), w.Phases...)
+	out := w.Clone()
 	if err := NormalizeWeights(out.Phases); err != nil {
 		return Workload{}, fmt.Errorf("workload %q: %w", w.Name, err)
 	}
@@ -229,8 +228,8 @@ func (w Workload) Normalized() (Workload, error) {
 }
 
 // catalog is AllWorkloads built once and indexed by name, with the
-// names sorted for error messages. ByName hands out clones, so the
-// entries themselves are never exposed.
+// names sorted for error messages. Its entries are shared: every ByName
+// of one name returns the same phase slice, and no code writes to it.
 var catalog = sync.OnceValues(func() (map[string]Workload, []string) {
 	byName := map[string]Workload{}
 	var names []string
@@ -243,17 +242,25 @@ var catalog = sync.OnceValues(func() (map[string]Workload, []string) {
 })
 
 // ByName returns the workload with the given name from the full model
-// set (the Table 3 catalog plus the ML inference additions). Each call
-// returns a fresh value with its own phase slice, so callers may mutate
-// their copy. The error lists valid names.
+// set (the Table 3 catalog plus the ML inference additions). It returns
+// the shared catalog entry without copying: its Phases slice is the
+// catalog's own, read-only for every caller. A caller that needs a
+// variant writes to a Clone. The error lists valid names.
 func ByName(name string) (Workload, error) {
 	byName, names := catalog()
 	w, ok := byName[name]
 	if !ok {
 		return Workload{}, fmt.Errorf("unknown workload %q (valid: %v)", name, names)
 	}
-	w.Phases = append([]Phase(nil), w.Phases...)
 	return w, nil
+}
+
+// Clone returns w with its own copy of the phase slice, so writing to
+// the clone's phases leaves w, and the catalog entry w may be,
+// unchanged.
+func (w Workload) Clone() Workload {
+	w.Phases = append([]Phase(nil), w.Phases...)
+	return w
 }
 
 // CPUWorkloads returns the eleven CPU benchmarks of Table 3 in paper
