@@ -191,9 +191,10 @@ cover:
 
 # Short fuzz passes over the input parsers (fault specs, arrival specs,
 # tree specs, phase specs, power units), the tree solver against its
-# sort-based reference, DES exact mode against fast mode, the
-# simulator's fixed-point loops against their solve-every-pass twin, the
-# bound simulator model against the unbound runs, its tabled power
+# sort-based reference and against a brute-force optimum, DES exact
+# mode against fast mode, scheduling rounds against DES's t=0 starts,
+# the simulator's fixed-point loops against their solve-every-pass
+# twin, the bound simulator model against the unbound runs, its tabled power
 # ladders against the closed forms, the warm-started RAPL and
 # GPU-governor searches against a cold search, the
 # Prometheus exposition encoder, and the binary wire codec (both a
@@ -203,6 +204,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParsePhaseSpec -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzParseArrivalSpec -fuzztime=10s ./internal/des
 	$(GO) test -run=^$$ -fuzz=FuzzModesAgree -fuzztime=10s ./internal/des
+	$(GO) test -run=^$$ -fuzz=FuzzScheduleMatchesDES -fuzztime=10s ./internal/des
 	$(GO) test -run=^$$ -fuzz=FuzzFixedPointReuse -fuzztime=10s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzBoundRunMatchesRun -fuzztime=10s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzLadderPower -fuzztime=10s ./internal/hw
@@ -210,6 +212,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzActuatorHint -fuzztime=10s ./internal/nvgov
 	$(GO) test -run=^$$ -fuzz=FuzzTreeSpec -fuzztime=10s ./internal/powertree
 	$(GO) test -run=^$$ -fuzz=FuzzSolveMatchesSortedGreedy -fuzztime=10s ./internal/powertree
+	$(GO) test -run=^$$ -fuzz=FuzzGreedyMatchesBruteForce -fuzztime=10s ./internal/powertree
 	$(GO) test -run=^$$ -fuzz=FuzzParsePower -fuzztime=10s ./internal/units
 	$(GO) test -run=^$$ -fuzz=FuzzPromText -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=^$$ -fuzz=FuzzWireRoundTrip -fuzztime=10s ./internal/wire

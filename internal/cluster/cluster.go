@@ -10,10 +10,15 @@
 //   - no job receives more than its maximum demand — "power over-budgeting
 //     wastes power without increasing performance";
 //   - within a node, COORD splits the budget across components;
-//   - surplus reported by COORD is reclaimed into the pool. A Schedule
-//     round returns it after all of the round's admission decisions,
-//     and Admit at once; neither raises the grant of a job already
-//     admitted.
+//   - surplus reported by COORD is reclaimed into the pool at once, so
+//     the next job is decided at the pool the jobs before it left; no
+//     grant of a job already admitted is raised.
+//
+// Both entry points run one admission core (admit): Admit decides one
+// job, the step internal/des runs its queues through, and a Schedule
+// round walks its queue in order through the same step, so a round
+// places exactly what a backfill queue run with the same nodes and jobs
+// starts at t=0.
 package cluster
 
 import (
@@ -248,24 +253,39 @@ func (s *Scheduler) split(node Node, w workload.Workload, grant units.Power, pol
 	return pl, req, nil
 }
 
-// Schedule runs one scheduling round over the queued jobs. Jobs are
-// considered in queue order; each takes the next free node. A job is
-// admitted if the pool can cover at least its productive threshold; it is
-// granted up to its maximum demand. Each grant is the smaller of the two,
-// so the first job granted less than its maximum demand empties the
-// pool: no admitted job is left below its maximum demand while power
-// remains. COORD then places each grant, and its surplus returns to the
-// pool.
+// admit is the admission core of Schedule and Admit, the paper's rules
+// for one job on one node at the current pool: a pool below the job's
+// productive threshold refuses it (p.ok false), and any other pool grants
+// min(pool, maxTotal), which policy splits. The job keeps budget, the
+// grant less the split's surplus; the surplus goes back to the pool at
+// once, so the caller's pool drops by budget before its next decision.
+// sat is the pool at and above which the decision no longer depends on
+// the pool: max(threshold, maxTotal).
+func (s *Scheduler) admit(node Node, w workload.Workload, pool units.Power, policy SplitPolicy) (p placement, budget, sat units.Power, err error) {
+	threshold, maxTotal, err := s.envelope(node, w)
+	if err != nil {
+		return placement{}, 0, 0, err
+	}
+	sat = max(threshold, maxTotal)
+	if pool < threshold {
+		return placement{}, 0, sat, nil
+	}
+	grant := min(pool, maxTotal)
+	if p, err = s.place(node, w, grant, policy); err != nil || !p.ok {
+		return placement{}, 0, sat, err
+	}
+	return p, grant - p.surplus, sat, nil
+}
+
+// Schedule runs one scheduling round over the queued jobs, by the rule
+// a queue run admits with at t=0 (see admit). Jobs are considered in
+// queue order; each takes the first free node of its kind and is
+// decided at the pool the jobs before it left. A job the pool cannot
+// give its productive threshold, or that finds no free node, is
+// deferred, and later jobs are still considered.
 func (s *Scheduler) Schedule(jobs []Job) (Outcome, error) {
 	out := Outcome{PoolLeft: s.Budget}
-	freeNodes := append([]Node(nil), s.Nodes...)
-
-	type admitted struct {
-		idx  int
-		node Node
-	}
-	var adm []admitted
-
+	freeNodes := slices.Clone(s.Nodes)
 	for _, job := range jobs {
 		// The first free node of the job's kind; it is removed only once
 		// the job is admitted, so a job the pool blocks costs no copy.
@@ -275,62 +295,29 @@ func (s *Scheduler) Schedule(jobs []Job) (Outcome, error) {
 			continue
 		}
 		node := freeNodes[ni]
-		threshold, maxTotal, err := s.envelope(node, job.Workload)
+		p, budget, _, err := s.admit(node, job.Workload, out.PoolLeft, PolicyCoord)
 		if err != nil {
 			return Outcome{}, fmt.Errorf("cluster: job %q: %w", job.ID, err)
 		}
-		if out.PoolLeft < threshold {
+		if !p.ok {
 			// Paper: a budget this small delivers unacceptable performance
 			// and efficiency; defer rather than waste the power.
 			out.Deferred = append(out.Deferred, job.ID)
 			continue
 		}
-		grant := out.PoolLeft
-		if grant > maxTotal {
-			grant = maxTotal
-		}
-		out.PoolLeft -= grant
-		freeNodes = append(freeNodes[:ni], freeNodes[ni+1:]...)
+		out.PoolLeft -= budget
+		freeNodes = slices.Delete(freeNodes, ni, ni+1)
 		out.Placements = append(out.Placements, Placement{
-			JobID:  job.ID,
-			NodeID: node.ID,
-			Budget: grant,
+			JobID:         job.ID,
+			NodeID:        node.ID,
+			Budget:        budget,
+			Alloc:         p.alloc,
+			ExpectedPerf:  p.perf,
+			ExpectedPower: p.power,
 		})
-		adm = append(adm, admitted{idx: len(out.Placements) - 1, node: node})
-	}
-
-	// Place each grant with COORD and reclaim surplus.
-	for _, a := range adm {
-		pl := &out.Placements[a.idx]
-		p, err := s.place(a.node, *jobWorkload(jobs, pl.JobID), pl.Budget, PolicyCoord)
-		if err != nil {
-			return Outcome{}, err
-		}
-		if !p.ok {
-			// Cannot happen given the admission check, but keep the
-			// invariant explicit.
-			return Outcome{}, fmt.Errorf("cluster: job %q: COORD rejected admitted budget %v",
-				pl.JobID, pl.Budget)
-		}
-		if p.surplus > 0 {
-			out.PoolLeft += p.surplus
-			pl.Budget -= p.surplus
-		}
-		pl.Alloc = p.alloc
-		pl.ExpectedPerf = p.perf
-		pl.ExpectedPower = p.power
 		out.TotalExpectedPower += p.power
 	}
 	return out, nil
-}
-
-func jobWorkload(jobs []Job, id string) *workload.Workload {
-	for i := range jobs {
-		if jobs[i].ID == id {
-			return &jobs[i].Workload
-		}
-	}
-	return nil
 }
 
 // Validate checks an outcome against the cluster bound: the sum of

@@ -99,3 +99,13 @@ func TestScheduleSerialParallelContract(t *testing.T) {
 		t.Fatal("the warm pass read no placement back from the memo")
 	}
 }
+
+// jobWorkload is the workload of the job named id.
+func jobWorkload(jobs []Job, id string) *workload.Workload {
+	for i := range jobs {
+		if jobs[i].ID == id {
+			return &jobs[i].Workload
+		}
+	}
+	return nil
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/units"
 )
 
 // TestScheduleGPUJobBelowCapFloor is the regression test for the
@@ -45,5 +46,56 @@ func TestScheduleGPUJobBelowCapFloor(t *testing.T) {
 	}
 	if err := s.Validate(out); err != nil {
 		t.Errorf("Validate: %v", err)
+	}
+}
+
+// TestScheduleReturnsSurplusBeforeNextJob is the regression test for a
+// round that returned COORD's surplus only after all of its admission
+// decisions. On titanv these workloads demand less than the 100 W cap
+// floor, so each is granted 100 W and returns the rest as surplus. With
+// three nodes and 290 W, the old round took the surplus of the first
+// two jobs back too late and deferred the third with 102–125 W idle, at
+// or above its 100 W threshold. Decided at the pool its predecessors
+// left, as a queue run decides it, the third job starts.
+func TestScheduleReturnsSurplusBeforeNextJob(t *testing.T) {
+	gpu, err := hw.PlatformByName("titanv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []Node{{ID: "g1", Platform: gpu}, {ID: "g2", Platform: gpu}, {ID: "g3", Platform: gpu}}
+	s, err := NewScheduler(290, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		workload string
+		poolLeft float64 // W, to a tenth
+	}{
+		{"cufft", 8.2}, {"gpustream", 42.8}, {"hpcg", 19.1}, {"minife", 11.2}, {"llmchat", 10.6},
+	} {
+		w := mustWorkload(t, c.workload)
+		out, err := s.Schedule([]Job{{ID: "j1", Workload: w}, {ID: "j2", Workload: w}, {ID: "j3", Workload: w}})
+		if err != nil {
+			t.Fatalf("%s: %v", c.workload, err)
+		}
+		if len(out.Placements) != 3 {
+			t.Errorf("%s: %d placements (deferred %v, %v left), want 3", c.workload, len(out.Placements), out.Deferred, out.PoolLeft)
+			continue
+		}
+		if got := math.Round(out.PoolLeft.Watts()*10) / 10; got != c.poolLeft {
+			t.Errorf("%s: PoolLeft %v, want %.1f W", c.workload, out.PoolLeft, c.poolLeft)
+		}
+		var pool units.Power = s.Budget
+		for _, pl := range out.Placements {
+			a, _, ok, err := s.Admit(nodes[0], Job{Workload: w}, pool, PolicyCoord)
+			if err != nil || !ok {
+				t.Fatalf("%s: Admit at %v: ok %v, %v", c.workload, pool, ok, err)
+			}
+			if pl.Budget != a.Budget || pl.ExpectedPower != a.Power {
+				t.Errorf("%s: %s placed %v drawing %v, Admit at %v grants %v drawing %v",
+					c.workload, pl.JobID, pl.Budget, pl.ExpectedPower, pool, a.Budget, a.Power)
+			}
+			pool -= a.Budget
+		}
 	}
 }

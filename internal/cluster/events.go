@@ -171,34 +171,20 @@ type Admission struct {
 }
 
 // Admit decides the admission of job j onto node from a pool of the
-// given size, by the paper's rules: admit only at the productive
-// threshold, grant at most the maximum demand, and return COORD's
-// surplus to the pool. ok is false when the job cannot start there.
-// The answer depends on the node's platform, the job's workload, the
-// pool and the policy alone. Admit touches no metrics; internal/des
-// caches its answers in its one admission pass.
+// given size through the admission core Schedule runs too (see admit).
+// ok is false when the job cannot start there. The answer depends on
+// the node's platform, the job's workload, the pool and the policy
+// alone. Admit touches no metrics; internal/des caches its answers in
+// its one admission pass.
 //
 // sat is the pool at and above which the decision no longer depends on
-// the pool: max(threshold, maxTotal), since a pool that covers the
-// threshold is granted min(pool, maxTotal). On a node of the wrong
-// kind the job never starts and sat is 0.
+// the pool. On a node of the wrong kind the job never starts and sat
+// is 0.
 func (s *Scheduler) Admit(node Node, j Job, pool units.Power, policy SplitPolicy) (a Admission, sat units.Power, ok bool, err error) {
 	if node.Platform.Kind != j.Workload.Kind {
 		return Admission{}, 0, false, nil
 	}
-	threshold, maxTotal, err := s.envelope(node, j.Workload)
-	if err != nil {
-		return Admission{}, 0, false, err
-	}
-	sat = max(threshold, maxTotal)
-	if pool < threshold {
-		return Admission{}, sat, false, nil
-	}
-	grant := pool
-	if grant > maxTotal {
-		grant = maxTotal
-	}
-	p, err := s.place(node, j.Workload, grant, policy)
+	p, budget, sat, err := s.admit(node, j.Workload, pool, policy)
 	if err != nil || !p.ok {
 		return Admission{}, sat, false, err
 	}
@@ -206,5 +192,5 @@ func (s *Scheduler) Admit(node Node, j Job, pool units.Power, policy SplitPolicy
 	if rate <= 0 {
 		return Admission{}, sat, false, fmt.Errorf("cluster: workload %q makes no progress on node %q", j.Workload.Name, node.ID)
 	}
-	return Admission{Budget: grant - p.surplus, Power: p.power, Rate: rate}, sat, true, nil
+	return Admission{Budget: budget, Power: p.power, Rate: rate}, sat, true, nil
 }

@@ -491,13 +491,14 @@ func buildPlanSegs(t *planTable, exact planPath, start, end float64, depth int) 
 		}
 		seg.steps = append(seg.steps, st)
 	}
+	var got wire.PlanResponse // every probe's emitted plan, its Steps reused
 	for _, f := range probeFracs {
-		if !checkPlanProbe(t, exact, &seg, start+f*w) {
+		if !checkPlanProbe(t, exact, &seg, start+f*w, &got) {
 			return split()
 		}
 	}
 	for _, pb := range edgeProbes(start, end) {
-		if !checkPlanProbe(t, exact, &seg, pb) {
+		if !checkPlanProbe(t, exact, &seg, pb, &got) {
 			return split()
 		}
 	}
@@ -505,14 +506,13 @@ func buildPlanSegs(t *planTable, exact planPath, start, end float64, depth int) 
 }
 
 // checkPlanProbe verifies the segment's emitted plan at budget b
-// against the exact path.
-func checkPlanProbe(t *planTable, exact planPath, seg *planSeg, b float64) bool {
+// against the exact path, emitting it into got.
+func checkPlanProbe(t *planTable, exact planPath, seg *planSeg, b float64, got *wire.PlanResponse) bool {
 	want, err := exact(b)
 	if err != nil || len(want.Steps) != len(seg.steps) || want.Rejected != seg.rejected {
 		return false
 	}
-	var got wire.PlanResponse
-	t.emit(b, seg.steps, seg.rejected, &got)
+	t.emit(b, seg.steps, seg.rejected, got)
 	for i := range want.Steps {
 		e, g := &want.Steps[i], &got.Steps[i]
 		if e.Status != g.Status || e.FellBack != g.FellBack ||

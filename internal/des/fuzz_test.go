@@ -1,8 +1,10 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -238,4 +240,119 @@ func fuzzSchedule(b []byte, cfg Config) []BudgetPhase {
 		prev = until
 	}
 	return phases
+}
+
+// FuzzScheduleMatchesDES is the differential contract of the one
+// placement rule: a cluster.Scheduler.Schedule round places exactly the
+// jobs an exact-mode backfill run, with the same nodes and t=0 jobs and
+// no arrivals, faults or budget schedule, starts at t=0. Each lands on
+// the same node at the same Budget and ExpectedPower, bit for bit, in
+// the same order; the round defers the rest in queue order and leaves
+// the pool those starts leave. The fuzz bytes choose 1–8 nodes of mixed
+// catalog platforms, a budget of 100–1400 W in quarter watts, and 1–8
+// jobs of mixed workloads of the nodes' kinds. A round the run refuses with
+// cluster.ErrStarved (some job can never start) is skipped and counted.
+func FuzzScheduleMatchesDES(f *testing.F) {
+	plats := hw.AllPlatforms()
+	wls := workload.AllWorkloads()
+	// The seeded corpus: the empty input, the titanv rounds that once
+	// deferred a third job with more than its threshold left (three
+	// nodes, three jobs of one workload, 290 W), and 64 fixed
+	// pseudo-random draws.
+	f.Add([]byte{})
+	titanv := byte(slices.IndexFunc(plats, func(p hw.Platform) bool { return p.Name == "titanv" }))
+	gpuWls := slices.DeleteFunc(slices.Clone(wls), func(w workload.Workload) bool { return w.Kind != hw.KindGPU })
+	for _, name := range []string{"cufft", "gpustream", "hpcg", "minife", "llmchat"} {
+		w := byte(slices.IndexFunc(gpuWls, func(w workload.Workload) bool { return w.Name == name }))
+		f.Add([]byte{2, titanv, titanv, titanv, 760 >> 8, 760 & 0xff, 2, w, w, w})
+	}
+	rng := rand.New(rand.NewPCG(5, 6))
+	for range 64 {
+		b := make([]byte, 20)
+		for i := range b {
+			b[i] = byte(rng.Uint32())
+		}
+		f.Add(b)
+	}
+	compared, starved := 0, 0
+	f.Cleanup(func() {
+		f.Logf("%d rounds compared, %d starved rounds skipped", compared, starved)
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		nodes := make([]cluster.Node, 1+next()%8)
+		for i := range nodes {
+			nodes[i] = cluster.Node{ID: fmt.Sprintf("node%02d", i), Platform: plats[next()%len(plats)]}
+		}
+		budget := units.Power(100 + 0.25*float64((next()<<8|next())%5201))
+		sched, err := cluster.NewScheduler(budget, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Jobs run workloads of the kinds the nodes have, so that a
+		// round starves only on its budget.
+		runnable := slices.DeleteFunc(slices.Clone(wls), func(w workload.Workload) bool {
+			return !slices.ContainsFunc(nodes, func(n cluster.Node) bool { return n.Platform.Kind == w.Kind })
+		})
+		jobs := make([]cluster.Job, 1+next()%8)
+		timed := make([]cluster.TimedJob, len(jobs))
+		for i := range jobs {
+			jobs[i] = cluster.Job{ID: fmt.Sprintf("job%02d", i), Workload: runnable[next()%len(runnable)]}
+			timed[i] = cluster.TimedJob{Job: jobs[i], Units: 1e12}
+		}
+
+		res, err := Run(Config{Sched: sched, Jobs: timed, Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill})
+		if errors.Is(err, cluster.ErrStarved) {
+			starved++
+			t.Skipf("queue run starved: %v", err)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := sched.Schedule(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compared++
+
+		pool := budget
+		var started []cluster.Placement
+		for _, e := range res.Queue.Events {
+			if e.Time != 0 || e.Kind != "start" {
+				continue
+			}
+			st := res.Queue.Stats[e.JobID]
+			started = append(started, cluster.Placement{JobID: e.JobID, NodeID: e.NodeID, Budget: st.Budget, ExpectedPower: st.Power})
+			pool -= st.Budget
+		}
+		var deferred []string
+		for _, j := range jobs {
+			if !slices.ContainsFunc(started, func(p cluster.Placement) bool { return p.JobID == j.ID }) {
+				deferred = append(deferred, j.ID)
+			}
+		}
+		if len(started) != len(out.Placements) {
+			t.Fatalf("%v over %d nodes: round places %d jobs, the queue run starts %d at t=0", budget, len(nodes), len(out.Placements), len(started))
+		}
+		for i, want := range started {
+			got := out.Placements[i]
+			if got.JobID != want.JobID || got.NodeID != want.NodeID || got.Budget != want.Budget || got.ExpectedPower != want.ExpectedPower {
+				t.Fatalf("%v over %d nodes, placement %d: round %s on %s at %v drawing %v, queue run %s on %s at %v drawing %v",
+					budget, len(nodes), i, got.JobID, got.NodeID, got.Budget, got.ExpectedPower, want.JobID, want.NodeID, want.Budget, want.ExpectedPower)
+			}
+		}
+		if !slices.Equal(out.Deferred, deferred) {
+			t.Fatalf("%v over %d nodes: round defers %v, the queue run %v", budget, len(nodes), out.Deferred, deferred)
+		}
+		if out.PoolLeft != pool {
+			t.Fatalf("%v over %d nodes: round leaves %v, the queue run's t=0 starts %v", budget, len(nodes), out.PoolLeft, pool)
+		}
+	})
 }

@@ -62,7 +62,9 @@ func clusterEnvelope(p hw.Platform, w workload.Workload) (threshold, maxTotal un
 //     same identity through every shock eviction and re-admission;
 //   - expected-power-sum: Outcome.TotalExpectedPower is exactly the sum
 //     of the per-placement expected draws;
-//   - schedule-complete: every job is either placed or deferred.
+//   - schedule-complete: every job is either placed or deferred;
+//   - schedule-work-conserving: a job deferred while a node of its
+//     kind is still free sees PoolLeft below its productive threshold.
 func checkClusterPair(cfg Config, c *collector, p hw.Platform, w workload.Workload) error {
 	threshold, maxTotal, err := clusterEnvelope(p, w)
 	if err != nil {
@@ -120,6 +122,13 @@ func checkClusterPair(cfg Config, c *collector, p hw.Platform, w workload.Worklo
 			len(out.Placements)+len(out.Deferred) == len(jobs),
 			"%d placed + %d deferred != %d jobs",
 			len(out.Placements), len(out.Deferred), len(jobs))
+		// Every node and job of the fixture is of one platform and one
+		// workload: each free node fits each deferred job, at threshold.
+		free := len(nodes) - len(out.Placements)
+		c.check("schedule-work-conserving", b,
+			len(out.Deferred) == 0 || free == 0 || out.PoolLeft < threshold,
+			"%d job(s) deferred with %d node(s) free and %v left, not below the %v threshold",
+			len(out.Deferred), free, out.PoolLeft, threshold)
 	}
 
 	// Fault path: a shock- and failure-heavy run must preserve the pool

@@ -58,6 +58,10 @@
 //     sum of per-placement expected draws.
 //   - schedule-complete: every job submitted to a scheduling round is
 //     either placed or deferred, never dropped.
+//   - schedule-work-conserving: a round defers a job that still has a
+//     free node of its kind only when the power it leaves is below the
+//     job's productive threshold (each job is decided at the pool the
+//     jobs before it left, their surplus already returned).
 //
 // When Config.Tables supplies a decision-table set, four further
 // invariants hold the precomputed fast path to the exact one:

@@ -30,7 +30,8 @@ func TestInvariantSweepCatalog(t *testing.T) {
 		"alloc-finite", "budget-bound", "classify-scale", "classify-stable",
 		"coord-gap", "coord-monotone", "engine-identical", "expected-power-sum",
 		"mem-range", "perfmax-monotone", "pool-conservation", "pool-nonneg",
-		"reject-threshold", "schedule-complete", "surplus-balance", "surplus-iff",
+		"reject-threshold", "schedule-complete", "schedule-work-conserving",
+		"surplus-balance", "surplus-iff",
 	} {
 		tl := rep.PerInvariant[want]
 		if tl == nil || tl.Checks == 0 {

@@ -409,6 +409,83 @@ func TestGreedyMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// FuzzGreedyMatchesBruteForce generalizes TestGreedyMatchesBruteForce
+// to random trees: one rack of 1–4 leaves, each a concave curve (floor
+// 0–8 quanta, base 0–15, up to three segments of 1–8 quanta whose
+// slopes, in quarter units, never increase). At every root budget
+// where nothing is shed, the water-fill's performance must not fall
+// below the exhaustive optimum over the 0.25 W quanta grid. The first
+// seed is the test's three-curve tree.
+func FuzzGreedyMatchesBruteForce(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 3, 5, 2, 3, 12, 4, 8, 2, 2, 2, 5, 10, 1, 8, 4, 7, 1, 2, 8})
+	f.Add([]byte{3, 0, 0, 3, 7, 16, 7, 0, 7, 16, 8, 1, 3, 7, 3, 2, 4, 4, 1, 1, 4, 2, 9, 6, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := &byteSource{data}
+		b := newSynth(t)
+		var nodes []Node
+		for i, n := 0, 1+src.n(4); i < n; i++ {
+			c := curve{floorQ: int64(src.n(9)), base: float64(src.n(16))}
+			slope := 0.0
+			for k, segs := 0, src.n(4); k < segs; k++ {
+				width := int64(1 + src.n(8))
+				if d := float64(src.n(17)) / 4; k == 0 {
+					slope = d
+				} else {
+					slope = max(0, slope-d)
+				}
+				c.segs = append(c.segs, segment{width: width, slope: slope})
+			}
+			nodes = append(nodes, b.leaf(string(rune('a'+i)), 0, c))
+		}
+		spec := Spec{Racks: []Rack{{ID: "r", Nodes: nodes}}}
+		curves := make([]*curve, len(nodes))
+		for i := range nodes {
+			c, err := b.cs.curveFor(&nodes[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			curves[i] = c
+		}
+		// best[q] is the exhaustive optimum over every grant vector
+		// totalling at most q quanta with each leaf in [floorQ, maxQ].
+		var maxTotal int64
+		for _, c := range curves {
+			maxTotal += c.maxQ
+		}
+		best := make([]float64, maxTotal+1)
+		for i := range best {
+			best[i] = math.Inf(-1)
+		}
+		var walk func(i int, q int64, perf float64)
+		walk = func(i int, q int64, perf float64) {
+			if i == len(curves) {
+				best[q] = max(best[q], perf)
+				return
+			}
+			for g := curves[i].floorQ; g <= curves[i].maxQ; g++ {
+				walk(i+1, q+g, perf+curves[i].perfAt(g))
+			}
+		}
+		walk(0, 0, 0)
+		for q := int64(1); q <= maxTotal; q++ {
+			best[q] = max(best[q], best[q-1])
+		}
+		for rootQ := int64(0); rootQ <= maxTotal+2; rootQ++ {
+			res, err := SolveCurves(b.cs, spec, watts(rootQ))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Shed) > 0 {
+				continue // the brute force keeps every leaf
+			}
+			if opt := best[min(rootQ, maxTotal)]; res.TotalPerf < opt-1e-9 {
+				t.Fatalf("rootQ %d: water-fill perf %g below brute-force optimum %g", rootQ, res.TotalPerf, opt)
+			}
+		}
+	})
+}
+
 func TestSolveRejectsBadBudget(t *testing.T) {
 	spec, cs := hetero(t)
 	for _, b := range []units.Power{units.Power(-1), units.Power(nan()), units.Power(inf())} {
