@@ -34,9 +34,12 @@ benchsmoke:
 # DES exact and fast mode at the perfbench simulate sizes, DES exact
 # under an oversubscribed queue, a recoord run on a memoized slate and
 # one at a fresh budget that simulates its slate), so the benchmarks
-# cannot rot.
+# cannot rot. The DES benches run on one core and on two: a run's
+# pipeline stages (DESIGN.md §14) overlap only on the second, so the
+# one-core row shows what the pipeline costs where they cannot.
 simbench:
-	$(GO) test -run=^$$ -bench='^Benchmark(Solve4096|RunExact256|RunExactOversubscribed|RunFast10k|Run|RunCold)$$' -benchtime=1x ./internal/powertree ./internal/des ./internal/recoord
+	$(GO) test -run=^$$ -bench='^Benchmark(Solve4096|Run|RunCold)$$' -benchtime=1x ./internal/powertree ./internal/recoord
+	$(GO) test -run=^$$ -bench='^Benchmark(RunExact256|RunExactOversubscribed|RunFast10k)$$' -benchtime=1x -cpu 1,2 ./internal/des
 
 # One iteration of the serving-stack layer benches: the ten-pair
 # decision-table build from a cold engine, warm /v1/coord computations

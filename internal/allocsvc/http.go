@@ -557,7 +557,8 @@ func (pair *PlanPair) Plan(budget float64) (PlanResponse, error) {
 }
 
 // computeSchedule runs one /v1/schedule round on a scheduler built for
-// the request's cluster.
+// the request's cluster. Placements are named by job ID, so a round
+// whose job IDs repeat is refused.
 func computeSchedule(req ScheduleRequest) (ScheduleResponse, error) {
 	if err := checkBudget(req.Budget); err != nil {
 		return ScheduleResponse{}, err
@@ -582,7 +583,12 @@ func computeSchedule(req ScheduleRequest) (ScheduleResponse, error) {
 		return ScheduleResponse{}, badRequestf("%v", err)
 	}
 	jobs := make([]cluster.Job, len(req.Jobs))
+	ids := make(map[string]bool, len(req.Jobs))
 	for i, j := range req.Jobs {
+		if ids[j.ID] {
+			return ScheduleResponse{}, badRequestf("duplicate job ID %q", j.ID)
+		}
+		ids[j.ID] = true
 		wl, err := workload.ByName(j.Workload)
 		if err != nil {
 			return ScheduleResponse{}, badRequestf("job %q: unknown workload %q", j.ID, j.Workload)

@@ -2,6 +2,8 @@ package allocsvc
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -226,5 +228,35 @@ func TestOversizeBinaryResponse413(t *testing.T) {
 	}
 	if e.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("frame code = %d, want 413", e.Code)
+	}
+}
+
+// TestScheduleDuplicateJobIDRejected: a /v1/schedule round answers its
+// placements by job ID, so a round whose jobs share an ID (x/stream on
+// ivybridge, x/sgemm on titanxp) is a 400 naming the ID, over JSON and
+// binary alike, not two placements both named x.
+func TestScheduleDuplicateJobIDRejected(t *testing.T) {
+	const body = `{"budget_watts":600,` +
+		`"nodes":[{"id":"n0","platform":"ivybridge"},{"id":"n1","platform":"titanxp"}],` +
+		`"jobs":[{"id":"x","workload":"stream"},{"id":"x","workload":"sgemm"}]}`
+	const want = `duplicate job ID \"x\"`
+	svc, srv := newTestService(t, Config{Workers: 1, Binary: true})
+	resp, got := post(t, srv, RouteSchedule, body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), want) {
+		t.Errorf("JSON: status %d, body %s; want 400 naming the ID", resp.StatusCode, got)
+	}
+
+	var req ScheduleRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.AppendScheduleRequest(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _, out := svc.ServeBinary(context.Background(), frame, nil)
+	e, err := wire.DecodeError(out)
+	if code != http.StatusBadRequest || err != nil || e.Code != http.StatusBadRequest || !strings.Contains(e.Message, `duplicate job ID "x"`) {
+		t.Errorf("binary: code %d, error frame %+v (%v); want 400 naming the ID", code, e, err)
 	}
 }

@@ -118,10 +118,10 @@ func NewScheduler(budget units.Power, nodes []Node) (*Scheduler, error) {
 	return &Scheduler{Budget: budget, Nodes: nodes}, nil
 }
 
-// envelope returns the job's power envelope on a node: the smallest
-// productive grant and the largest useful one. On GPU nodes the card's
-// settable cap range bounds both ends.
-func (s *Scheduler) envelope(node Node, w workload.Workload) (threshold, maxTotal units.Power, err error) {
+// Envelope returns the job's power envelope on a node, the one
+// admission uses: the smallest productive grant and the largest useful
+// one. On GPU nodes the card's settable cap range bounds both ends.
+func Envelope(node Node, w workload.Workload) (threshold, maxTotal units.Power, err error) {
 	switch node.Platform.Kind {
 	case hw.KindCPU:
 		prof, err := profile.ProfileCPU(node.Platform, w)
@@ -262,7 +262,7 @@ func (s *Scheduler) split(node Node, w workload.Workload, grant units.Power, pol
 // sat is the pool at and above which the decision no longer depends on
 // the pool: max(threshold, maxTotal).
 func (s *Scheduler) admit(node Node, w workload.Workload, pool units.Power, policy SplitPolicy) (p placement, budget, sat units.Power, err error) {
-	threshold, maxTotal, err := s.envelope(node, w)
+	threshold, maxTotal, err := Envelope(node, w)
 	if err != nil {
 		return placement{}, 0, 0, err
 	}

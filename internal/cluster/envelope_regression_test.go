@@ -49,6 +49,25 @@ func TestScheduleGPUJobBelowCapFloor(t *testing.T) {
 	}
 }
 
+// TestEnvelopeClampsToCapFloor pins the one envelope the scheduler and
+// the invariant harness share: titanv/gpustream demands at most 82.4 W
+// of board power, below the card's 100 W cap floor, so both ends of its
+// envelope are 100 W. A copy without the clamp once told the harness
+// 82.4 W.
+func TestEnvelopeClampsToCapFloor(t *testing.T) {
+	gpu, err := hw.PlatformByName("titanv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	threshold, maxTotal, err := Envelope(Node{ID: "g1", Platform: gpu}, mustWorkload(t, "gpustream"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if threshold != 100 || maxTotal != 100 {
+		t.Errorf("envelope [%v, %v], want [100 W, 100 W]", threshold, maxTotal)
+	}
+}
+
 // TestScheduleReturnsSurplusBeforeNextJob is the regression test for a
 // round that returned COORD's surplus only after all of its admission
 // decisions. On titanv these workloads demand less than the 100 W cap

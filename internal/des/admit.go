@@ -232,14 +232,13 @@ func (l *lifecycle) admit() error {
 // work takes at the granted rate.
 func (l *lifecycle) start(i int, j, n int32, a cluster.Admission) {
 	l.dequeue(i)
-	r := &l.jobs[j]
+	r := l.jobs.rec(j)
 	r.Admission, r.node, r.started = a, n, l.now
 	if r.firstStart < 0 {
 		r.firstStart = l.now
 	}
-	r.doneT = l.now + r.units/r.Rate
 	l.seq++
-	l.heap.push(heapItem{t: r.doneT, seq: l.seq, job: j, gen: r.gen})
+	l.heap.push(heapItem{t: r.doneT(), seq: l.seq, job: j, gen: r.gen})
 	l.pool -= a.Budget
 	l.granted += a.Budget
 	l.removeFree(n)
@@ -271,7 +270,7 @@ func (l *lifecycle) latest() int32 {
 }
 
 // live reports whether e's job is still in the service e records.
-func (l *lifecycle) live(e admEntry) bool { return l.jobs[e.job].gen == e.gen }
+func (l *lifecycle) live(e admEntry) bool { return l.jobs.rec(e.job).gen == e.gen }
 
 type probeKey struct {
 	plat, wl int32

@@ -10,12 +10,26 @@
 // (admit). It owns the fault cursors, the event order, the event bound
 // and starvation checks, node placement (a FIFO of free nodes per
 // hardware kind), the cached admission pass, shock eviction (latest
-// start, first admitted on ties), the pool-conservation audit, the
-// fault accounting, the trace hash and the statistics. The mode only
-// switches the per-job records: exact mode (ModeExact) keeps the
-// per-job result and transition log and reproduces the frozen goldens
-// in testdata byte for byte; fast mode (ModeFast) keeps neither. Both
-// return the same Result bit for bit, and replay it from the same seed.
+// start, first admitted on ties), the pool-conservation audit and the
+// fault accounting. The mode only switches the per-job records: exact
+// mode (ModeExact) keeps the per-job result and transition log and
+// reproduces the frozen goldens in testdata byte for byte; fast mode
+// (ModeFast) keeps neither. Both return the same Result bit for bit,
+// and replay it from the same seed.
+//
+// A run is a pipeline of three goroutines (pipeline.go). The producer
+// draws the arrival trace into a job store of fixed-size chunks that
+// never move, publishing a count every few hundred jobs. The event
+// loop reads the published prefix and waits only when it has consumed
+// it; it emits one compact record per event. The recorder folds those
+// records, in order, into the trace hash, the completion statistics and
+// exact mode's per-job result. The producer owns a record until it is
+// published, the loop from then on; a finished job's record is only
+// read. The fault horizon, which depends on the whole trace's work, is
+// a monotone test (faults.Horizon): an edge is inside once the
+// published prefix's work already puts the horizon past it, and
+// outside only against the final sum, so every answer is the one the
+// whole trace gives.
 package des
 
 import (
@@ -206,51 +220,92 @@ type jobArrival struct {
 	units float64
 }
 
-// generateArrivals materializes the arrival trace for [0, horizon):
-// nonhomogeneous Poisson event times by thinning against the peak rate
-// Rate*(1+Diurnal), geometric burst sizes, and uniform job sizing. Each
-// random dimension consumes its own forked stream keyed off seed, so
-// e.g. changing the burst mean cannot shift event times. maxJobs bounds
-// the trace; generation stops (without error) once reached.
-func generateArrivals(sp ArrivalSpec, seed uint64, horizon float64, maxJobs int) []jobArrival {
+// arrivalDraws draws the arrival trace for [0, horizon) one job at a
+// time: nonhomogeneous Poisson event times by thinning against the peak
+// rate Rate*(1+Diurnal), geometric burst sizes, and uniform job sizing.
+// Each random dimension consumes its own forked stream keyed off seed,
+// so e.g. changing the burst mean cannot shift event times. The trace
+// ends at the horizon or after maxJobs jobs, whichever comes first. Run's
+// producer drains it into the job store; generateArrivals collects it.
+type arrivalDraws struct {
+	sp                        ArrivalSpec
+	times, thin, burst, sizes *faults.RNG
+	lamMax, trough, mean      float64
+	horizon, t                float64
+	left                      int // jobs the trace may still draw
+	inBurst                   int // jobs left in the current event's burst
+}
+
+func newArrivalDraws(sp ArrivalSpec, seed uint64, horizon float64, maxJobs int) arrivalDraws {
 	if sp.Zero() || horizon <= 0 || maxJobs <= 0 {
-		return nil
+		return arrivalDraws{}
 	}
 	root := faults.NewRNG(seed)
-	times := root.Fork("des.arrival.time")
-	thin := root.Fork("des.arrival.thin")
-	burst := root.Fork("des.arrival.burst")
-	sizes := root.Fork("des.arrival.size")
+	return arrivalDraws{
+		sp:    sp,
+		times: root.Fork("des.arrival.time"),
+		thin:  root.Fork("des.arrival.thin"),
+		burst: root.Fork("des.arrival.burst"),
+		sizes: root.Fork("des.arrival.size"),
+		// A thinning draw below the rate's trough is accepted wherever it
+		// falls, so it needs no sine. The margin of 1e-9·Rate dwarfs the
+		// few ulps of Rate by which the computed rateAt can undershoot the
+		// trough.
+		lamMax:  sp.Rate * (1 + sp.Diurnal),
+		trough:  sp.Rate * (1 - sp.Diurnal - 1e-9),
+		mean:    sp.meanUnits(),
+		horizon: horizon,
+		left:    maxJobs,
+	}
+}
 
-	lamMax := sp.Rate * (1 + sp.Diurnal)
-	// A thinning draw below the rate's trough is accepted wherever it
-	// falls, so it needs no sine. The margin of 1e-9·Rate dwarfs the few
-	// ulps of Rate by which the computed rateAt can undershoot the trough.
-	trough := sp.Rate * (1 - sp.Diurnal - 1e-9)
-	mean := sp.meanUnits()
-	// Presize for the expected trace, clamped in float space: the product
-	// can overflow an int.
-	expect := math.Min(sp.Rate*horizon*math.Max(sp.Burst, 1), float64(maxJobs))
-	out := make([]jobArrival, 0, int(expect))
-	t := 0.0
-	for len(out) < maxJobs {
-		t += times.Exp(1 / lamMax)
-		if t >= horizon {
-			break
+// expect is the presize for the whole trace: the expected jobs at the
+// peak rate, so a diurnal trace does not outgrow it, clamped to the
+// jobs left in float space (the product can overflow an int).
+func (d *arrivalDraws) expect() int {
+	if d.left <= 0 {
+		return 0
+	}
+	return int(math.Min(d.lamMax*d.horizon*math.Max(d.sp.Burst, 1), float64(d.left)))
+}
+
+// next draws the next job; ok is false once the trace has ended.
+func (d *arrivalDraws) next() (a jobArrival, ok bool) {
+	if d.left <= 0 {
+		return a, false
+	}
+	for d.inBurst == 0 {
+		d.t += d.times.Exp(1 / d.lamMax)
+		if d.t >= d.horizon {
+			d.left = 0
+			return a, false
 		}
-		if sp.Diurnal > 0 {
-			if u := thin.Float64() * lamMax; u >= trough && u > sp.rateAt(t) {
+		if d.sp.Diurnal > 0 {
+			if u := d.thin.Float64() * d.lamMax; u >= d.trough && u > d.sp.rateAt(d.t) {
 				continue // thinned: the modulated rate is below the peak here
 			}
 		}
-		n := burst.Geometric(sp.Burst)
-		for i := 0; i < n && len(out) < maxJobs; i++ {
-			u := mean
-			if sp.Spread > 0 {
-				u = mean * (1 - sp.Spread + 2*sp.Spread*sizes.Float64())
-			}
-			out = append(out, jobArrival{at: t, units: u})
-		}
+		d.inBurst = d.burst.Geometric(d.sp.Burst)
+	}
+	d.inBurst--
+	d.left--
+	u := d.mean
+	if d.sp.Spread > 0 {
+		u = d.mean * (1 - d.sp.Spread + 2*d.sp.Spread*d.sizes.Float64())
+	}
+	return jobArrival{at: d.t, units: u}, true
+}
+
+// generateArrivals materializes the whole arrival trace for [0,
+// horizon), at most maxJobs jobs: arrivalDraws collected.
+func generateArrivals(sp ArrivalSpec, seed uint64, horizon float64, maxJobs int) []jobArrival {
+	d := newArrivalDraws(sp, seed, horizon, maxJobs)
+	if d.left <= 0 {
+		return nil
+	}
+	out := make([]jobArrival, 0, d.expect())
+	for a, ok := d.next(); ok; a, ok = d.next() {
+		out = append(out, a)
 	}
 	return out
 }

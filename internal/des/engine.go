@@ -200,11 +200,12 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	arrivals := generateArrivals(cfg.Arrivals, cfg.Seed, cfg.Horizon, cfg.MaxJobs)
-	if err := checkJobs(cfg.Jobs, len(arrivals)); err != nil {
+	p := startPipeline(&cfg)
+	defer p.close()
+	if err := checkJobs(cfg.Jobs, p.arrivals); err != nil {
 		return Result{}, err
 	}
-	l := newLifecycle(cfg, arrivals, edges)
+	l := newLifecycle(cfg, p, edges)
 	return l.run()
 }
 
@@ -308,8 +309,9 @@ func scheduleEdges(phases []BudgetPhase, ceiling units.Power) ([]faults.ShockEdg
 // checkJobs rejects t=0 jobs without work, and jobs whose IDs repeat
 // or repeat the name of one of the run's generated arrivals: exact mode
 // keys its per-job records by ID, and both modes accept the same
-// configurations.
-func checkJobs(jobs []cluster.TimedJob, arrivals int) error {
+// configurations. arrivals counts the generated jobs; it is asked only
+// for an ID of the generated form, as it waits for the whole trace.
+func checkJobs(jobs []cluster.TimedJob, arrivals func() int) error {
 	seen := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
 		if j.Units <= 0 {
@@ -320,7 +322,7 @@ func checkJobs(jobs []cluster.TimedJob, arrivals int) error {
 		}
 		seen[j.ID] = true
 		if rest, ok := strings.CutPrefix(j.ID, "a"); ok {
-			if i, err := strconv.Atoi(rest); err == nil && i >= 0 && i < arrivals && arrivalID(i) == j.ID {
+			if i, err := strconv.Atoi(rest); err == nil && i >= 0 && arrivalID(i) == j.ID && i < arrivals() {
 				return fmt.Errorf("des: job ID %q is the name of generated arrival %d", j.ID, i)
 			}
 		}
@@ -369,14 +371,16 @@ func fnvBytes(h, v uint64, n int) uint64 {
 	return h
 }
 
-// event hashes the event's time bits, kind byte, and job and node as
-// eight bytes each. Job and node are zero-extended from 32 bits, so
-// their four high bytes fold into one multiply each.
-func (t *traceHash) event(at float64, kind byte, job, node int32) {
-	h := fnvBytes(t.h, math.Float64bits(at), 8)
+// hashEvent folds an event into trace hash h: its time bits, kind
+// byte, and job and node as eight bytes each. Job and node are
+// zero-extended from 32 bits, so their four high bytes fold into one
+// multiply each. It takes and returns the hash by value, so a run of
+// events keeps it in a register.
+func hashEvent(h uint64, at float64, kind byte, job, node int32) uint64 {
+	h = fnvBytes(h, math.Float64bits(at), 8)
 	h = (h ^ uint64(kind)) * fnvPrime
 	h = fnvBytes(h, uint64(uint32(job)), 4) * fnvPrime4
-	t.h = fnvBytes(h, uint64(uint32(node)), 4) * fnvPrime4
+	return fnvBytes(h, uint64(uint32(node)), 4) * fnvPrime4
 }
 
 // agg holds the streaming per-completion statistics.

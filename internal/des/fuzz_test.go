@@ -223,7 +223,7 @@ func fuzzSchedule(b []byte, cfg Config) []BudgetPhase {
 	for _, a := range generateArrivals(cfg.Arrivals, cfg.Seed, cfg.Horizon, cfg.MaxJobs) {
 		arrivals = append(arrivals, a.at)
 	}
-	edges := cfg.Injector.ShockEdges(3600, cfg.Sched.Budget)
+	edges := cfg.Injector.ShockEdges(faults.Before(3600), cfg.Sched.Budget)
 	for _, ok := edges.Peek(); ok && len(shocks) < 8; _, ok = edges.Peek() {
 		shocks = append(shocks, edges.Pop().At)
 	}

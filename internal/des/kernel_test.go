@@ -56,7 +56,7 @@ func TestTraceHashEqualsByteWise(t *testing.T) {
 		}
 		kind := kinds[rng.Uint64()%uint64(len(kinds))]
 		job, node := pick(ids), pick(ids)
-		got.event(at, kind, job, node)
+		got.h = hashEvent(got.h, at, kind, job, node)
 		want.event(at, kind, job, node)
 		if got.h != want.h {
 			t.Fatalf("event %d (%v %c %d %d): hash %016x, byte-wise %016x", i, at, kind, job, node, got.h, want.h)

@@ -11,17 +11,14 @@ import (
 	"repro/internal/units"
 )
 
-// lifecycle is the run state of both modes: the absolute clock, the
-// power pool, every job's admission record, the queue and the
+// lifecycle is the event loop's state in both modes: the absolute
+// clock, the power pool, its view of the job store, the queue and the
 // completion heap, node health and the admission core (admit.go), the
-// fault cursors and accounting, the trace hash and the streaming
-// statistics. run drives it through one event loop.
+// fault cursors and accounting, and the event records on their way to
+// the recorder (pipeline.go). run drives it through one event loop.
 type lifecycle struct {
-	cfg  Config
-	arrs []jobArrival
-	// ModeExact only: the per-job result, job IDs and transition log.
-	res *cluster.QueueResult
-	ids []string
+	cfg Config
+	// log is the transition log, ModeExact only.
 	log *trace.EventLog
 
 	outages *faults.OutageStream
@@ -41,9 +38,9 @@ type lifecycle struct {
 	nDown     int
 
 	// jobs holds every job by dense index: the t=0 jobs in order, then
-	// the generated trace. Dense indices name jobs in the trace hash,
-	// the queue and the heap.
-	jobs   []jobRec
+	// the generated trace as the producer publishes it. Dense indices
+	// name jobs in the trace hash, the queue and the heap.
+	jobs   jobView
 	active int // running jobs
 	// queue[qHead:] holds the waiting jobs in admission order (admit.go).
 	queue []int32
@@ -57,71 +54,58 @@ type lifecycle struct {
 
 	energy units.Energy
 	sum    FaultSummary
-	hash   traceHash
-	stats  agg
+
+	// recs is the event record chunk being filled.
+	recs []evRec
+	pipe *pipeline
 }
 
 // jobRec is one job's record, compact (no strings, no maps) so
 // million-job traces stay cache- and memory-friendly.
 type jobRec struct {
+	at float64 // arrival time: 0 for a t=0 job
 	// units is the work left as of the job's last (re)admission: its
 	// full work until an eviction sets what is left.
 	units             float64
 	firstStart        float64 // -1 until the first admission
 	started           float64
-	doneT             float64 // absolute completion time while running
-	cluster.Admission         // while running
-	node              int32   // while running
-	gen               uint32  // bumped as the job leaves service: stale heap and log entries miss
+	cluster.Admission        // while running
+	node              int32  // while running
+	gen               uint32 // bumped as the job leaves service: stale heap and log entries miss
 }
+
+// doneT is a running job's absolute completion time: now plus the time
+// its work takes at the granted rate, as of its start. A record is one
+// 64-byte cache line, so the completion time is recomputed, not kept.
+func (r *jobRec) doneT() float64 { return r.started + r.units/r.Rate }
 
 // newLifecycle starts a run at t=0 with the full budget, every node up
 // and free, and nothing queued. The fault schedules cover a bound on
-// the makespan (total work at a conservative 1e9 units/s, padded 4x,
-// floored at one hour) and are drawn only as the event cursor reaches
-// them. The goldens pin the outage schedules, so the formula and its
-// accumulation order (t=0 jobs first, then the generated trace) are
-// part of the contract.
-func newLifecycle(cfg Config, arrs []jobArrival, sched []faults.ShockEdge) lifecycle {
-	jobs := make([]jobRec, 0, len(cfg.Jobs)+len(arrs))
-	var totalUnits float64
-	for _, j := range cfg.Jobs {
-		totalUnits += j.Units
-		jobs = append(jobs, jobRec{units: j.Units, firstStart: -1})
-	}
-	for _, a := range arrs {
-		totalUnits += a.units
-		jobs = append(jobs, jobRec{units: a.units, firstStart: -1})
-	}
-	horizon := 4 * totalUnits / 1e9
-	if horizon < 3600 {
-		horizon = 3600
-	}
+// the makespan (faultHorizon of the total work) and are drawn only as
+// the event cursor reaches them. The goldens pin the outage schedules,
+// so the formula and its accumulation order (t=0 jobs first, then the
+// generated trace) are part of the contract: the horizon test
+// (feed.within) answers each draw as the whole trace's sum would.
+func newLifecycle(cfg Config, p *pipeline, sched []faults.ShockEdge) lifecycle {
 	s := cfg.Sched
 	ids := make([]string, len(s.Nodes)) // outage edges index s.Nodes
 	for i, n := range s.Nodes {
 		ids[i] = n.ID
 	}
 	l := lifecycle{
-		cfg: cfg, arrs: arrs,
-		outages:  cfg.Injector.OutageStream(ids, horizon),
-		shocks:   cfg.Injector.ShockEdges(horizon, s.Budget),
+		cfg:      cfg,
+		outages:  cfg.Injector.OutageStream(ids, p.feed.within),
+		shocks:   cfg.Injector.ShockEdges(p.feed.within, s.Budget),
 		sched:    sched,
 		pool:     s.Budget,
-		jobs:     jobs,
+		jobs:     jobView{f: p.feed},
 		admitter: newAdmitter(cfg),
-		hash:     newTraceHash(),
+		recs:     p.chunk(recFirstChunk),
+		pipe:     p,
 	}
+	l.jobs.load()
 	if cfg.Mode == ModeExact {
-		l.res = &cluster.QueueResult{Stats: map[string]cluster.JobStat{}}
 		l.log = cfg.Log
-		l.ids = make([]string, 0, len(jobs))
-		for _, j := range cfg.Jobs {
-			l.ids = append(l.ids, j.ID)
-		}
-		for i := range arrs {
-			l.ids = append(l.ids, arrivalID(i))
-		}
 	}
 	return l
 }
@@ -156,14 +140,17 @@ func (l *lifecycle) run() (Result, error) {
 			l.pool, cluster.ErrStarved)
 	}
 
-	arrs, ai := l.arrs, 0
-	for ; ai < len(arrs) || l.active > 0 || l.queued() > 0; steps++ {
+	// Arrival first+ai is next, at nextAt (+Inf once the trace is done).
+	first, ai := len(l.cfg.Jobs), 0
+	nextAt := l.arrivalAt(first)
+	for ; l.active > 0 || l.queued() > 0 || !math.IsInf(nextAt, 1); steps++ {
 		l.conserve()
 		if steps >= l.cfg.MaxEvents {
 			return out, fmt.Errorf("des: engine exceeded %d events (spec too hostile?)", l.cfg.MaxEvents)
 		}
 		nextDone := l.nextDone()
-		nextOutage, nextShock, nextArr := math.Inf(1), math.Inf(1), math.Inf(1)
+		nextOutage, nextShock := math.Inf(1), math.Inf(1)
+		nextArr := max(nextAt, l.now) // an arrival already due fires now
 		if ev, ok := l.outages.Peek(); ok {
 			nextOutage = ev.At
 		}
@@ -172,9 +159,6 @@ func (l *lifecycle) run() (Result, error) {
 		}
 		if len(l.sched) > 0 && l.sched[0].At < nextShock {
 			nextShock = l.sched[0].At
-		}
-		if ai < len(arrs) {
-			nextArr = max(arrs[ai].at, l.now) // an arrival already due fires now
 		}
 		// Nothing running and no event left that could free a node or
 		// power: starved. (Rates are positive, so an idle cluster is the
@@ -201,10 +185,11 @@ func (l *lifecycle) run() (Result, error) {
 			}
 		case nextArr <= nextDone:
 			l.advance(nextArr)
-			for at := arrs[ai].at; ai < len(arrs) && arrs[ai].at == at; ai++ {
-				j := int32(len(l.cfg.Jobs) + ai)
+			for at := nextAt; nextAt == at; ai++ {
+				j := int32(first + ai)
 				l.enqueue(j, false)
 				l.event(evArrive, j, -1)
+				nextAt = l.arrivalAt(int(j) + 1)
 			}
 		default:
 			l.advance(nextDone)
@@ -217,22 +202,32 @@ func (l *lifecycle) run() (Result, error) {
 	l.conserve()
 	l.sum.PoolLeft = l.pool + l.shockHeld
 
-	out.Arrived, out.EngineEvents = len(l.cfg.Jobs)+len(arrs), steps
+	rec := l.pipe.finish(l.recs)
+	out.Arrived, out.EngineEvents = first+ai, steps
 	out.Makespan, out.Energy = l.now, l.energy
-	out.Faults, out.TraceHash = l.sum, l.hash.h
-	l.stats.fill(&out)
-	if l.res != nil {
-		l.res.Makespan, l.res.Energy = l.now, l.energy
-		out.Queue = l.res
+	out.Faults, out.TraceHash = l.sum, rec.hash.h
+	rec.stats.fill(&out)
+	if rec.res != nil {
+		rec.res.Makespan, rec.res.Energy = l.now, l.energy
+		out.Queue = rec.res
 	}
 	return out, nil
+}
+
+// arrivalAt is job i's arrival time, +Inf past the end of the trace.
+// Generated arrival times are finite.
+func (l *lifecycle) arrivalAt(i int) float64 {
+	if !l.jobs.has(i) {
+		return math.Inf(1)
+	}
+	return l.jobs.rec(int32(i)).at
 }
 
 // nextDone drops stale heap entries and returns the next completion
 // time, +Inf while nothing runs.
 func (l *lifecycle) nextDone() float64 {
 	for len(l.heap) > 0 {
-		if top := l.heap[0]; l.jobs[top.job].gen == top.gen {
+		if top := l.heap[0]; l.jobs.rec(top.job).gen == top.gen {
 			return top.t
 		}
 		l.heap.pop()
@@ -251,22 +246,32 @@ func (l *lifecycle) conserve() {
 	l.sum.MaxConservationError = max(l.sum.MaxConservationError, units.Power(dev))
 }
 
-// event folds an event into the trace hash and, in exact mode, into
-// the per-job result's event log. j or n is -1 when the event names no
-// job or no node.
+// event emits an event record for the recorder. j or n is -1 when the
+// event names no job or no node.
 func (l *lifecycle) event(kind byte, j, n int32) {
-	l.hash.event(l.now, kind, j, n)
-	if l.res == nil || resultKinds[kind] == "" {
+	if len(l.recs) == cap(l.recs) {
+		l.flush()
+	}
+	l.recs = append(l.recs, evRec{at: l.now, job: j, node: n, kind: kind})
+}
+
+// flush hands the filled record chunk to the recorder and takes an
+// empty one: one the recorder has returned if any, else a new one while
+// fewer than recChunks exist, else the next the recorder returns.
+func (l *lifecycle) flush() {
+	p := l.pipe
+	p.full <- l.recs
+	select {
+	case b := <-p.free:
+		l.recs = b[:0]
+		return
+	default:
+	}
+	if p.made < recChunks {
+		l.recs = p.chunk(recChunkLen)
 		return
 	}
-	ev := cluster.Event{Time: l.now, Kind: resultKinds[kind]}
-	if j >= 0 {
-		ev.JobID = l.ids[j]
-	}
-	if n >= 0 {
-		ev.NodeID = l.cfg.Sched.Nodes[n].ID
-	}
-	l.res.Events = append(l.res.Events, ev)
+	l.recs = (<-p.free)[:0]
 }
 
 // resultKinds names the events exact mode's per-job result records.
@@ -277,7 +282,7 @@ var resultKinds = [256]string{
 // leave takes running job j out of service: its draw stops, its grant
 // returns to the pool, its node is idle and its heap entry goes stale.
 func (l *lifecycle) leave(j int32) *jobRec {
-	r := &l.jobs[j]
+	r := l.jobs.rec(j)
 	l.energy += units.Energy(r.Power.Watts() * (l.now - r.started))
 	l.pool += r.Budget
 	l.granted -= r.Budget
@@ -291,14 +296,6 @@ func (l *lifecycle) leave(j int32) *jobRec {
 func (l *lifecycle) finish(j int32) {
 	r := l.leave(j)
 	l.pushFree(r.node)
-	arrival := 0.0
-	if i := int(j) - len(l.cfg.Jobs); i >= 0 {
-		arrival = l.arrs[i].at
-	}
-	l.stats.finish(arrival, r.firstStart, l.now)
-	if l.res != nil {
-		l.res.Stats[l.ids[j]] = cluster.JobStat{Start: r.firstStart, End: l.now, Budget: r.Budget, Power: r.Power, Rate: r.Rate}
-	}
 	l.event(evFinish, j, r.node)
 }
 
@@ -363,8 +360,8 @@ func (l *lifecycle) shock(delta units.Power) {
 // the node (budget-shock evictions: the node is healthy, only the power
 // is gone); a failed node stays out until its recovery edge.
 func (l *lifecycle) evict(j int32, keepNode bool) {
-	r := &l.jobs[j]
-	r.units = max(0, (r.doneT-l.now)*r.Rate)
+	r := l.jobs.rec(j)
+	r.units = max(0, (r.doneT()-l.now)*r.Rate)
 	l.leave(j)
 	l.enqueue(j, true)
 	l.sum.BudgetReclaimed += r.Budget
@@ -379,7 +376,7 @@ func (l *lifecycle) evict(j int32, keepNode bool) {
 	mReclaimedWatts.Add(r.Budget.Watts())
 	l.event(evSuspend, j, r.node)
 	if l.log != nil {
-		id := l.ids[j]
+		id := jobID(&l.cfg, j)
 		l.log.Recordf(l.now, "budget-reclaim", id, "%s returned to pool (%s)", r.Budget, cause)
 		l.log.Recordf(l.now, "job-readmit", id, "re-queued with %.3g work units left", r.units)
 	}

@@ -106,10 +106,10 @@ type Outage struct {
 // nodeID): replaying with the same inputs reproduces it exactly, and
 // adding nodes does not perturb the schedules of existing ones.
 func (in *Injector) NodeOutages(nodeID string, horizon float64) []Outage {
-	if in == nil || in.spec.NodeMTBF <= 0 || horizon <= 0 {
+	if in == nil || in.spec.NodeMTBF <= 0 {
 		return nil
 	}
-	d := in.outageDraws(nodeID, horizon)
+	d := in.outageDraws(nodeID, Before(horizon))
 	var out []Outage
 	for o, ok := d.next(); ok; o, ok = d.next() {
 		out = append(out, o)
@@ -122,13 +122,14 @@ func (in *Injector) NodeOutages(nodeID string, horizon float64) []Outage {
 type outageDraws struct {
 	rng        *RNG
 	mtbf, mttr float64
-	horizon, t float64
+	within     Horizon
+	t          float64
 	done       bool
 }
 
-func (in *Injector) outageDraws(nodeID string, horizon float64) *outageDraws {
+func (in *Injector) outageDraws(nodeID string, horizon Horizon) *outageDraws {
 	return &outageDraws{rng: in.root.Fork("node/" + nodeID),
-		mtbf: in.spec.NodeMTBF, mttr: in.spec.NodeMTTR, horizon: horizon}
+		mtbf: in.spec.NodeMTBF, mttr: in.spec.NodeMTTR, within: horizon}
 }
 
 // next returns the node's next outage; ok is false once the schedule
@@ -138,7 +139,7 @@ func (d *outageDraws) next() (o Outage, ok bool) {
 		return Outage{}, false
 	}
 	d.t += d.rng.Exp(d.mtbf)
-	if d.t >= d.horizon || math.IsInf(d.t, 1) {
+	if math.IsInf(d.t, 1) || !d.within(d.t) {
 		d.done = true
 		return Outage{}, false
 	}

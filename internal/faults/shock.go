@@ -13,11 +13,26 @@ type Shock struct {
 	At, Duration, Frac float64
 }
 
+// Horizon decides whether a schedule edge drawn at t falls inside the
+// schedule's window. A stream asks it once per draw, in draw order, and
+// ends at the first edge it rules out. It may block until it can
+// answer, but an answer, once given, is final: a horizon that grows as
+// its caller learns more (the DES fault horizon grows with the work of
+// the arrival trace drawn so far) says yes only once its bound already
+// covers t, and waits for the final bound to say no. Before(h) is the
+// fixed window [0, h).
+type Horizon func(t float64) bool
+
+// Before is the fixed horizon [0, h). A NaN bound rules nothing out.
+func Before(h float64) Horizon {
+	return func(t float64) bool { return !(t >= h) }
+}
+
 // BudgetShocks returns the deterministic facility-shock schedule over
 // [0, horizon) seconds. Shocks never overlap. It is ShockStream
 // collected into a slice.
 func (in *Injector) BudgetShocks(horizon float64) []Shock {
-	st := in.ShockStream(horizon)
+	st := in.ShockStream(Before(horizon))
 	var out []Shock
 	for sh, ok := st.Next(); ok; sh, ok = st.Next() {
 		out = append(out, sh)
@@ -35,22 +50,23 @@ type ShockStream struct {
 	rng          *RNG
 	mtbs, length float64
 	frac         float64
-	horizon, t   float64
+	within       Horizon
+	t            float64
 	done         bool
 }
 
-// ShockStream returns the lazy shock schedule over [0, horizon)
-// seconds. A nil injector, or a spec without shocks, yields none.
-func (in *Injector) ShockStream(horizon float64) *ShockStream {
-	if in == nil || in.spec.ShockMTBS <= 0 || in.spec.ShockFrac <= 0 || horizon <= 0 {
+// ShockStream returns the lazy shock schedule over the horizon. A nil
+// injector, or a spec without shocks, yields none.
+func (in *Injector) ShockStream(horizon Horizon) *ShockStream {
+	if in == nil || in.spec.ShockMTBS <= 0 || in.spec.ShockFrac <= 0 {
 		return &ShockStream{done: true}
 	}
 	return &ShockStream{
-		rng:     in.root.Fork("budget.shock"),
-		mtbs:    in.spec.ShockMTBS,
-		length:  in.spec.ShockLen,
-		frac:    in.spec.ShockFrac,
-		horizon: horizon,
+		rng:    in.root.Fork("budget.shock"),
+		mtbs:   in.spec.ShockMTBS,
+		length: in.spec.ShockLen,
+		frac:   in.spec.ShockFrac,
+		within: horizon,
 	}
 }
 
@@ -59,7 +75,7 @@ func (in *Injector) ShockStream(horizon float64) *ShockStream {
 func (s *ShockStream) Next() (sh Shock, ok bool) {
 	for !s.done {
 		s.t += s.rng.Exp(s.mtbs)
-		if s.t >= s.horizon || math.IsInf(s.t, 1) {
+		if math.IsInf(s.t, 1) || !s.within(s.t) {
 			s.done = true
 			break
 		}
@@ -98,8 +114,8 @@ type ShockEdges struct {
 }
 
 // ShockEdges returns the lazily expanded pool edges of the shock
-// schedule over [0, horizon) for a cluster with the given budget.
-func (in *Injector) ShockEdges(horizon float64, budget units.Power) *ShockEdges {
+// schedule over the horizon for a cluster with the given budget.
+func (in *Injector) ShockEdges(horizon Horizon, budget units.Power) *ShockEdges {
 	return &ShockEdges{stream: in.ShockStream(horizon), budget: budget}
 }
 
@@ -214,11 +230,11 @@ func (c *nodeEdges) advance() bool {
 }
 
 // OutageStream returns the lazily merged outage schedule of the nodes
-// named by ids over [0, horizon); Node in its edges indexes ids. A nil
+// named by ids over the horizon; Node in its edges indexes ids. A nil
 // injector, or a spec without node faults, yields none.
-func (in *Injector) OutageStream(ids []string, horizon float64) *OutageStream {
+func (in *Injector) OutageStream(ids []string, horizon Horizon) *OutageStream {
 	st := &OutageStream{ids: ids}
-	if in == nil || in.spec.NodeMTBF <= 0 || horizon <= 0 {
+	if in == nil || in.spec.NodeMTBF <= 0 {
 		return st
 	}
 	for i, id := range ids {

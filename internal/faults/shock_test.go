@@ -53,7 +53,7 @@ func TestShockStreamEqualsEagerSchedule(t *testing.T) {
 		in := NewInjector(spec, pick.Uint64())
 
 		want := eagerShocks(in, horizon)
-		st := in.ShockStream(horizon)
+		st := in.ShockStream(Before(horizon))
 		for i, w := range want {
 			got, ok := st.Next()
 			if !ok || got != w {
@@ -77,7 +77,7 @@ func TestShockStreamEqualsEagerSchedule(t *testing.T) {
 			}
 		}
 
-		edges := in.ShockEdges(horizon, budget)
+		edges := in.ShockEdges(Before(horizon), budget)
 		for i, w := range want {
 			delta := units.Power(budget.Watts() * w.Frac)
 			for _, we := range []ShockEdge{{At: w.At, Delta: -delta}, {At: w.At + w.Duration, Delta: delta}} {
@@ -102,15 +102,15 @@ func TestShockStreamEqualsEagerSchedule(t *testing.T) {
 func TestShockStreamEmpty(t *testing.T) {
 	var nilInj *Injector
 	for name, st := range map[string]*ShockStream{
-		"nil injector": nilInj.ShockStream(1e6),
-		"no shocks":    NewInjector(Spec{NodeMTBF: 10}, 1).ShockStream(1e6),
-		"zero horizon": NewInjector(Spec{ShockMTBS: 10, ShockFrac: 0.5, ShockLen: 5}, 1).ShockStream(0),
+		"nil injector": nilInj.ShockStream(Before(1e6)),
+		"no shocks":    NewInjector(Spec{NodeMTBF: 10}, 1).ShockStream(Before(1e6)),
+		"zero horizon": NewInjector(Spec{ShockMTBS: 10, ShockFrac: 0.5, ShockLen: 5}, 1).ShockStream(Before(0)),
 	} {
 		if sh, ok := st.Next(); ok {
 			t.Errorf("%s: yields %+v", name, sh)
 		}
 	}
-	edges := nilInj.ShockEdges(1e6, 500)
+	edges := nilInj.ShockEdges(Before(1e6), 500)
 	if ev := edges.Pop(); ev != (ShockEdge{}) {
 		t.Fatalf("exhausted Pop = %+v, want the zero edge", ev)
 	}
@@ -182,7 +182,7 @@ func TestOutageEdgesMergeOrder(t *testing.T) {
 	ids := []string{"n3", "n1", "n2", "n0"}
 	for _, spec := range []Spec{{NodeMTBF: 20, NodeMTTR: 10}, {NodeMTBF: 200}} {
 		in := NewInjector(spec, 3)
-		edges := collectOutages(t, in.OutageStream(ids, 500))
+		edges := collectOutages(t, in.OutageStream(ids, Before(500)))
 		for i := 1; i < len(edges); i++ {
 			a, b := edges[i-1], edges[i]
 			ordered := a.At < b.At ||
@@ -212,10 +212,10 @@ func TestOutageEdgesMergeOrder(t *testing.T) {
 			}
 		}
 	}
-	if e := collectOutages(t, (*Injector)(nil).OutageStream(ids, 500)); e != nil {
+	if e := collectOutages(t, (*Injector)(nil).OutageStream(ids, Before(500))); e != nil {
 		t.Errorf("nil injector yielded %d edges", len(e))
 	}
-	if e := collectOutages(t, NewInjector(Spec{ShockMTBS: 10, ShockFrac: 0.1, ShockLen: 1}, 1).OutageStream(ids, 500)); e != nil {
+	if e := collectOutages(t, NewInjector(Spec{ShockMTBS: 10, ShockFrac: 0.1, ShockLen: 1}, 1).OutageStream(ids, Before(500))); e != nil {
 		t.Errorf("spec without node faults yielded %d edges", len(e))
 	}
 }
@@ -244,7 +244,7 @@ func TestOutageStreamEqualsEagerEdges(t *testing.T) {
 		spec := specs[trial%len(specs)]
 		in := NewInjector(spec, rng.Uint64())
 		want := eagerOutageEdges(in, ids, 400)
-		got := collectOutages(t, in.OutageStream(ids, 400))
+		got := collectOutages(t, in.OutageStream(ids, Before(400)))
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (%+v, ids %v): %d edges, eager %d", trial, spec, ids, len(got), len(want))
 		}

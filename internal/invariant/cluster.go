@@ -1,14 +1,12 @@
 package invariant
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/hw"
-	"repro/internal/profile"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -25,32 +23,6 @@ const poolTol = units.Power(1e-6)
 // times within a single run.
 const clusterFaultSpec = "node.mtbf=30,node.mttr=10,shock.mtbs=25,shock.frac=0.5,shock.len=10"
 
-// clusterEnvelope returns the pair's productive threshold and maximum
-// useful grant on a node of platform p — the same envelope the
-// scheduler's admission pass uses.
-func clusterEnvelope(p hw.Platform, w workload.Workload) (threshold, maxTotal units.Power, err error) {
-	switch p.Kind {
-	case hw.KindCPU:
-		prof, err := profile.ProfileCPU(p, w)
-		if err != nil {
-			return 0, 0, err
-		}
-		return prof.Critical.ProductiveThreshold(), prof.Critical.CPUMax + prof.Critical.MemMax, nil
-	case hw.KindGPU:
-		prof, err := profile.ProfileGPU(p, w)
-		if err != nil {
-			return 0, 0, err
-		}
-		maxTotal := prof.TotMax
-		if maxTotal > p.GPU.MaxCap {
-			maxTotal = p.GPU.MaxCap
-		}
-		return p.GPU.MinCap, maxTotal, nil
-	default:
-		return 0, 0, fmt.Errorf("invariant: platform %q: unknown kind", p.Name)
-	}
-}
-
 // checkClusterPair audits the cluster scheduler's power accounting for
 // one (platform, workload) pair:
 //
@@ -66,13 +38,13 @@ func clusterEnvelope(p hw.Platform, w workload.Workload) (threshold, maxTotal un
 //   - schedule-work-conserving: a job deferred while a node of its
 //     kind is still free sees PoolLeft below its productive threshold.
 func checkClusterPair(cfg Config, c *collector, p hw.Platform, w workload.Workload) error {
-	threshold, maxTotal, err := clusterEnvelope(p, w)
-	if err != nil {
-		return err
-	}
 	nodes := []cluster.Node{
 		{ID: "n1", Platform: p},
 		{ID: "n2", Platform: p},
+	}
+	threshold, maxTotal, err := cluster.Envelope(nodes[0], w)
+	if err != nil {
+		return err
 	}
 	jobs := []cluster.Job{
 		{ID: "j1", Workload: w},
