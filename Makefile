@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt vet race check fuzz bench benchsmoke simbench layerbench loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc sim-alloc golden buildsmoke
+.PHONY: all build test fmt vet race check fuzz bench benchsmoke simbench layerbench loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants cover telemetry-alloc fastpath-alloc sim-alloc des-alloc golden buildsmoke
 
 all: check
 
@@ -147,6 +147,15 @@ sim-alloc:
 		awk '/^BenchmarkSimRunBound(CPU|GPU)/ { if ($$(NF-1)+0 > 1) { print "FAIL: bound simulator allocates:", $$0; bad=1 } found++ } \
 		END { if (found != 2) { print "FAIL: BenchmarkSimRunBoundCPU/GPU did not both run"; exit 1 } if (bad) exit 1 }'
 
+# DES exact mode's recorder presizes its per-job result and names
+# arrivals without fmt: run the simulate round's exact-mode bench and
+# fail if it reports more than 2.5 MB/op (it measured 1.72 MB/op;
+# with the recorder growing its result from empty, 3.78).
+des-alloc:
+	$(GO) test -run=^$$ -bench='^BenchmarkRunExact256$$' -benchtime=20x -benchmem ./internal/des | \
+		awk '/^BenchmarkRunExact256/ { for (i = 2; i <= NF; i++) if ($$i == "B/op" && $$(i-1)+0 > 2500000) { print "FAIL: DES exact run allocates more than 2.5 MB/op:", $$0; bad=1 } found=1 } \
+		END { if (!found) { print "FAIL: BenchmarkRunExact256 did not run"; exit 1 } if (bad) exit 1 }'
+
 # Decision tables build their segment intervals on every engine worker:
 # a build fanned over several workers must match a one-worker build
 # boundary for boundary and answer for answer, and concurrent misses on
@@ -166,7 +175,7 @@ buildsmoke:
 golden:
 	$(GO) test -run TestArtifactsGolden -count=1 .
 
-check: fmt vet build race benchsmoke simbench layerbench loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc sim-alloc golden buildsmoke
+check: fmt vet build race benchsmoke simbench layerbench loadsmoke chaossmoke dessmoke treesmoke recoordsmoke verify-invariants telemetry-alloc fastpath-alloc sim-alloc des-alloc golden buildsmoke
 
 # Coverage gates: internal/telemetry must keep at least 70% statement
 # coverage, and internal/powertree (the budget-tree solver) and
@@ -197,7 +206,8 @@ cover:
 # sort-based reference and against a brute-force optimum, DES exact
 # mode against fast mode, scheduling rounds against DES's t=0 starts,
 # the simulator's fixed-point loops against their solve-every-pass
-# twin, the bound simulator model against the unbound runs, its tabled power
+# twin, DES's completion heap against a sort, the bound simulator
+# model against the unbound runs, its tabled power
 # ladders against the closed forms, the warm-started RAPL and
 # GPU-governor searches against a cold search, the
 # Prometheus exposition encoder, and the binary wire codec (both a
@@ -208,6 +218,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseArrivalSpec -fuzztime=10s ./internal/des
 	$(GO) test -run=^$$ -fuzz=FuzzModesAgree -fuzztime=10s ./internal/des
 	$(GO) test -run=^$$ -fuzz=FuzzScheduleMatchesDES -fuzztime=10s ./internal/des
+	$(GO) test -run=^$$ -fuzz=FuzzDoneHeap -fuzztime=10s ./internal/des
 	$(GO) test -run=^$$ -fuzz=FuzzFixedPointReuse -fuzztime=10s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzBoundRunMatchesRun -fuzztime=10s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzLadderPower -fuzztime=10s ./internal/hw

@@ -286,17 +286,21 @@ const maxProbeCache = 1 << 16
 // clamped to it before the lookup: the job is granted its maximum
 // demand whatever the surplus, so every such pool shares one entry.
 // Below sat the decision depends on the exact pool and is keyed by its
-// bits.
+// bits. The last key looked up and its answer sit in front of the map:
+// while the pool stays saturated, most probes repeat the last key.
 type prober struct {
-	s      *cluster.Scheduler
-	policy cluster.SplitPolicy
-	wls    []workload.Workload // by workload class
-	sat    []units.Power       // per (platform, workload) pair; 0 until its first probe
-	cache  map[probeKey]cluster.Admission
+	s       *cluster.Scheduler
+	policy  cluster.SplitPolicy
+	wls     []workload.Workload // by workload class
+	sat     []units.Power       // per (platform, workload) pair; 0 until its first probe
+	cache   map[probeKey]cluster.Admission
+	lastKey probeKey // plat -1 before the first probe
+	last    cluster.Admission
 }
 
 func newProber(s *cluster.Scheduler, policy cluster.SplitPolicy, plats int, wls []workload.Workload) prober {
-	return prober{s: s, policy: policy, wls: wls, sat: make([]units.Power, plats*len(wls)), cache: map[probeKey]cluster.Admission{}}
+	return prober{s: s, policy: policy, wls: wls, sat: make([]units.Power, plats*len(wls)),
+		cache: map[probeKey]cluster.Admission{}, lastKey: probeKey{plat: -1}}
 }
 
 // probe returns the decision for a job of class wl on node n, of
@@ -307,7 +311,11 @@ func (p *prober) probe(n, plat, wl int32, pool units.Power) (cluster.Admission, 
 		pool = sat
 	}
 	key := probeKey{plat: plat, wl: wl, pool: math.Float64bits(pool.Watts())}
+	if key == p.lastKey {
+		return p.last, nil
+	}
 	if v, ok := p.cache[key]; ok {
+		p.lastKey, p.last = key, v
 		return v, nil
 	}
 	a, sat, _, err := p.s.Admit(p.s.Nodes[n], cluster.Job{Workload: p.wls[wl]}, pool, p.policy)
@@ -324,5 +332,6 @@ func (p *prober) probe(n, plat, wl int32, pool units.Power) (cluster.Admission, 
 		p.cache = map[probeKey]cluster.Admission{}
 	}
 	p.cache[key] = a
+	p.lastKey, p.last = key, a
 	return a, nil
 }

@@ -209,9 +209,15 @@ func Run(cfg Config) (Result, error) {
 	return l.run()
 }
 
-// arrivalID names generated arrival i.
+// arrivalID names generated arrival i ≥ 0: "a" and i zero-padded to
+// at least six digits, what fmt.Sprintf("a%06d", i) prints.
 func arrivalID(i int) string {
-	return fmt.Sprintf("a%06d", i)
+	var b [32]byte
+	copy(b[:], "a000000")
+	d := strconv.AppendInt(b[7:7], int64(i), 10)
+	n := 1 + max(0, 6-len(d)) // "a" and the zeros that pad i to six digits
+	n += copy(b[n:], d)
+	return string(b[:n])
 }
 
 // checkPolicy rejects, before any event, a run whose admission pass

@@ -1,8 +1,10 @@
 package des
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -353,6 +355,100 @@ func FuzzScheduleMatchesDES(f *testing.F) {
 		}
 		if out.PoolLeft != pool {
 			t.Fatalf("%v over %d nodes: round leaves %v, the queue run's t=0 starts %v", budget, len(nodes), out.PoolLeft, pool)
+		}
+	})
+}
+
+// heapTimes are completion times FuzzDoneHeap draws by index: zero,
+// the smallest and largest subnormals and the smallest normal, values
+// an ulp apart, huge values and +Inf. Drawing an index twice gives an
+// exact tie.
+var heapTimes = []float64{
+	0, math.SmallestNonzeroFloat64, 0x1.ffffffffffffep-1023, 0x1p-1022,
+	1, math.Nextafter(1, 2), 2, 1e300, math.MaxFloat64, math.Inf(1),
+}
+
+// FuzzDoneHeap holds the completion heap to its reference: the input
+// interleaves pushes and pops, each push's time drawn from heapTimes or
+// taken from eight raw bytes made non-negative (a NaN becomes +Inf).
+// beforeBit must equal before on every pair of pushed items, every pop
+// must return the earliest pending item by before, and draining must
+// return the rest sorted by before.
+func FuzzDoneHeap(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 1, 0, 2, 0, 3, 0, 9, 0, 8, 0, 4, 0, 4, 3, 3, 0, 0, 0, 5, 0, 6, 0, 7, 3})
+	rng := rand.New(rand.NewPCG(5, 6))
+	for range 32 {
+		b := make([]byte, 64+rng.IntN(512))
+		for i := range b {
+			b[i] = byte(rng.Uint32())
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var h doneHeap
+		var pushed, pending []heapItem
+		var seq uint64
+		check := func(got heapItem) {
+			min := 0
+			for i := range pending {
+				if pending[i].before(pending[min]) {
+					min = i
+				}
+			}
+			if got != pending[min] {
+				t.Fatalf("popped %+v, sorted order has %+v", got, pending[min])
+			}
+			pending = slices.Delete(pending, min, min+1)
+		}
+		for len(b) > 0 {
+			op := b[0]
+			b = b[1:]
+			if op%4 == 3 && len(pending) > 0 {
+				check(h.pop())
+				continue
+			}
+			var at float64
+			if op%4 == 2 && len(b) >= 8 {
+				bits := binary.LittleEndian.Uint64(b) &^ (1 << 63)
+				b = b[8:]
+				if at = math.Float64frombits(bits); math.IsNaN(at) {
+					at = math.Inf(1)
+				}
+			} else {
+				at = heapTimes[int(op>>2)%len(heapTimes)]
+			}
+			seq++
+			it := heapItem{t: at, seq: seq, job: int32(seq), gen: uint32(op)}
+			pushed = append(pushed, it)
+			for _, o := range pushed {
+				if got, want := it.beforeBit(o), it.before(o); (got == 1) != want || got > 1 {
+					t.Fatalf("beforeBit(%+v, %+v) = %d, before = %v", it, o, got, want)
+				}
+				if got, want := o.beforeBit(it), o.before(it); (got == 1) != want || got > 1 {
+					t.Fatalf("beforeBit(%+v, %+v) = %d, before = %v", o, it, got, want)
+				}
+			}
+			h.push(it)
+			pending = append(pending, it)
+		}
+		sorted := slices.Clone(pending)
+		slices.SortFunc(sorted, func(a, b heapItem) int {
+			if a.before(b) {
+				return -1
+			}
+			if b.before(a) {
+				return 1
+			}
+			return 0
+		})
+		for _, want := range sorted {
+			if got := h.pop(); got != want {
+				t.Fatalf("drain: popped %+v, sorted order has %+v", got, want)
+			}
+		}
+		if len(h) != 0 {
+			t.Fatalf("%d items left after draining", len(h))
 		}
 	})
 }

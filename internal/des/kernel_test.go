@@ -105,6 +105,23 @@ func TestDoneHeapPopsInSortedOrder(t *testing.T) {
 	}
 }
 
+// TestArrivalIDMatchesSprintf: arrivalID names arrival i exactly as
+// fmt.Sprintf("a%06d", i) does, at the padding's edges, past six
+// digits and at seeded random values. checkJobs compares a t=0 job's
+// ID with it, so any difference would change which configs Run rejects.
+func TestArrivalIDMatchesSprintf(t *testing.T) {
+	is := []int{0, 9, 10, 99999, 100000, 999999, 1000000, 1 << 22, math.MaxInt32, math.MaxInt64}
+	rng := faults.NewRNG(11)
+	for range 2000 {
+		is = append(is, int(rng.Uint64()>>(1+rng.Uint64()%63)))
+	}
+	for _, i := range is {
+		if got, want := arrivalID(i), fmt.Sprintf("a%06d", i); got != want {
+			t.Fatalf("arrivalID(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
 // thinningArrivals is generateArrivals as first written: every
 // thinning draw is tested against the sine-modulated rate.
 func thinningArrivals(sp ArrivalSpec, seed uint64, horizon float64, maxJobs int) []jobArrival {

@@ -33,6 +33,10 @@ const (
 	recChunks     = 4
 )
 
+// maxResultPresize caps the jobs exact mode's per-job result is
+// presized for.
+const maxResultPresize = 1 << 16
+
 // publishEvery is how many arrivals the producer draws between two
 // publications: small enough that the loop starts at once, large
 // enough that publishing costs nothing next to drawing.
@@ -236,8 +240,14 @@ func startPipeline(cfg *Config) *pipeline {
 		free: make(chan []evRec, recChunks),
 	}
 	if cfg.Mode == ModeExact {
-		p.rec.res = &cluster.QueueResult{Stats: map[string]cluster.JobStat{}}
-		p.rec.ids = make([]string, len(cfg.Jobs), len(cfg.Jobs)+d.expect())
+		// Presized for the t=0 jobs and the expected arrivals, a start and
+		// a finish each, but for no more jobs than the run has events (an
+		// arrival or a first finish is one) or maxResultPresize: a hostile
+		// arrival spec allocates nothing up front that its run may never
+		// fill, and a result that outgrows its presize grows as it fills.
+		n := min(len(cfg.Jobs)+d.expect(), cfg.MaxEvents, maxResultPresize)
+		p.rec.res = &cluster.QueueResult{Stats: make(map[string]cluster.JobStat, n), Events: make([]cluster.Event, 0, 2*n)}
+		p.rec.ids = make([]string, len(cfg.Jobs), max(n, len(cfg.Jobs)))
 		for i, j := range cfg.Jobs {
 			p.rec.ids[i] = j.ID
 		}

@@ -78,3 +78,35 @@ func TestRunEarlyExitStopsPipeline(t *testing.T) {
 		}
 	}
 }
+
+// TestExactPresizeBounded: exact mode presizes its per-job result for
+// the expected arrivals, but no further than the event bound. An exact
+// run of a rate=1e6 spec, 256Ki expected arrivals, stopped after 1000
+// events, allocates at most the job store its producer may fill (256Ki
+// 64-byte records, 16 MiB, however far it runs ahead of the loop) and
+// 8 MiB besides. With a result presized for every expected arrival
+// the run allocated about 64 MiB.
+func TestExactPresizeBounded(t *testing.T) {
+	const ceiling = 24 << 20
+	arr, err := ParseArrivalSpec("rate=1e6,units=2e12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, w := testSched(t, 16)
+	cfg := Config{
+		Sched: sched, Workload: w,
+		Policy: cluster.PolicyCoord, Discipline: cluster.DisciplineBackfill,
+		Arrivals: arr, Seed: 1, Horizon: 1e4, Mode: ModeExact,
+		MaxEvents: 1000, MaxJobs: 1 << 18,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeded 1000 events") {
+		t.Fatalf("Run error = %v, want the event bound", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		t.Errorf("exact run stopped after 1000 events allocated %d B, ceiling %d B", got, ceiling)
+	}
+}
