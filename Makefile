@@ -201,36 +201,24 @@ cover:
 		'/^total:/ { sub(/%/, "", $$3); if ($$3+0 < floor) { print "FAIL: recoord coverage", $$3"% below floor", floor"%"; exit 1 } \
 		else { print "recoord coverage OK:", $$3"% >= "floor"%" } }'
 
-# Short fuzz passes over the input parsers (fault specs, arrival specs,
-# tree specs, phase specs, power units), the tree solver against its
-# sort-based reference and against a brute-force optimum, DES exact
-# mode against fast mode, scheduling rounds against DES's t=0 starts,
-# the simulator's fixed-point loops against their solve-every-pass
-# twin, DES's completion heap against a sort, the bound simulator
-# model against the unbound runs, its tabled power
-# ladders against the closed forms, the warm-started RAPL and
-# GPU-governor searches against a cold search, the
-# Prometheus exposition encoder, and the binary wire codec (both a
-# round-trip property fuzzer and a malformed-frame decoder fuzzer).
+# A short fuzz pass over every fuzz target in the module: the input
+# parsers, the tree solver against its references, DES exact mode
+# against fast mode, the simulator's fixed-point loops and bound model
+# against their unbound twins, the tabled power ladders against the
+# closed forms, the warm-started RAPL and GPU-governor searches against
+# a cold search, the report renderers, the unit codecs, the Prometheus
+# encoder and the binary wire codec. The targets are listed from the
+# test binaries (go test -list), so a new one cannot be left out; each
+# runs alone for 10 s.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzParseSpec -fuzztime=10s ./internal/faults
-	$(GO) test -run=^$$ -fuzz=FuzzParsePhaseSpec -fuzztime=10s ./internal/workload
-	$(GO) test -run=^$$ -fuzz=FuzzParseArrivalSpec -fuzztime=10s ./internal/des
-	$(GO) test -run=^$$ -fuzz=FuzzModesAgree -fuzztime=10s ./internal/des
-	$(GO) test -run=^$$ -fuzz=FuzzScheduleMatchesDES -fuzztime=10s ./internal/des
-	$(GO) test -run=^$$ -fuzz=FuzzDoneHeap -fuzztime=10s ./internal/des
-	$(GO) test -run=^$$ -fuzz=FuzzFixedPointReuse -fuzztime=10s ./internal/sim
-	$(GO) test -run=^$$ -fuzz=FuzzBoundRunMatchesRun -fuzztime=10s ./internal/sim
-	$(GO) test -run=^$$ -fuzz=FuzzLadderPower -fuzztime=10s ./internal/hw
-	$(GO) test -run=^$$ -fuzz=FuzzActuatorHint -fuzztime=10s ./internal/rapl
-	$(GO) test -run=^$$ -fuzz=FuzzActuatorHint -fuzztime=10s ./internal/nvgov
-	$(GO) test -run=^$$ -fuzz=FuzzTreeSpec -fuzztime=10s ./internal/powertree
-	$(GO) test -run=^$$ -fuzz=FuzzSolveMatchesSortedGreedy -fuzztime=10s ./internal/powertree
-	$(GO) test -run=^$$ -fuzz=FuzzGreedyMatchesBruteForce -fuzztime=10s ./internal/powertree
-	$(GO) test -run=^$$ -fuzz=FuzzParsePower -fuzztime=10s ./internal/units
-	$(GO) test -run=^$$ -fuzz=FuzzPromText -fuzztime=10s ./internal/telemetry
-	$(GO) test -run=^$$ -fuzz=FuzzWireRoundTrip -fuzztime=10s ./internal/wire
-	$(GO) test -run=^$$ -fuzz=FuzzWireMalformed -fuzztime=10s ./internal/wire
+	@set -e; list=$$($(GO) test -list '^Fuzz' ./...); \
+	echo "$$list" | awk '/^Fuzz/ { names = names " " $$1; next } /^ok / { if (names != "") print $$2 names; names = "" }' | \
+	while read -r pkg names; do \
+		for name in $$names; do \
+			echo "fuzz $$pkg $$name"; \
+			$(GO) test -run='^$$' -fuzz="^$$name\$$" -fuzztime=10s $$pkg; \
+		done; \
+	done
 
 # Every layer bench once through the go tool; the end-to-end benchmark
 # is perfbench (see perfbench/README.md).

@@ -103,7 +103,7 @@ func BenchmarkSimRunGPU(b *testing.B) {
 
 // BenchmarkSimRunBoundCPU and BenchmarkSimRunBoundGPU time the runs of
 // BenchmarkSimRunCPU and BenchmarkSimRunGPU on a warm bound model
-// (sim.Bind): validation, ladders and operating points already tabled,
+// (sim.Bind): validation and operating points already tabled,
 // as in a decision-table build's thousands of runs of one pair.
 func BenchmarkSimRunBoundCPU(b *testing.B) {
 	p, err := hw.PlatformByName("ivybridge")

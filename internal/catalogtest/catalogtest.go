@@ -33,8 +33,10 @@ func Main(m *testing.M) {
 }
 
 // intact reports the first catalog entry that differs from a freshly
-// built one: every PlatformByName entry against hw.AllPlatforms, every
-// ByName entry against workload.AllWorkloads.
+// built one: every PlatformByName entry against hw.AllPlatforms, with
+// the shared ladders its PStateBins and SMClockBins hand out against
+// the fresh spec's, and every ByName entry against
+// workload.AllWorkloads.
 func intact() error {
 	for _, want := range hw.AllPlatforms() {
 		got, err := hw.PlatformByName(want.Name)
@@ -43,6 +45,10 @@ func intact() error {
 		}
 		if !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("platform %q was written through a lookup: the catalog entry no longer equals a fresh build", want.Name)
+		}
+		if got.CPU != nil && !reflect.DeepEqual(got.CPU.PStateBins(), want.CPU.PStateBins()) ||
+			got.GPU != nil && !reflect.DeepEqual(got.GPU.SMClockBins(), want.GPU.SMClockBins()) {
+			return fmt.Errorf("platform %q: its shared DVFS ladder was written through: it no longer equals a fresh build", want.Name)
 		}
 	}
 	for _, want := range workload.AllWorkloads() {

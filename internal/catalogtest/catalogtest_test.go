@@ -3,6 +3,7 @@ package catalogtest
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -119,6 +120,33 @@ func TestConcurrentLookupsAndReads(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if err := intact(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIntactCatchesLadderWrites writes through each entry's shared
+// ladder and requires intact to name the entry, then restores it.
+func TestIntactCatchesLadderWrites(t *testing.T) {
+	for _, want := range hw.AllPlatforms() {
+		p, err := hw.PlatformByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bins []hw.Bin
+		if p.CPU != nil {
+			bins = p.CPU.PStateBins()
+		} else {
+			bins = p.GPU.SMClockBins()
+		}
+		coef := bins[0].Coef
+		bins[0].Coef *= 2
+		err = intact()
+		bins[0].Coef = coef
+		if err == nil || !strings.Contains(err.Error(), want.Name) {
+			t.Errorf("%s: a write through the shared ladder gave %v, want an error naming the entry", want.Name, err)
+		}
 	}
 	if err := intact(); err != nil {
 		t.Fatal(err)

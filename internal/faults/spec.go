@@ -207,9 +207,10 @@ func (sp Spec) Zero() bool {
 
 // Scale returns the spec with every fault made factor times as frequent:
 // probabilities multiply (clamped to 1), mean times between failures
-// divide, down to the minimum mean Validate accepts. Repair times, shock
-// magnitude, and shock length are severities rather than frequencies
-// and stay fixed. Scale(0) is the fault-free spec.
+// divide, down to the minimum mean Validate accepts and up to the
+// largest finite one. Repair times, shock magnitude, and shock length
+// are severities rather than frequencies and stay fixed. Scale(0) is
+// the fault-free spec.
 func (sp Spec) Scale(factor float64) Spec {
 	if factor < 0 {
 		factor = 0
@@ -229,7 +230,7 @@ func (sp Spec) Scale(factor float64) Spec {
 		if v == 0 || factor == 0 {
 			return 0
 		}
-		return math.Max(v/factor, minMeanSeconds)
+		return math.Min(math.Max(v/factor, minMeanSeconds), math.MaxFloat64)
 	}
 	out.NodeMTBF = mean(sp.NodeMTBF)
 	out.ShockMTBS = mean(sp.ShockMTBS)

@@ -107,9 +107,8 @@ func (c *CPUSpec) NumPStates() int {
 // PStateAt returns the i-th P-state, 0 <= i < NumPStates():
 // FMin + i·PStateStep, clamped to FNom. For whole-Hz specs (every
 // catalog CPU) it equals stepping up from FMin by repeated addition,
-// bit for bit. One-shot callers use the closed form directly;
-// PStateBins tables it, with each state's power coefficient, for a
-// bound simulator's many runs.
+// bit for bit. PStateBins tables it, with each state's power
+// coefficient, for the package actuator.
 func (c *CPUSpec) PStateAt(i int) units.Frequency {
 	f := c.FMin + units.Frequency(i)*c.PStateStep
 	if f > c.FNom {
@@ -185,23 +184,9 @@ func (c *CPUSpec) Voltage(f units.Frequency) float64 {
 //
 // The model is the standard CMOS decomposition: a hardware idle floor,
 // plus an uncore adder and a core-dynamic term f*V^2 that both gate with
-// the duty cycle.
-//
-// Power is PowerAt(DynCoef(f), duty, act) written out. DynCoef is too
-// large to inline, so the composed form costs the one-shot actuator
-// search, which calls Power on every probe, a call per probe: about 4%
-// of BenchmarkSimRunCPU on one pinned core of a 2-vCPU x86-64 host
-// (slower in 19 of 22 paired runs). FuzzLadderPower holds the two
-// forms equal bit for bit.
+// the duty cycle. It is PowerAt of DynCoef(f).
 func (c *CPUSpec) Power(f units.Frequency, duty, act float64) units.Power {
-	f = f.Clamp(c.FMin, c.FNom)
-	duty = clamp01Range(duty, c.MinDuty, 1)
-	act = clamp01(act)
-	v := c.Voltage(f)
-	freqRatio := f.Hz() / c.FNom.Hz()
-	voltRatio := v / c.VNom
-	dyn := float64(c.MaxDynPower.Watts() * freqRatio * voltRatio * voltRatio * act)
-	return c.IdlePower + units.Power((c.UncorePower.Watts()+dyn)*duty)
+	return c.PowerAt(c.DynCoef(f), duty, act)
 }
 
 // DynCoef returns the core dynamic power at frequency f (clamped to the
@@ -215,9 +200,8 @@ func (c *CPUSpec) DynCoef(f units.Frequency) float64 {
 	return c.MaxDynPower.Watts() * freqRatio * voltRatio * voltRatio
 }
 
-// PowerAt is Power for the frequency whose DynCoef is coef:
-// Power(f, duty, act) is PowerAt(DynCoef(f), duty, act) bit for bit,
-// so a tabled coefficient (PStateBins) gives the closed form's power.
+// PowerAt is Power for the frequency whose DynCoef is coef, so a
+// tabled coefficient (PStateBins) gives Power's value bit for bit.
 func (c *CPUSpec) PowerAt(coef, duty, act float64) units.Power {
 	duty = clamp01Range(duty, c.MinDuty, 1)
 	act = clamp01(act)
@@ -235,11 +219,22 @@ type Bin struct {
 	Coef float64
 }
 
-// PStateBins tables the P-state ladder: bin i is PStateAt(i) and its
-// DynCoef, for every i below NumPStates. A bound simulator model builds
-// it once, so its actuator reads each probed state's power as one
-// PowerAt instead of re-deriving voltage and ratios per probe.
+// PStateBins returns the P-state ladder: bin i is PStateAt(i) and its
+// DynCoef, for every i below NumPStates, so an actuator reads each
+// probed state's power as one PowerAt instead of re-deriving voltage
+// and ratios per probe. A catalog entry (PlatformByName's specs) gets
+// its own ladder, built once with the catalog and shared by every
+// caller, who must not write to it; any other spec, a Clone or a copy
+// included, gets a freshly built one.
 func (c *CPUSpec) PStateBins() []Bin {
+	if bins := entryBins(catalog().pstates, c); bins != nil {
+		return bins
+	}
+	return c.buildPStateBins()
+}
+
+// buildPStateBins builds the P-state ladder PStateBins returns.
+func (c *CPUSpec) buildPStateBins() []Bin {
 	bins := make([]Bin, c.NumPStates())
 	for i := range bins {
 		f := c.PStateAt(i)

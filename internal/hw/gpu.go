@@ -206,9 +206,8 @@ func (g *GPUSpec) NumSMClocks() int {
 // SMClockAt returns the i-th SM DVFS bin, 0 <= i < NumSMClocks():
 // SMClockMin + i·SMClockStep, clamped to SMClockNom. For whole-Hz specs
 // (every catalog card) it equals stepping up from SMClockMin by
-// repeated addition, bit for bit. One-shot callers use the closed form
-// directly; SMClockBins tables it, with each bin's power coefficient,
-// for a bound simulator's many runs.
+// repeated addition, bit for bit. SMClockBins tables it, with each
+// bin's power coefficient, for the board governor.
 func (g *GPUSpec) SMClockAt(i int) units.Frequency {
 	f := g.SMClockMin + units.Frequency(i)*g.SMClockStep
 	if f > g.SMClockNom {
@@ -217,9 +216,18 @@ func (g *GPUSpec) SMClockAt(i int) units.Frequency {
 	return f
 }
 
-// SMClockBins tables the SM DVFS ladder: bin i is SMClockAt(i) and its
-// DynCoef, for every i below NumSMClocks (see CPUSpec.PStateBins).
+// SMClockBins returns the SM DVFS ladder: bin i is SMClockAt(i) and
+// its DynCoef, for every i below NumSMClocks. Like PStateBins, a
+// catalog entry gets its shared ladder, any other spec a fresh one.
 func (g *GPUSpec) SMClockBins() []Bin {
+	if bins := entryBins(catalog().smClocks, g); bins != nil {
+		return bins
+	}
+	return g.buildSMClockBins()
+}
+
+// buildSMClockBins builds the SM DVFS ladder SMClockBins returns.
+func (g *GPUSpec) buildSMClockBins() []Bin {
 	bins := make([]Bin, g.NumSMClocks())
 	for i := range bins {
 		f := g.SMClockAt(i)

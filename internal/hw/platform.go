@@ -341,37 +341,72 @@ func AllPlatforms() []Platform {
 	return append(Platforms(), Modern()...)
 }
 
-// catalog is AllPlatforms built once and indexed by name, with the
-// names sorted for error messages. Its entries are shared: every
-// PlatformByName of one name returns the same spec pointers, and no
-// code writes through them.
-var catalog = sync.OnceValues(func() (map[string]Platform, []string) {
-	byName := map[string]Platform{}
-	var names []string
+// catalog is AllPlatforms built once: its entries indexed by name,
+// the names sorted for error messages, and every entry's DVFS ladder.
+// Its entries are shared: every PlatformByName of one name returns the
+// same spec pointers, and no code writes through them. Being frozen,
+// an entry's ladder is built here, once, and PStateBins and
+// SMClockBins hand it out to every actuator of the entry; any other
+// spec builds its own.
+var catalog = sync.OnceValue(func() *catalogTable {
+	t := &catalogTable{byName: map[string]Platform{}}
 	for _, p := range AllPlatforms() {
-		byName[p.Name] = p
-		names = append(names, p.Name)
+		t.byName[p.Name] = p
+		t.names = append(t.names, p.Name)
+		if p.CPU != nil {
+			t.pstates = append(t.pstates, entryLadder[CPUSpec]{p.CPU, p.CPU.buildPStateBins()})
+		}
+		if p.GPU != nil {
+			t.smClocks = append(t.smClocks, entryLadder[GPUSpec]{p.GPU, p.GPU.buildSMClockBins()})
+		}
 	}
-	sort.Strings(names)
-	return byName, names
+	sort.Strings(t.names)
+	return t
 })
+
+// catalogTable is what catalog builds.
+type catalogTable struct {
+	byName   map[string]Platform
+	names    []string
+	pstates  []entryLadder[CPUSpec]
+	smClocks []entryLadder[GPUSpec]
+}
+
+// entryLadder is a catalog entry's spec and its ladder.
+type entryLadder[S any] struct {
+	spec *S
+	bins []Bin
+}
+
+// entryBins returns spec's ladder when spec is a catalog entry, by
+// pointer identity, else nil. A linear scan over the few entries: a
+// map keyed by the pointer read about 10% slower on a bound CPU run.
+func entryBins[S any](ladders []entryLadder[S], spec *S) []Bin {
+	for _, l := range ladders {
+		if l.spec == spec {
+			return l.bins
+		}
+	}
+	return nil
+}
 
 // PlatformByName looks up a platform by its short name. It returns the
 // shared catalog entry without copying: its CPU, DRAM and GPU specs are
 // the catalog's own, read-only for every caller. A caller that needs a
 // variant writes to a Clone. The error lists the valid names.
 func PlatformByName(name string) (Platform, error) {
-	byName, names := catalog()
-	p, ok := byName[name]
+	t := catalog()
+	p, ok := t.byName[name]
 	if !ok {
-		return Platform{}, fmt.Errorf("unknown platform %q (valid: %v)", name, names)
+		return Platform{}, fmt.Errorf("unknown platform %q (valid: %v)", name, t.names)
 	}
 	return p, nil
 }
 
 // Clone returns p with freshly allocated copies of its component specs,
 // so writing to the clone's specs leaves p, and the catalog entry p may
-// be, unchanged.
+// be, unchanged. The copies are not catalog entries, so their ladders
+// follow what is written to them.
 func (p Platform) Clone() Platform {
 	if p.CPU != nil {
 		c := *p.CPU

@@ -146,8 +146,8 @@ func (r *Report) Ok() bool { return len(r.Violations) == 0 }
 // seeded catalog with defaults.
 type Config struct {
 	// Platforms and Workloads restrict the sweep; empty means the full
-	// hw.AllPlatforms() / workload.AllWorkloads() sets, modern
-	// platforms and phased ML-inference workloads included.
+	// catalog (hw.PlatformByName's entries) / workload.AllWorkloads()
+	// sets, modern platforms and phased ML-inference workloads included.
 	Platforms []hw.Platform
 	Workloads []workload.Workload
 	// BudgetPoints is the number of budget-grid points per pair
@@ -175,7 +175,12 @@ type Config struct {
 
 func (cfg *Config) normalize() {
 	if len(cfg.Platforms) == 0 {
-		cfg.Platforms = hw.AllPlatforms()
+		// The shared catalog entries, in AllPlatforms order: their
+		// actuators read the ladders built once with the catalog.
+		for _, p := range hw.AllPlatforms() {
+			p, _ = hw.PlatformByName(p.Name)
+			cfg.Platforms = append(cfg.Platforms, p)
+		}
 	}
 	if len(cfg.Workloads) == 0 {
 		cfg.Workloads = workload.AllWorkloads()

@@ -88,22 +88,17 @@ type State struct {
 type Governor struct {
 	gpu      *hw.GPUSpec
 	settings Settings
-	// bins is gpu's SM clock ladder (hw.GPUSpec.SMClockBins) when the
-	// governor was built with one, nil when it reads the closed forms.
+	// bins is gpu's SM clock ladder (hw.GPUSpec.SMClockBins), read and
+	// never written.
 	bins []hw.Bin
 	// below is the number of SM bins at or below smMaxClock and
 	// memPower the memory clock's power. Both follow from the settings
-	// alone, so the offset setters derive them and Actuate only reads
-	// them. Zero stands for what New programs, zero offsets: every bin,
-	// and the nominal clock's power. That keeps New small enough to
-	// inline, so a one-shot run's governor stays off the heap.
+	// alone, so New and the offset setters derive them and Actuate only
+	// reads them. A zero memPower stands for what New programs, the
+	// nominal clock's power: that keeps New small enough to inline, so
+	// a one-shot run's governor stays off the heap.
 	below    int
 	memPower units.Power
-	// nbins is gpu.NumSMClocks without a ladder, stored by the first
-	// call that needs it (0 until then), so a governor at zero offsets
-	// does not redo the bin count's grid search on every actuation.
-	// Atomic, like fit.
-	nbins atomic.Int32
 	// fit is the number of SM bins the last actuation found under the
 	// cap: the next search checks it first (see Actuate). Atomic, so
 	// concurrent Actuate calls stay race-free; any value is only a
@@ -113,55 +108,18 @@ type Governor struct {
 
 // New returns a governor for the card with default settings: TDP cap,
 // zero offsets (memory at nominal clock — the default driver policy).
+// It reads gpu's SM clock ladder (hw.GPUSpec.SMClockBins): the shared
+// ladder, built once with the catalog, when gpu is a catalog entry,
+// else one built for this governor.
 func New(gpu *hw.GPUSpec) *Governor {
-	return NewBins(gpu, nil)
-}
-
-// NewBins is New with gpu's SM clock ladder tabled in bins, as
-// gpu.SMClockBins() builds it (nil reads the closed forms): the states
-// it selects are the same bit for bit. The governor reads bins and
-// never writes them, so every governor of one card may share one
-// ladder.
-func NewBins(gpu *hw.GPUSpec, bins []hw.Bin) *Governor {
-	return &Governor{gpu: gpu, settings: Settings{PowerCap: gpu.TDP}, bins: bins}
-}
-
-// numSMClocks is gpu.NumSMClocks: the ladder's length when there is
-// one, else the count the first call stored in nbins.
-func (g *Governor) numSMClocks() int {
-	if g.bins != nil {
-		return len(g.bins)
-	}
-	n := int(g.nbins.Load())
-	if n == 0 {
-		n = g.gpu.NumSMClocks()
-		g.nbins.Store(int32(n))
-	}
-	return n
-}
-
-// smClock returns SM bin i's clock, from the ladder when there is one.
-func (g *Governor) smClock(i int) units.Frequency {
-	if g.bins != nil {
-		return g.bins[i].Freq
-	}
-	return g.gpu.SMClockAt(i)
-}
-
-// boardPower returns the board power with the SMs at bin i and the
-// memory drawing memPower, at activity act; from the ladder when there
-// is one.
-func (g *Governor) boardPower(i int, memPower units.Power, act float64) units.Power {
-	if g.bins != nil {
-		return g.gpu.BoardPowerAt(g.bins[i].Coef, memPower, act)
-	}
-	return g.gpu.BoardPowerAt(g.gpu.DynCoef(g.gpu.SMClockAt(i)), memPower, act)
+	bins := gpu.SMClockBins()
+	return &Governor{gpu: gpu, settings: Settings{PowerCap: gpu.TDP}, bins: bins, below: len(bins)}
 }
 
 // smChanged re-derives below after the SM offset changed.
 func (g *Governor) smChanged() {
 	maxSM := g.smMaxClock()
-	g.below = sort.Search(g.numSMClocks(), func(i int) bool { return g.smClock(i) > maxSM })
+	g.below = sort.Search(len(g.bins), func(i int) bool { return g.bins[i].Freq > maxSM })
 }
 
 // memChanged re-derives memPower after the memory offset changed.
@@ -229,15 +187,14 @@ func (g *Governor) smMaxClock() units.Frequency {
 // power that the SMs reclaim — the automatic cross-component shifting the
 // paper highlights as unique to GPUs.
 //
-// The bin is found by binary search over the SM clock grid
-// (hw.GPUSpec.SMClockAt, or the governor's ladder), not by scanning
-// down a clock table. The search returns exactly the bin a top-down
-// scan would: bins ascend, and BoardPower is non-decreasing in the SM
-// clock (VNom >= VMin, every term is a non-negative product of monotone
-// factors, and correctly rounded arithmetic preserves order), so the
-// bins that fit form a prefix of the grid. Both predicates are written
-// as the scan wrote them, so NaN settings and activities select the
-// same state too.
+// The bin is found by binary search over the governor's SM clock
+// ladder, not by scanning it down. The search returns exactly the bin
+// a top-down scan would: bins ascend, and BoardPower is non-decreasing
+// in the SM clock (VNom >= VMin, every term is a non-negative product
+// of monotone factors, and correctly rounded arithmetic preserves
+// order), so the bins that fit form a prefix of the ladder. Both
+// predicates are written as the scan wrote them, so NaN settings and
+// activities select the same state too.
 //
 // The search is warm-started as rapl's package actuator is: since the
 // fitting bins form a prefix of the bins at or below maxSM, the fit
@@ -263,13 +220,10 @@ func (g *Governor) ActuateBin(act float64) (State, int) {
 	if memPower == 0 {
 		memPower = gpu.Mem.Power(mem)
 	}
-	fits := func(i int) bool { return g.boardPower(i, memPower, act) <= cap }
+	fits := func(i int) bool { return gpu.BoardPowerAt(g.bins[i].Coef, memPower, act) <= cap }
 
 	// below: the bins at or below maxSM; fit: those of them that fit.
 	below := g.below
-	if below == 0 {
-		below = g.numSMClocks()
-	}
 	fit := int(g.fit.Load())
 	lo, hi := 0, below // the count lies in [lo, hi]
 	switch {
@@ -288,7 +242,7 @@ func (g *Governor) ActuateBin(act float64) (State, int) {
 	if fit == 0 {
 		return State{SMClock: gpu.SMClockMin, MemClock: mem, PowerLimited: true, AtFloor: true}, 0
 	}
-	f := g.smClock(fit - 1)
+	f := g.bins[fit-1].Freq
 	return State{SMClock: f, MemClock: mem, PowerLimited: f < g.smMaxClock()}, fit - 1
 }
 

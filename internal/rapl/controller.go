@@ -53,13 +53,9 @@ type Controller struct {
 	cpu  *hw.CPUSpec
 	dram *hw.DRAMSpec
 	msrs *RegisterFile
-	// bins is cpu's P-state ladder (hw.CPUSpec.PStateBins) when the
-	// controller was built with one, nil when it reads the closed forms.
+	// bins is cpu's P-state ladder (hw.CPUSpec.PStateBins), read and
+	// never written.
 	bins []hw.Bin
-	// nps is cpu.NumPStates without a ladder, stored by the first
-	// actuation (0 until then): the count's grid search on every
-	// actuation cost a tenth of a one-shot run. Atomic, like fit.
-	nps atomic.Int32
 	// fit is the number of P-states the last package actuation found
 	// under the cap: the next search checks it first (see
 	// actuateBin). Atomic, so actuating one controller from several
@@ -68,19 +64,11 @@ type Controller struct {
 }
 
 // NewController returns a controller for the given CPU-node component
-// specs.
+// specs. It reads cpu's P-state ladder (hw.CPUSpec.PStateBins): the
+// shared ladder, built once with the catalog, when cpu is a catalog
+// entry, else one built for this controller.
 func NewController(cpu *hw.CPUSpec, dram *hw.DRAMSpec) *Controller {
-	return NewControllerBins(cpu, dram, nil)
-}
-
-// NewControllerBins is NewController with cpu's P-state ladder tabled
-// in bins, as cpu.PStateBins() builds it (nil reads the closed forms):
-// the states it selects are the same bit for bit, each probe of the
-// search is one multiply and add instead of a voltage interpolation.
-// The controller reads bins and never writes them, so every controller
-// of one spec may share one ladder.
-func NewControllerBins(cpu *hw.CPUSpec, dram *hw.DRAMSpec, bins []hw.Bin) *Controller {
-	return &Controller{cpu: cpu, dram: dram, msrs: NewRegisterFile(), bins: bins}
+	return &Controller{cpu: cpu, dram: dram, msrs: NewRegisterFile(), bins: cpu.PStateBins()}
 }
 
 // MSRs exposes the emulated register file (for tools that want the
@@ -164,13 +152,13 @@ func (c *Controller) Limit(d Domain) (units.Power, bool) {
 // the cap, run at the floor regardless (the cap is not respected).
 //
 // The highest fitting P-state is found by binary search over the
-// P-state grid (hw.CPUSpec.PStateAt, or the controller's ladder), not
-// by scanning the table down. Package power is non-decreasing in
-// frequency (VNom >= VMin, every term is a non-negative product of
-// monotone factors, and correctly rounded arithmetic preserves order),
-// so the P-states that fit form a prefix of the grid and both find the
-// same state. The fit predicate is written as the scan wrote it, so a
-// NaN activity selects the same state too.
+// controller's P-state ladder, not by scanning it down. Package power
+// is non-decreasing in frequency (VNom >= VMin, every term is a
+// non-negative product of monotone factors, and correctly rounded
+// arithmetic preserves order), so the P-states that fit form a prefix
+// of the ladder and both find the same state. The fit predicate is
+// written as the scan wrote it, so a NaN activity selects the same
+// state too.
 func (c *Controller) ActuatePackage(act float64) PackageState {
 	cap, enabled := c.Limit(DomainPackage)
 	s, _ := c.ActuateBin(cap, enabled, act)
@@ -188,40 +176,9 @@ func (c *Controller) ActuatePackage(act float64) PackageState {
 // solve, read and decode the register once instead of on every pass.
 func (c *Controller) ActuateBin(cap units.Power, enabled bool, act float64) (PackageState, int) {
 	if !enabled {
-		return PackageState{Freq: c.cpu.FNom, Duty: 1}, c.numPStates() - 1
+		return PackageState{Freq: c.cpu.FNom, Duty: 1}, len(c.bins) - 1
 	}
 	return c.actuateBin(cap, act)
-}
-
-// numPStates is cpu.NumPStates: the ladder's length when there is one,
-// else the count the first actuation stored in nps.
-func (c *Controller) numPStates() int {
-	if c.bins != nil {
-		return len(c.bins)
-	}
-	n := int(c.nps.Load())
-	if n == 0 {
-		n = c.cpu.NumPStates()
-		c.nps.Store(int32(n))
-	}
-	return n
-}
-
-// pstatePower returns P-state i's unthrottled power at activity act,
-// from the ladder when there is one.
-func (c *Controller) pstatePower(i int, act float64) units.Power {
-	if c.bins != nil {
-		return c.cpu.PowerAt(c.bins[i].Coef, 1, act)
-	}
-	return c.cpu.Power(c.cpu.PStateAt(i), 1, act)
-}
-
-// pstate returns P-state i, from the ladder when there is one.
-func (c *Controller) pstate(i int) units.Frequency {
-	if c.bins != nil {
-		return c.bins[i].Freq
-	}
-	return c.cpu.PStateAt(i)
 }
 
 // actuateBin is ActuateBin for an enabled package cap.
@@ -239,9 +196,9 @@ func (c *Controller) pstate(i int) units.Frequency {
 // either way.
 func (c *Controller) actuateBin(cap units.Power, act float64) (PackageState, int) {
 	cpu := c.cpu
-	fits := func(i int) bool { return c.pstatePower(i, act) <= cap }
+	fits := func(i int) bool { return cpu.PowerAt(c.bins[i].Coef, 1, act) <= cap }
 	// Highest P-state under the cap, no throttling.
-	n := c.numPStates()
+	n := len(c.bins)
 	fit := int(c.fit.Load())
 	lo, hi := 0, n // the count lies in [lo, hi]
 	switch {
@@ -258,15 +215,10 @@ func (c *Controller) actuateBin(cap units.Power, act float64) (PackageState, int
 		c.fit.Store(int32(fit))
 	}
 	if fit > 0 {
-		return PackageState{Freq: c.pstate(fit - 1), Duty: 1}, fit - 1
+		return PackageState{Freq: c.bins[fit-1].Freq, Duty: 1}, fit - 1
 	}
 	// Lowest P-state still over the cap: engage T-states at FMin.
-	var floor float64
-	if c.bins != nil {
-		floor = c.bins[0].Coef
-	} else {
-		floor = cpu.DynCoef(cpu.FMin)
-	}
+	floor := c.bins[0].Coef
 	for i := 1; i < cpu.NumDuties(); i++ {
 		if duty := cpu.DutyAt(i); cpu.PowerAt(floor, duty, act) <= cap {
 			return PackageState{Freq: cpu.FMin, Duty: duty, Throttled: true}, n - 1 + i

@@ -65,29 +65,28 @@ const (
 )
 
 // RegisterFile is a concurrency-safe emulated MSR space. Only the five
-// RAPL registers are backed; other addresses reject reads and writes,
-// mirroring the #GP a real rdmsr/wrmsr of an unimplemented MSR raises.
-// Each register is an atomic word rather than a map entry under a
-// mutex: the simulator builds a controller per run, and either of
-// those would move it to the heap.
+// RAPL registers are implemented; other addresses reject reads and
+// writes, mirroring the #GP a real rdmsr/wrmsr of an unimplemented MSR
+// raises. The unit register is a constant (unitReg); each other
+// register is an atomic word rather than a map entry under a mutex:
+// the simulator builds a controller per run, and either of those would
+// move it to the heap. The zero value is ready to use.
 type RegisterFile struct {
-	powerUnit, pkgLimit, pkgEnergy, dramLimit, dramEnergy atomic.Uint64
+	pkgLimit, pkgEnergy, dramLimit, dramEnergy atomic.Uint64
 }
 
-// NewRegisterFile returns a register file with the RAPL unit register
-// initialized to the standard unit encoding.
-func NewRegisterFile() *RegisterFile {
-	rf := &RegisterFile{}
-	rf.powerUnit.Store(powerUnitBits | energyUnitBits<<8 | timeUnitBits<<16)
-	return rf
-}
+// unitReg is the RAPL unit register: the standard unit encoding. The
+// register is read-only, so it needs no word of its own.
+const unitReg uint64 = powerUnitBits | energyUnitBits<<8 | timeUnitBits<<16
+
+// NewRegisterFile returns a register file with every limit disabled
+// and every energy counter at zero.
+func NewRegisterFile() *RegisterFile { return &RegisterFile{} }
 
 // reg returns the backing word of the MSR at addr, nil when the
 // emulation does not implement it.
 func (rf *RegisterFile) reg(addr uint32) *atomic.Uint64 {
 	switch addr {
-	case MSRRaplPowerUnit:
-		return &rf.powerUnit
 	case MSRPkgPowerLimit:
 		return &rf.pkgLimit
 	case MSRPkgEnergyStatus:
@@ -102,6 +101,9 @@ func (rf *RegisterFile) reg(addr uint32) *atomic.Uint64 {
 
 // Read returns the value of the MSR at addr.
 func (rf *RegisterFile) Read(addr uint32) (uint64, error) {
+	if addr == MSRRaplPowerUnit {
+		return unitReg, nil
+	}
 	r := rf.reg(addr)
 	if r == nil {
 		return 0, fmt.Errorf("rapl: rdmsr 0x%x: %w", addr, ErrUnimplementedMSR)

@@ -18,23 +18,21 @@ import (
 // Model is the simulator bound to one platform, workload and option
 // set, for callers that run the pair many times (a decision-table
 // build, a profile's capped runs). Bind validates the pair once and
-// tables what every run would otherwise re-derive:
-//
-//   - the actuator's DVFS ladder (hw.CPUSpec.PStateBins or
-//     hw.GPUSpec.SMClockBins), so each probe of the power-cap search is
-//     one multiply and add;
-//   - each phase's operating point per discrete actuator state, filled
-//     by the first run that reaches the state and read by every later
-//     one. On a CPU the tabled point is the pattern solve before DRAM
-//     throttling (solveCPUPattern), which reads only the phase and the
-//     package state; the run's DRAM ceiling is applied per run. On a
-//     GPU it is the whole point (solveGPUPoint) per SM bin and memory
-//     clock, for the settable grid and the nominal clock; a run at any
-//     other memory clock solves directly.
+// tables each phase's operating point per discrete actuator state,
+// filled by the first run that reaches the state and read by every
+// later one. On a CPU the tabled point is the pattern solve before DRAM
+// throttling (solveCPUPattern), which reads only the phase and the
+// package state; the run's DRAM ceiling is applied per run. On a GPU it
+// is the whole point (solveGPUPoint) per SM bin and memory clock, for
+// the settable grid and the nominal clock; a run at any other memory
+// clock solves directly. The actuators' DVFS ladders are not the
+// model's: bound or not, a run's actuator reads its spec's ladder
+// (hw.CPUSpec.PStateBins, hw.GPUSpec.SMClockBins), shared by every run
+// when the spec is a catalog entry.
 //
 // Every run returns what the unbound entry point returns for the same
-// arguments, bit for bit, errors included: the ladders hold the closed
-// forms' values, and a tabled point is the one the solve would compute.
+// arguments, bit for bit, errors included: a tabled point is the one the
+// solve would compute.
 //
 // A Model is safe for concurrent use, and its read path takes no lock:
 // a table slot is published by an atomic store, and two runs that fill
@@ -47,7 +45,6 @@ type Model struct {
 	p    hw.Platform
 	w    workload.Workload
 	opts Options
-	bins []hw.Bin
 	// mems is the GPU memory clock grid (hw.GPUMemSpec.Clocks) and the
 	// nominal clock, ascending; nil on CPU platforms.
 	mems []units.Frequency
@@ -73,12 +70,10 @@ func Bind(p hw.Platform, w *workload.Workload, opts Options) (*Model, error) {
 	m := &Model{p: p, w: *w, opts: opts}
 	switch p.Kind {
 	case hw.KindCPU:
-		m.bins = p.CPU.PStateBins()
-		m.states = len(m.bins) + p.CPU.NumDuties()
+		m.states = len(p.CPU.PStateBins()) + p.CPU.NumDuties()
 		m.rows = make([]atomic.Pointer[pointRow], len(w.Phases))
 	case hw.KindGPU:
-		m.bins = p.GPU.SMClockBins()
-		m.states = len(m.bins)
+		m.states = len(p.GPU.SMClockBins())
 		m.mems = p.GPU.Mem.Clocks()
 		// The default driver policy runs the nominal clock, which need
 		// not lie on the grid.
@@ -130,14 +125,6 @@ func (m *Model) checkKind(k hw.Kind) error {
 		return fmt.Errorf("sim: platform %q is not a %s platform", m.p.Name, strings.ToUpper(k.String()))
 	}
 	return nil
-}
-
-// ladder returns the bound actuator ladder, nil for an unbound run.
-func (m *Model) ladder() []hw.Bin {
-	if m == nil {
-		return nil
-	}
-	return m.bins
 }
 
 // row returns row i, creating it on first use; nil for an unbound run.

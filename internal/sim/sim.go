@@ -135,7 +135,7 @@ func check(p hw.Platform, w *workload.Workload, kind hw.Kind) error {
 // cpuRun is RunCPUOpts after validation, reading m's tables when m is
 // not nil.
 func cpuRun(p hw.Platform, w *workload.Workload, procCap, memCap units.Power, opts Options, m *Model) (Result, error) {
-	ctrl := rapl.NewControllerBins(p.CPU, p.DRAM, m.ladder())
+	ctrl := rapl.NewController(p.CPU, p.DRAM)
 	if err := ctrl.SetLimit(rapl.DomainPackage, procCap); err != nil {
 		return Result{}, err
 	}
@@ -285,7 +285,7 @@ func (c gpuClocks) program(gov *nvgov.Governor) {
 // gpuRun is the GPU entry points after validation, reading m's tables
 // when m is not nil.
 func gpuRun(p hw.Platform, w *workload.Workload, totalCap units.Power, clocks gpuClocks, m *Model) (Result, error) {
-	gov := nvgov.NewBins(p.GPU, m.ladder())
+	gov := nvgov.New(p.GPU)
 	if err := gov.SetPowerCap(totalCap); err != nil {
 		return Result{}, err
 	}

@@ -195,10 +195,13 @@ func gpuBattery(p hw.Platform, w workload.Workload) []Issue {
 
 // Catalog validates every built-in platform against every matching
 // catalog workload; it backs the repository's own self-check and serves
-// as an example of a full campaign.
+// as an example of a full campaign. It runs on the shared catalog
+// entries (hw.PlatformByName), whose actuators read the ladders built
+// once with the catalog.
 func Catalog() []Issue {
 	var issues []Issue
 	for _, p := range hw.AllPlatforms() {
+		p, _ = hw.PlatformByName(p.Name)
 		for _, w := range workload.AllWorkloads() {
 			if w.Kind != p.Kind {
 				continue

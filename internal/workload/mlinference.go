@@ -92,7 +92,7 @@ func NewMLInference(name string, seqTokens, outTokens float64) (Workload, error)
 // plus an optional name=<id> (default "llm"). The vocabularies cannot
 // be mixed. Weights need not sum to 1 — they are normalized exactly.
 func ParsePhaseSpec(spec string) (Workload, error) {
-	name := "llm"
+	name, named := "llm", false
 	vals := map[string]float64{}
 	for _, field := range strings.Split(spec, ",") {
 		field = strings.TrimSpace(field)
@@ -105,7 +105,10 @@ func ParsePhaseSpec(spec string) (Workload, error) {
 			return Workload{}, fmt.Errorf("phase spec: malformed field %q (want key=value)", field)
 		}
 		if k == "name" {
-			name = v
+			if named {
+				return Workload{}, fmt.Errorf("phase spec: duplicate key %q", k)
+			}
+			name, named = v, true
 			continue
 		}
 		switch k {

@@ -225,6 +225,7 @@ func TestParsePhaseSpec(t *testing.T) {
 		"decode=1",
 		"prefill=0,decode=1",
 		"prefill=1,decode=1,decode=2",
+		"name=a,name=b,seq=1,out=1",
 		"bogus=1",
 		"seq=1024,out",
 		"=,=",
